@@ -16,6 +16,7 @@ Note that the base of "^" is a *unary* production, so ``-x^2`` parses as
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -101,11 +102,25 @@ def _byte_offset(text: str, char_index: int) -> int:
     return len(text[:char_index].encode("utf-8"))
 
 
+# Deepest input the parser accepts. Depth counts one level for every
+# operator, sign, function call and pair of brackets on the way down to a
+# number or a name. At this depth the parser (six frames per bracket), the
+# compiled evaluator and the oracle's derivative trees, which grow a few
+# times deeper than their input, all stay well inside Python's default
+# recursion limit of 1000 frames.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent. Every production returns its tree together with
+    the tree's depth (brackets included), so that deep input becomes a
+    ParseError instead of a RecursionError here or in later tree walks."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # signs, brackets, calls and exponents around this token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -125,75 +140,109 @@ class _Parser:
             self.fail(expected)
         return self.advance()
 
+    def too_deep(self, off: int) -> None:
+        raise ParseError(_byte_offset(self.text, off),
+                         f"at most {_MAX_DEPTH} levels of nesting",
+                         f"{_MAX_DEPTH + 1} levels")
+
+    def nest(self, e: Expr, below: int, off: int) -> tuple[Expr, int]:
+        """e with its depth, one more than ``below``, the depth of its
+        deepest part; a bracket pair passes its contents here too."""
+        if below >= _MAX_DEPTH:
+            self.too_deep(off)
+        return e, below + 1
+
+    def inner(self, off: int, production) -> tuple[Expr, int]:
+        """Run production inside one more construct opened at char offset
+        off. Each open construct adds a level above the tree inside it, so
+        the limit is known to be crossed before the recursion goes deeper."""
+        self.open += 1
+        if self.open >= _MAX_DEPTH:
+            self.too_deep(off)
+        result = production()
+        self.open -= 1
+        return result
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         if self.peek()[0] != "eof":
             self.fail("an operator or end of input")
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        left, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
-            left = Binary("add" if op == "+" else "sub", left, right)
-        return left
+            op, _, off = self.advance()
+            right, right_depth = self.term()
+            left, depth = self.nest(Binary("add" if op == "+" else "sub", left, right),
+                                    max(depth, right_depth), off)
+        return left, depth
 
-    def term(self) -> Expr:
-        left = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        left, depth = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self.factor()
-            left = Binary("mul" if op == "*" else "div", left, right)
-        return left
+            op, _, off = self.advance()
+            right, right_depth = self.factor()
+            left, depth = self.nest(Binary("mul" if op == "*" else "div", left, right),
+                                    max(depth, right_depth), off)
+        return left, depth
 
-    def factor(self) -> Expr:
-        base = self.unary()
+    def factor(self) -> tuple[Expr, int]:
+        base, depth = self.unary()
         if self.peek()[0] == "^":
-            self.advance()
-            return Binary("pow", base, self.factor())
-        return base
+            off = self.advance()[2]
+            exponent, exponent_depth = self.inner(off, self.factor)
+            return self.nest(Binary("pow", base, exponent), max(depth, exponent_depth), off)
+        return base, depth
 
-    def unary(self) -> Expr:
-        if self.peek()[0] == "-":
+    def unary(self) -> tuple[Expr, int]:
+        kind, _, off = self.peek()
+        if kind == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            child, depth = self.inner(off, self.unary)
+            return self.nest(Unary("neg", child), depth, off)
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, text, off = self.peek()
         if kind == "number":
             self.advance()
-            return Constant(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(_byte_offset(self.text, off), "a finite number", text)
+            return Constant(value), 1
         if kind == "ident":
             self.advance()
             if self.peek()[0] != "(":
-                return Variable(text)
+                return Variable(text), 1
             if text not in UNARY_FUNCTIONS and text not in BINARY_FUNCTIONS:
                 raise ParseError(_byte_offset(self.text, off),
                                  "a recognized function name", text)
             self.advance()
-            args = [self.expr()]
+            args = [self.inner(off, self.expr)]
             if self.peek()[0] == ",":
                 self.advance()
-                args.append(self.expr())
+                args.append(self.inner(off, self.expr))
             self.expect(")", "')'")
             want = 2 if text in BINARY_FUNCTIONS else 1
             if len(args) != want:
                 raise ParseError(_byte_offset(self.text, off),
                                  f"{want} argument(s) to {text}", f"{len(args)} given")
-            return Call(text, tuple(args))
+            return self.nest(Call(text, tuple(a for a, _ in args)),
+                             max(d for _, d in args), off)
         if kind == "(":
             self.advance()
-            e = self.expr()
+            e, depth = self.inner(off, self.expr)
             self.expect(")", "')'")
-            return e
+            return self.nest(e, depth, off)
         self.fail("a number, name, '-', or '('")
         raise AssertionError("unreachable")
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into an AST; raises ParseError with a byte offset."""
+    """Parse ``text`` into an AST; raises ParseError with a byte offset, also
+    for a number that overflows to infinity and for input nested deeper than
+    100 levels."""
     return _Parser(text).parse()
 
 
@@ -210,77 +259,134 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
 
 
-def _finite(v: float, node: Expr) -> float:
-    if not math.isfinite(v):
-        raise DomainError("result is not a finite real", subject=render(node))
-    return v
+# The functions whose result is checked: ValueError or OverflowError from
+# math, or a non-finite result, is a DomainError.
+_CHECKED = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
+            "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """IEEE-double evaluation. Out-of-domain conditions (division by zero,
-    log/sqrt of negatives, non-real powers, overflow) raise DomainError;
-    the result is always a finite float."""
+def _not_finite(node: Expr) -> DomainError:
+    return DomainError("result is not a finite real", subject=render(node))
+
+
+def _compile(e: Expr, read: Callable[[str], Callable],
+             shared: dict[int, Callable]) -> Callable:
+    """Compile e into nested closures of one argument; ``read(name)`` is the
+    closure that takes a variable's value from that argument. Each closure
+    does its node's IEEE operations in tree order (left before right,
+    arguments before the call) and raises any DomainError at its own node;
+    the node is rendered only then. ``shared`` maps id(node) to the closures
+    made so far, so that a subtree occurring in e several times as one
+    object (the oracle's derivative trees share their parts) compiles once."""
+    fn = shared.get(id(e))
+    if fn is not None:
+        return fn
     if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        if e.name not in bindings:
-            raise UnboundVariableError(e.name)
-        return float(bindings[e.name])
-    if isinstance(e, Unary):
-        return -evaluate(e.child, bindings)
-    if isinstance(e, Binary):
-        lv = evaluate(e.left, bindings)
-        rv = evaluate(e.right, bindings)
-        if e.op == "add":
-            return _finite(lv + rv, e)
-        if e.op == "sub":
-            return _finite(lv - rv, e)
-        if e.op == "mul":
-            return _finite(lv * rv, e)
-        if e.op == "div":
+        value = e.value
+        if math.isfinite(value):
+            fn = lambda arg: value
+        else:
+            def fn(arg):
+                raise DomainError("constant is not a finite real", argument=value)
+    elif isinstance(e, Variable):
+        fn = read(e.name)
+    elif isinstance(e, Unary):
+        child = _compile(e.child, read, shared)
+        fn = lambda arg: -child(arg)
+    elif isinstance(e, Binary):
+        fn = _compile_binary(e, _compile(e.left, read, shared),
+                             _compile(e.right, read, shared))
+    else:
+        fn = _compile_call(e, [_compile(a, read, shared) for a in e.args])
+    shared[id(e)] = fn
+    return fn
+
+
+def _compile_binary(e: Binary, left: Callable, right: Callable) -> Callable:
+    if e.op in _ARITHMETIC:
+        op = _ARITHMETIC[e.op]
+
+        def arithmetic(arg):
+            v = op(left(arg), right(arg))
+            if math.isfinite(v):
+                return v
+            raise _not_finite(e)
+        return arithmetic
+    if e.op == "div":
+        def div(arg):
+            lv = left(arg)
+            rv = right(arg)
             if rv == 0.0:
                 raise DomainError("division by zero", subject=render(e), argument=rv)
-            return _finite(lv / rv, e)
-        # pow
+            v = lv / rv
+            if math.isfinite(v):
+                return v
+            raise _not_finite(e)
+        return div
+
+    def power(arg):  # every other op is "pow"
+        lv = left(arg)
+        rv = right(arg)
         if lv < 0.0 and rv != math.floor(rv):
             raise DomainError("negative base with non-integer exponent",
                               subject=render(e), argument=lv)
         try:
-            return _finite(math.pow(lv, rv), e)
+            v = math.pow(lv, rv)
         except (ValueError, OverflowError):
             raise DomainError("power is not a finite real",
                               subject=render(e), argument=lv) from None
-    return _call(e, bindings)
+        if math.isfinite(v):
+            return v
+        raise _not_finite(e)
+    return power
 
 
-def _call(e: Call, bindings: Mapping[str, float]) -> float:
-    vals = [evaluate(a, bindings) for a in e.args]
-    x = vals[0]
-    try:
-        if e.fn == "abs":
-            return math.fabs(x)
-        if e.fn == "sign":
+def _compile_call(e: Call, args: list[Callable]) -> Callable:
+    if e.fn in BINARY_FUNCTIONS:
+        first, second = args
+        pick = min if e.fn == "min" else max
+        return lambda arg: pick(first(arg), second(arg))
+    (child,) = args
+    if e.fn == "abs":
+        return lambda arg: math.fabs(child(arg))
+    if e.fn == "sign":
+        def sign(arg):
+            x = child(arg)
             return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
-        if e.fn == "sin":
-            return _finite(math.sin(x), e)
-        if e.fn == "cos":
-            return _finite(math.cos(x), e)
-        if e.fn == "tan":
-            return _finite(math.tan(x), e)
-        if e.fn == "exp":
-            return _finite(math.exp(x), e)
-        if e.fn == "log":
-            return _finite(math.log(x), e)
-        if e.fn == "sqrt":
-            return _finite(math.sqrt(x), e)
-        if e.fn == "min":
-            return min(x, vals[1])
-        if e.fn == "max":
-            return max(x, vals[1])
-    except (ValueError, OverflowError):
-        raise DomainError(f"{e.fn} applied outside its domain",
-                          subject=render(e), argument=x) from None
-    raise AssertionError(f"unknown function {e.fn}")
+        return sign
+    if e.fn not in _CHECKED:
+        raise AssertionError(f"unknown function {e.fn}")
+    fn = _CHECKED[e.fn]
+
+    def call(arg):
+        x = child(arg)
+        try:
+            v = fn(x)
+        except (ValueError, OverflowError):
+            raise DomainError(f"{e.fn} applied outside its domain",
+                              subject=render(e), argument=x) from None
+        if math.isfinite(v):
+            return v
+        raise _not_finite(e)
+    return call
+
+
+def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
+    def variable(bindings: Mapping[str, float]) -> float:
+        if name not in bindings:
+            raise UnboundVariableError(name)
+        return float(bindings[name])
+    return variable
+
+
+def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
+    """IEEE-double evaluation. Out-of-domain conditions (division by zero,
+    log/sqrt of negatives, non-real powers, overflow, a non-finite constant)
+    raise DomainError; the result is always a finite float for finite
+    bindings. The expression is compiled on each call, so use as_function
+    to evaluate one expression at many points."""
+    return _compile(e, _binding, {})(bindings)
 
 
 def render(e: Expr) -> str:
@@ -319,7 +425,8 @@ def render(e: Expr) -> str:
 
 
 def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
-    """Wrap an expression with at most one free variable as ``f: float -> float``."""
+    """Compile an expression with at most one free variable, once, into
+    ``f: float -> float``; f(t) equals evaluate(e, {var: t}) bit for bit."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:
@@ -329,7 +436,5 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
         raise ValueError(f"expression has free variables besides {var!r}: "
                          f"{sorted(names - {var})}")
 
-    def f(t: float) -> float:
-        return evaluate(e, {var: t})
-
-    return f
+    # Every variable left is var, read straight from the one argument.
+    return _compile(e, lambda name: float, {})

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -191,13 +191,21 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _unit_hash(seed: int, level: int, component: int, index: int) -> float:
-    """Counter-based uniform in [0, 1): a fixed function of its arguments,
-    identical across platforms and runs."""
+# Unit tables kept by _stratum_units. A 49-level descent on a two-sided base
+# needs 98; every call with the same LimitConfig.seed reuses them.
+_UNIT_TABLES = 1024
+
+
+@lru_cache(maxsize=_UNIT_TABLES)
+def _stratum_units(seed: int, level: int, component: int, n: int) -> tuple[float, ...]:
+    """Counter-based uniforms in [0, 1) for the n strata of one component:
+    splitmix64 chained over (seed, level, component, index), a fixed
+    function of its arguments, identical across platforms and runs. The
+    first three rounds are shared by the whole table."""
     h = 0x243F6A8885A308D3
-    for part in (seed, level, component, index):
+    for part in (seed, level, component):
         h = _splitmix64(h ^ (part & _M64))
-    return (h >> 11) * 2.0 ** -53
+    return tuple((_splitmix64(h ^ i) >> 11) * 2.0 ** -53 for i in range(n))
 
 
 def _allocate(widths: Sequence[float], m: int) -> list[int]:
@@ -226,13 +234,13 @@ def _stratified_sample(desc: SetDescriptor, m: int, seed: int, level: int) -> li
     counts = _allocate([p.width for p in pieces], m)
     out: list[float] = []
     for ci, (piece, n) in enumerate(zip(pieces, counts)):
-        for i in range(n):
-            u = _unit_hash(seed, level, ci, i)
+        lo, hi, width = piece.lo, piece.hi, piece.width
+        for i, u in enumerate(_stratum_units(seed, level, ci, n)):
             jitter = (u - 0.5) * (1.0 - 1e-9)
             t = (i + 0.5 + jitter) / n
-            x = piece.lo + piece.width * t
-            if not piece.lo < x < piece.hi:
-                x = piece.lo + piece.width * ((i + 0.5) / n)  # nudge to stratum center
+            x = lo + width * t
+            if not lo < x < hi:
+                x = lo + width * ((i + 0.5) / n)  # nudge to stratum center
             out.append(x)
     if len(set(out)) != m:
         raise ValueError(f"level {level} is too thin to hold {m} distinct samples")

@@ -88,8 +88,6 @@ def _level_row(g: Callable[[float], float], b: FilterBaseChain, k: int,
     for x in pts:
         try:
             v = g(x)
-        except DomainError:
-            raise
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             # plain callables signal domain problems the stdlib way
             raise DomainError(str(exc), argument=x) from exc

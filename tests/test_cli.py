@@ -154,3 +154,50 @@ class TestParamsEcho:
             assert key in params
         assert params["levels"] == 48
         assert params["seed"] == 0
+
+
+def main_json(capsys, *argv):
+    """Run cli.main in-process; return its exit code and its one JSON object."""
+    from filterderiv import cli
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    return code, json.loads(out)   # raises unless stdout is exactly one object
+
+
+class TestHostileExpressions:
+    def test_overflowing_literal_is_input_error(self):
+        res = run_cli("derive", "--expr", "1e999*x", "--x0", "0",
+                      "--base", "right:delta0=1,ratio=0.5")
+        assert res.returncode == 4
+        payload = json.loads(res.stdout)
+        assert payload["status"] == "input-error"
+        assert "finite number" in payload["notes"][0]
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("expr", ["(" * 1000 + "x" + ")" * 1000, "-" * 1000 + "x"],
+                             ids=["brackets", "signs"])
+    def test_deep_nesting_is_input_error(self, capsys, expr):
+        code, payload = main_json(capsys, "derive", f"--expr={expr}", "--x0", "0",
+                                  "--base", "right:delta0=1,ratio=0.5")
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert "levels of nesting" in payload["notes"][0]
+
+    def test_deep_nesting_in_a_child_process(self):
+        res = run_cli("check", "product", "--f", "(" * 1000 + "x" + ")" * 1000,
+                      "--g", "x", "--x0", "0", "--base", "right:delta0=1,ratio=0.5")
+        assert res.returncode == 4
+        assert json.loads(res.stdout)["status"] == "input-error"
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("expr,symbolic", [
+        ("(" * 99 + "x" + ")" * 99, 1.0),
+        ("-" * 99 + "x", -1.0),
+        ("+".join(["x"] * 100), 100.0),
+        ("1/(" * 49 + "x" + ")" * 49, -4.0),
+    ], ids=["brackets", "signs", "sum", "reciprocals"])
+    def test_deepest_accepted_input_runs_oracle(self, capsys, expr, symbolic):
+        code, payload = main_json(capsys, "derive", f"--expr={expr}", "--x0", "0.5",
+                                  "--base", "right:delta0=1,ratio=0.5", "--oracle")
+        assert code in (0, 2, 3)
+        assert payload["oracle"]["symbolic"]["value"] == symbolic

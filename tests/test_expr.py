@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from filterderiv import (Binary, Call, Constant, DomainError, ParseError,
                          Unary, UnboundVariableError, Variable, as_function,
                          evaluate, free_vars, parse, render)
+from filterderiv.expr import _MAX_DEPTH, BINARY_FUNCTIONS, UNARY_FUNCTIONS
 
 
 class TestParse:
@@ -96,6 +97,93 @@ class TestEvaluate:
         assert a == b
 
 
+# Every node kind, every function and every DomainError branch, with the exact
+# result (as float.hex) or the exact message. Written against the tree-walking
+# evaluator, so any change of IEEE operation, order or error site shows here.
+EVALUATION_TABLE = [
+    ('2.5', {}, '0x1.4000000000000p+1'),
+    ('x', {'x': 0.1}, '0x1.999999999999ap-4'),
+    ('x', {'x': 3}, '0x1.8000000000000p+1'),
+    ('-x', {'x': 0.0}, '-0x0.0p+0'),
+    ('-x', {'x': 1.5}, '-0x1.8000000000000p+0'),
+    ('x+y', {'x': 0.1, 'y': 0.2}, '0x1.3333333333334p-2'),
+    ('x-y', {'x': 0.3, 'y': 0.1}, '0x1.9999999999999p-3'),
+    ('x*y', {'x': 0.1, 'y': 3.0}, '0x1.3333333333334p-2'),
+    ('x/y', {'x': 1.0, 'y': 3.0}, '0x1.5555555555555p-2'),
+    ('x^y', {'x': 1.1, 'y': 2.5}, '0x1.44e1080833b25p+0'),
+    ('x^3', {'x': -2.0}, '-0x1.0000000000000p+3'),
+    ('x^0', {'x': 0.0}, '0x1.0000000000000p+0'),
+    ('2^3^2', {}, '0x1.0000000000000p+9'),
+    ('-x^2', {'x': 3.0}, '0x1.2000000000000p+3'),
+    ('8-3-2', {}, '0x1.8000000000000p+1'),
+    ('x/3*3', {'x': 0.1}, '0x1.999999999999ap-4'),
+    ('abs(x)', {'x': -0.7}, '0x1.6666666666666p-1'),
+    ('sign(x)', {'x': -0.0}, '0x0.0p+0'),
+    ('sign(x)', {'x': 2.5}, '0x1.0000000000000p+0'),
+    ('sign(x)', {'x': -2.5}, '-0x1.0000000000000p+0'),
+    ('sin(x)', {'x': 0.7310585}, '0x1.55d745e98d663p-1'),
+    ('cos(x)', {'x': 0.7310585}, '0x1.7d2aec5b01f5fp-1'),
+    ('tan(x)', {'x': 1.2}, '0x1.493c43acb164dp+1'),
+    ('exp(x)', {'x': -1.25}, '0x1.25618372a584fp-2'),
+    ('log(x)', {'x': 2.0}, '0x1.62e42fefa39efp-1'),
+    ('sqrt(x)', {'x': 2.0}, '0x1.6a09e667f3bcdp+0'),
+    ('min(x,y)', {'x': 0.0, 'y': -0.0}, '0x0.0p+0'),
+    ('max(x,y)', {'x': 0.0, 'y': -0.0}, '0x0.0p+0'),
+    ('min(x,2)', {'x': 5.0}, '0x1.0000000000000p+1'),
+    ('max(x,2)', {'x': 5.0}, '0x1.4000000000000p+2'),
+    ('sin(x)*exp(x/3)-sqrt(1+x^2)', {'x': 0.4}, '-0x1.439ee25752e34p-1'),
+    ('x*sin(1/x)', {'x': 0.001}, '0x1.b185e4acae1b5p-11'),
+]
+
+DOMAIN_ERROR_TABLE = [
+    ('1/x', {'x': 0.0}, 'division by zero in 1.0/x (argument 0.0)'),
+    ('1/x', {'x': -0.0}, 'division by zero in 1.0/x (argument -0.0)'),
+    ('x^0.5', {'x': -2.0}, 'negative base with non-integer exponent in x^0.5 (argument -2.0)'),
+    ('x^400', {'x': 10.0}, 'power is not a finite real in x^400.0 (argument 10.0)'),
+    ('x^-1', {'x': 0.0}, 'power is not a finite real in x^-1.0 (argument 0.0)'),
+    ('log(x)', {'x': 0.0}, 'log applied outside its domain in log(x) (argument 0.0)'),
+    ('log(x)', {'x': -1.0}, 'log applied outside its domain in log(x) (argument -1.0)'),
+    ('sqrt(x)', {'x': -4.0}, 'sqrt applied outside its domain in sqrt(x) (argument -4.0)'),
+    ('exp(x)', {'x': 1000000.0}, 'exp applied outside its domain in exp(x) (argument 1000000.0)'),
+    ('x*x', {'x': 1e+300}, 'result is not a finite real in x*x'),
+    ('x+x', {'x': 1.7e+308}, 'result is not a finite real in x+x'),
+    ('x-y', {'x': -1.7e+308, 'y': 1.7e+308}, 'result is not a finite real in x-y'),
+    ('x/y', {'x': 1e+300, 'y': 1e-300}, 'result is not a finite real in x/y'),
+    ('log(x)+1/x', {'x': 0.0}, 'log applied outside its domain in log(x) (argument 0.0)'),
+    ('min(1/x,log(x))', {'x': 0.0}, 'division by zero in 1.0/x (argument 0.0)'),
+    ('-sqrt(x)', {'x': -1.0}, 'sqrt applied outside its domain in sqrt(x) (argument -1.0)'),
+]
+
+
+class TestEvaluationTable:
+    @pytest.mark.parametrize("text,env,expected", EVALUATION_TABLE)
+    def test_exact_value(self, text, env, expected):
+        assert evaluate(parse(text), env).hex() == expected
+        if set(env) <= {"x"}:
+            assert as_function(parse(text), "x")(env.get("x", 0.0)).hex() == expected
+
+    @pytest.mark.parametrize("text,env,message", DOMAIN_ERROR_TABLE)
+    def test_exact_domain_error(self, text, env, message):
+        with pytest.raises(DomainError) as exc:
+            evaluate(parse(text), env)
+        assert str(exc.value) == message
+        if set(env) == {"x"}:
+            with pytest.raises(DomainError) as exc:
+                as_function(parse(text), "x")(env["x"])
+            assert str(exc.value) == message
+
+    def test_unbound_variable_message(self):
+        with pytest.raises(UnboundVariableError) as exc:
+            evaluate(parse("x+y"), {"x": 1.0})
+        assert str(exc.value) == "unbound variable 'y'"
+        assert exc.value.name == "y"
+
+    def test_table_covers_every_function(self):
+        texts = " ".join(row[0] for row in EVALUATION_TABLE + DOMAIN_ERROR_TABLE)
+        for fn in UNARY_FUNCTIONS + BINARY_FUNCTIONS:
+            assert f"{fn}(" in texts
+
+
 class TestFreeVars:
     @pytest.mark.parametrize("text,names", [
         ("2+2", set()),
@@ -157,3 +245,66 @@ class TestRender:
     def test_reparse_is_identity_on_strings(self, text):
         tree = parse(text)
         assert parse(render(tree)) == tree
+
+
+class TestNonFiniteConstants:
+    @pytest.mark.parametrize("text,offset", [("1e999", 0), ("x + 1e999", 4),
+                                             ("sin(2e400*x)", 4)])
+    def test_overflowing_literal_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+        assert exc.value.expected == "a finite number"
+
+    @pytest.mark.parametrize("tree", [
+        Binary("add", Constant(math.inf), Variable("x")),
+        Call("abs", (Constant(-math.inf),)),
+        Call("max", (Constant(math.inf), Constant(0.0))),
+        Call("min", (Variable("x"), Constant(math.nan))),
+    ])
+    def test_hand_built_constant_raises_when_evaluated(self, tree):
+        f = as_function(tree, "x")
+        with pytest.raises(DomainError, match="constant is not a finite real"):
+            evaluate(tree, {"x": 1.0})
+        with pytest.raises(DomainError, match="constant is not a finite real"):
+            f(1.0)
+
+
+def _nested(depth_levels: int, kind: str) -> str:
+    n = depth_levels - 1   # levels above the innermost x
+    return {"brackets": "(" * n + "x" + ")" * n,
+            "signs": "-" * n + "x",
+            "calls": "sin(" * n + "x" + ")" * n,
+            "sum": "+".join(["x"] * depth_levels),
+            "powers": "^".join(["x"] * depth_levels)}[kind]
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("text,offset", [
+        ("(" * 1000 + "x" + ")" * 1000, _MAX_DEPTH - 1),
+        ("-" * 1000 + "x", _MAX_DEPTH - 1),
+        ("sin(" * 1000 + "x" + ")" * 1000, 4 * (_MAX_DEPTH - 1)),
+        # a flat chain nests through the tree it builds: the limit is
+        # crossed at the operator that would make the tree too deep
+        ("+".join(["x"] * 1000), 2 * _MAX_DEPTH - 1),
+    ], ids=["brackets", "signs", "calls", "sum"])
+    def test_deep_input_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+        assert exc.value.expected == f"at most {_MAX_DEPTH} levels of nesting"
+
+    @pytest.mark.parametrize("kind", ["brackets", "signs", "calls", "sum", "powers"])
+    def test_limit_is_exact(self, kind):
+        parse(_nested(_MAX_DEPTH, kind))
+        with pytest.raises(ParseError):
+            parse(_nested(_MAX_DEPTH + 1, kind))
+
+    @pytest.mark.parametrize("kind,x,expected", [
+        ("brackets", 0.25, 0.25), ("signs", 0.25, -0.25), ("sum", 0.25, 25.0),
+    ])
+    def test_deepest_accepted_input_evaluates(self, kind, x, expected):
+        e = parse(_nested(_MAX_DEPTH, kind))
+        assert evaluate(e, {"x": x}) == expected
+        assert as_function(e)(x) == expected
+        assert parse(render(e)) == e
