@@ -376,16 +376,20 @@ def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
     def variable(bindings: Mapping[str, float]) -> float:
         if name not in bindings:
             raise UnboundVariableError(name)
-        return float(bindings[name])
+        v = float(bindings[name])
+        if math.isfinite(v):
+            return v
+        raise DomainError("variable is not bound to a finite real", subject=name,
+                          argument=v)
     return variable
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE-double evaluation. Out-of-domain conditions (division by zero,
-    log/sqrt of negatives, non-real powers, overflow, a non-finite constant)
-    raise DomainError; the result is always a finite float for finite
-    bindings. The expression is compiled on each call, so use as_function
-    to evaluate one expression at many points."""
+    log/sqrt of negatives, non-real powers, overflow, a non-finite constant
+    or binding) raise DomainError, so the result is always a finite float.
+    The expression is compiled on each call, so use as_function to evaluate
+    one expression at many points."""
     return _compile(e, _binding, {})(bindings)
 
 
@@ -424,9 +428,34 @@ def render(e: Expr) -> str:
     return f"{l}^{r}"
 
 
+def _passes_non_finite(e: Expr) -> bool:
+    """Whether e's closure may turn a non-finite argument into a non-finite
+    or made-up result without raising: its root reads the argument or only
+    negates, or abs/sign/min/max (which check nothing) occur in it. Every
+    other node checks its own result."""
+    if isinstance(e, (Variable, Unary)):
+        return True
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call) and node.fn in ("abs", "sign", "min", "max"):
+            return True
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack.extend((node.left, node.right))
+        elif isinstance(node, Call):
+            stack.extend(node.args)
+    return False
+
+
 def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     """Compile an expression with at most one free variable, once, into
-    ``f: float -> float``; f(t) equals evaluate(e, {var: t}) bit for bit."""
+    ``f: float -> float``. For finite t, f(t) equals evaluate(e, {var: t})
+    bit for bit, and f never returns a non-finite value. A non-finite t is
+    a DomainError where abs, sign, min, max, a bare variable or a negation
+    could pass it through; elsewhere every operation checks its own result,
+    so 1/x gives 0.0 at inf where evaluate raises."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:
@@ -437,4 +466,13 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
                          f"{sorted(names - {var})}")
 
     # Every variable left is var, read straight from the one argument.
-    return _compile(e, lambda name: float, {})
+    fn = _compile(e, lambda name: float, {})
+    if not _passes_non_finite(e):
+        return fn
+
+    def checked(t: float) -> float:
+        if math.isfinite(t):
+            return fn(t)
+        raise DomainError("variable is not bound to a finite real", subject=var,
+                          argument=t)
+    return checked

@@ -7,6 +7,8 @@ canonicalized into maximal connected components so that emptiness,
 membership and containment are decided exactly (float comparisons only,
 no tolerances). The generated filter is never materialized: membership of
 a candidate set in it is answered by searching for a contained base element.
+The geometric bases sample their closed-form intervals without building a
+descriptor, and every sample set is memoized.
 """
 
 from __future__ import annotations
@@ -191,23 +193,6 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-# Unit tables kept by _stratum_units. A 49-level descent on a two-sided base
-# needs 98; every call with the same LimitConfig.seed reuses them.
-_UNIT_TABLES = 1024
-
-
-@lru_cache(maxsize=_UNIT_TABLES)
-def _stratum_units(seed: int, level: int, component: int, n: int) -> tuple[float, ...]:
-    """Counter-based uniforms in [0, 1) for the n strata of one component:
-    splitmix64 chained over (seed, level, component, index), a fixed
-    function of its arguments, identical across platforms and runs. The
-    first three rounds are shared by the whole table."""
-    h = 0x243F6A8885A308D3
-    for part in (seed, level, component):
-        h = _splitmix64(h ^ (part & _M64))
-    return tuple((_splitmix64(h ^ i) >> 11) * 2.0 ** -53 for i in range(n))
-
-
 def _allocate(widths: Sequence[float], m: int) -> list[int]:
     """Largest-remainder allocation of m sample slots proportional to width."""
     total = math.fsum(widths)
@@ -220,10 +205,43 @@ def _allocate(widths: Sequence[float], m: int) -> list[int]:
     return counts
 
 
+# Sample sets kept by _sample_spans. A 49-level descent needs 49 per base;
+# the limits of one rule check, and every call with the same base, m and
+# LimitConfig.seed, reuse them.
+_SAMPLE_SETS = 1024
+
+
+@lru_cache(maxsize=_SAMPLE_SETS)
+def _sample_spans(spans: tuple[tuple[float, float], ...], m: int, seed: int,
+                  level: int) -> tuple[float, ...]:
+    """m distinct points inside the open intervals ``spans`` (sorted, disjoint
+    (lo, hi) pairs): a jittered stratified grid per interval, with slots
+    allocated proportionally to width. The jitter of stratum i of interval c
+    is a counter-based uniform in [0, 1): splitmix64 chained over (seed,
+    level, c, i), a fixed function of its arguments, identical across
+    platforms and runs; the first three rounds are shared by the interval.
+    A pure function of its arguments, so it is memoized."""
+    widths = [hi - lo for lo, hi in spans]
+    out: list[float] = []
+    for c, ((lo, hi), width, n) in enumerate(zip(spans, widths, _allocate(widths, m))):
+        h = 0x243F6A8885A308D3
+        for part in (seed, level, c):
+            h = _splitmix64(h ^ (part & _M64))
+        for i in range(n):
+            u = (_splitmix64(h ^ i) >> 11) * 2.0 ** -53
+            jitter = (u - 0.5) * (1.0 - 1e-9)
+            x = lo + width * ((i + 0.5 + jitter) / n)
+            if not lo < x < hi:
+                x = lo + width * ((i + 0.5) / n)  # nudge to stratum center
+            out.append(x)
+    if len(set(out)) != m:
+        raise ValueError(f"level {level} is too thin to hold {m} distinct samples")
+    return tuple(out)
+
+
 def _stratified_sample(desc: SetDescriptor, m: int, seed: int, level: int) -> list[float]:
-    """m distinct members of desc: a jittered stratified grid per interval
-    component (slots allocated proportionally to width), or the first m
-    stored points when the set has no interval part."""
+    """m distinct members of desc: _sample_spans over its interval
+    components, or the first m stored points when it has no interval part."""
     pieces = desc.pieces
     if not pieces:
         pts = [p for p in desc.points if desc.contains(p)]
@@ -231,20 +249,7 @@ def _stratified_sample(desc: SetDescriptor, m: int, seed: int, level: int) -> li
             raise ValueError(
                 f"level {level} has only {len(pts)} sampleable points, need {m}")
         return pts[:m]
-    counts = _allocate([p.width for p in pieces], m)
-    out: list[float] = []
-    for ci, (piece, n) in enumerate(zip(pieces, counts)):
-        lo, hi, width = piece.lo, piece.hi, piece.width
-        for i, u in enumerate(_stratum_units(seed, level, ci, n)):
-            jitter = (u - 0.5) * (1.0 - 1e-9)
-            t = (i + 0.5 + jitter) / n
-            x = lo + width * t
-            if not lo < x < hi:
-                x = lo + width * ((i + 0.5) / n)  # nudge to stratum center
-            out.append(x)
-    if len(set(out)) != m:
-        raise ValueError(f"level {level} is too thin to hold {m} distinct samples")
-    return out
+    return list(_sample_spans(tuple((p.lo, p.hi) for p in pieces), m, seed, level))
 
 
 class FilterBaseChain:
@@ -298,7 +303,10 @@ class FilterBaseChain:
         return self._scale_fn(k)
 
     def sample(self, k: int, m: int, seed: int) -> list[float]:
-        """m distinct members of element(k); deterministic in (k, m, seed)."""
+        """m distinct members of element(k), as a fresh list; deterministic
+        in (k, m, seed). m and seed must be ints."""
+        if not (isinstance(m, int) and isinstance(seed, int)):
+            raise ValueError("m and seed must be ints")
         if m < 2:
             raise ValueError("need m >= 2 sample points")
         self._check_level(k)
@@ -341,52 +349,49 @@ def _geometric_scales(delta0: float, ratio: float, max_level: int) -> tuple[floa
     return tuple(scales)
 
 
+def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
+                     spans: Callable[[float], tuple[tuple[float, float], ...]],
+                     element: Callable[[float], SetDescriptor]) -> FilterBaseChain:
+    """A chain whose level k has scale d = delta0*ratio**k, element
+    element(d) and sample set _sample_spans(spans(d), ...): spans(d) are
+    exactly the pieces that element(d) canonicalizes to, so sampling skips
+    the descriptor."""
+    scales = _geometric_scales(delta0, ratio, max_level)
+    return FilterBaseChain(
+        chain_id=f"{kind}:delta0={float(delta0)!r},ratio={float(ratio)!r}",
+        max_level=max_level,
+        punctured_at_zero=True,
+        params={"kind": kind, "delta0": float(delta0),
+                "ratio": float(ratio), "max_level": max_level},
+        element_fn=lambda k: element(scales[k]),
+        scale_fn=lambda k: scales[k],
+        sample_fn=lambda k, m, seed: list(_sample_spans(spans(scales[k]), m, seed, k)),
+    )
+
+
 def punctured_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Punctured symmetric neighborhoods of 0:
     element(k) = (-delta0*ratio**k, delta0*ratio**k) \\ {0}."""
-    scales = _geometric_scales(delta0, ratio, max_level)
-
-    def element(k: int) -> SetDescriptor:
-        d = scales[k]
-        return SetDescriptor(intervals=((-d, d),), excluded=(0.0,))
-
-    return FilterBaseChain(
-        chain_id=f"punctured:delta0={float(delta0)!r},ratio={float(ratio)!r}",
-        max_level=max_level,
-        punctured_at_zero=True,
-        params={"kind": "punctured", "delta0": float(delta0),
-                "ratio": float(ratio), "max_level": max_level},
-        element_fn=element,
-        scale_fn=lambda k: scales[k],
-    )
+    return _geometric_chain(
+        "punctured", delta0, ratio, max_level,
+        spans=lambda d: ((-d, 0.0), (0.0, d)),
+        element=lambda d: SetDescriptor(intervals=((-d, d),), excluded=(0.0,)))
 
 
 def right_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Right-sided neighborhoods: element(k) = (0, delta0*ratio**k)."""
-    scales = _geometric_scales(delta0, ratio, max_level)
-    return FilterBaseChain(
-        chain_id=f"right:delta0={float(delta0)!r},ratio={float(ratio)!r}",
-        max_level=max_level,
-        punctured_at_zero=True,
-        params={"kind": "right", "delta0": float(delta0),
-                "ratio": float(ratio), "max_level": max_level},
-        element_fn=lambda k: SetDescriptor(intervals=((0.0, scales[k]),)),
-        scale_fn=lambda k: scales[k],
-    )
+    return _geometric_chain(
+        "right", delta0, ratio, max_level,
+        spans=lambda d: ((0.0, d),),
+        element=lambda d: SetDescriptor(intervals=((0.0, d),)))
 
 
 def left_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Left-sided neighborhoods: element(k) = (-delta0*ratio**k, 0)."""
-    scales = _geometric_scales(delta0, ratio, max_level)
-    return FilterBaseChain(
-        chain_id=f"left:delta0={float(delta0)!r},ratio={float(ratio)!r}",
-        max_level=max_level,
-        punctured_at_zero=True,
-        params={"kind": "left", "delta0": float(delta0),
-                "ratio": float(ratio), "max_level": max_level},
-        element_fn=lambda k: SetDescriptor(intervals=((-scales[k], 0.0),)),
-        scale_fn=lambda k: scales[k],
-    )
+    return _geometric_chain(
+        "left", delta0, ratio, max_level,
+        spans=lambda d: ((-d, 0.0),),
+        element=lambda d: SetDescriptor(intervals=((-d, 0.0),)))
 
 
 @dataclass(frozen=True)

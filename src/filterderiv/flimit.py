@@ -52,6 +52,8 @@ class LimitConfig:
             raise ValueError("stable_levels must be >= 1")
         if self.max_level < self.stable_levels:
             raise ValueError("max_level must be >= stable_levels")
+        if not (isinstance(self.samples_per_level, int) and isinstance(self.seed, int)):
+            raise ValueError("samples_per_level and seed must be ints")
         if self.samples_per_level < 2:
             raise ValueError("samples_per_level must be >= 2")
         for name in ("tol_osc", "tol_step", "no_limit_floor"):

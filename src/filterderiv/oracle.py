@@ -111,9 +111,9 @@ def _pow(a: Expr, b: Expr) -> Expr:
 
 def symbolic_derivative(e: Expr, var: str) -> Expr:
     """Differentiate node by node. Conventions: d abs(u) = sign(u)*u',
-    d sign(u) = 0, and min/max via min(a,b) = (a+b-|a-b|)/2; the result is
-    valid wherever no abs/sign argument (or min/max argument difference)
-    vanishes."""
+    d sign(u) = 0, and d min(a,b) / d max(a,b) is the derivative of the
+    argument that sign(a-b) selects; the result is valid wherever no
+    abs/sign argument (or min/max argument difference) vanishes."""
     if isinstance(e, Constant):
         return _const(0.0)
     if isinstance(e, Variable):
@@ -139,6 +139,18 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
             return _mul(_mul(_const(n), _pow(e.left, _const(n - 1.0))), dl)
         return _mul(e, _add(_mul(dr, Call("log", (e.left,))),
                             _div(_mul(e.right, dl), e.left)))
+    if e.fn in BINARY_FUNCTIONS:
+        # With s = sign(a-b), min' = ((1-s)*a' + (1+s)*b')/2, and max' swaps
+        # the weights. Each argument is differentiated once and its
+        # derivative occurs once, so nesting grows the tree linearly; off
+        # kinks (s = +-1) the weights are 0 and 2, so the value is exactly
+        # a' or b'.
+        a, b = e.args
+        s = Call("sign", (_sub(a, b),))
+        below, above = _sub(_const(1.0), s), _add(_const(1.0), s)
+        wa, wb = (below, above) if e.fn == "min" else (above, below)
+        return _mul(_const(0.5), _add(_mul(wa, symbolic_derivative(a, var)),
+                                      _mul(wb, symbolic_derivative(b, var))))
     u = e.args[0]
     du = symbolic_derivative(u, var)
     if e.fn == "abs":
@@ -155,16 +167,7 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
         return _mul(e, du)
     if e.fn == "log":
         return _div(du, u)
-    if e.fn == "sqrt":
-        return _div(du, _mul(_const(2.0), e))
-    # min/max via the abs identity
-    a, b = e.args
-    da = symbolic_derivative(a, var)
-    db = symbolic_derivative(b, var)
-    swing = _mul(Call("sign", (_sub(a, b),)), _sub(da, db))
-    if e.fn == "min":
-        return _mul(_const(0.5), _sub(_add(da, db), swing))
-    return _mul(_const(0.5), _add(_add(da, db), swing))
+    return _div(du, _mul(_const(2.0), e))  # every other function is sqrt
 
 
 def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:

@@ -270,6 +270,42 @@ class TestNonFiniteConstants:
             f(1.0)
 
 
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestNonFiniteBindings:
+    """abs, sign, min and max check nothing and a bare variable or negation
+    is not checked either, so these are the expressions through which a
+    non-finite argument could come out as inf, nan or a made-up value."""
+
+    @pytest.mark.parametrize("text", ["abs(x)", "max(x,0)", "x", "-x", "sign(x)",
+                                      "min(1,x)"])
+    @pytest.mark.parametrize("t", NON_FINITE, ids=repr)
+    def test_unchecked_paths_raise(self, text, t):
+        with pytest.raises(DomainError, match="not bound to a finite real"):
+            evaluate(parse(text), {"x": t})
+        with pytest.raises(DomainError, match="not bound to a finite real"):
+            as_function(parse(text))(t)
+
+    @pytest.mark.parametrize("text", ["x+1", "1/x", "exp(x)", "x^2", "sin(x)*x",
+                                      "2*abs(x)", "-(x^2)"])
+    @pytest.mark.parametrize("t", NON_FINITE, ids=repr)
+    def test_evaluate_raises_and_as_function_stays_finite(self, text, t):
+        with pytest.raises(DomainError):
+            evaluate(parse(text), {"x": t})
+        try:
+            v = as_function(parse(text))(t)
+        except DomainError:
+            return
+        assert math.isfinite(v)
+
+    def test_finite_arguments_unchanged(self):
+        for text in ("abs(x)", "max(x,0)", "x", "-x", "sign(x)", "min(1,x)"):
+            f = as_function(parse(text))
+            for t in (-2.5, 0.0, 1e-300, 3.0):
+                assert f(t) == evaluate(parse(text), {"x": t})
+
+
 def _nested(depth_levels: int, kind: str) -> str:
     n = depth_levels - 1   # levels above the innermost x
     return {"brackets": "(" * n + "x" + ")" * n,

@@ -110,6 +110,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LimitConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(seed=1.0), dict(seed="0"),
+                                        dict(samples_per_level=32.0)])
+    def test_non_int_seed_or_sample_count_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be ints"):
+            LimitConfig(**kwargs)
+
 
 class TestRefinementAndSeeds:
     # numeric form of: a limit along a filter persists along finer filters

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -37,6 +38,21 @@ class TestSymbolicRules:
         diff = d("min(x,2*x)")
         assert evaluate(diff, {"x": 1.0}) == 1.0    # min is x for x > 0
         assert evaluate(diff, {"x": -1.0}) == 2.0   # min is 2x for x < 0
+
+    def test_min_max_select_one_derivative_exactly(self):
+        # cos(0.3) > sin(0.3), so max picks cos and min picks sin
+        assert evaluate(d("max(sin(x),cos(x))"), {"x": 0.3}) == -math.sin(0.3)
+        assert evaluate(d("min(sin(x),cos(x))"), {"x": 0.3}) == math.cos(0.3)
+
+    @pytest.mark.parametrize("fn", ["min", "max"])
+    def test_deep_min_max_nesting_is_fast(self, fn):
+        text = "x"
+        for _ in range(30):
+            text = f"{fn}({text},{1 if fn == 'min' else 0})"
+        start = time.perf_counter()
+        ov = symbolic_derivative_value(parse(text), "x", 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert ov.value == 1.0
 
     def test_general_power(self):
         diff = d("x^x")
