@@ -428,34 +428,11 @@ def render(e: Expr) -> str:
     return f"{l}^{r}"
 
 
-def _passes_non_finite(e: Expr) -> bool:
-    """Whether e's closure may turn a non-finite argument into a non-finite
-    or made-up result without raising: its root reads the argument or only
-    negates, or abs/sign/min/max (which check nothing) occur in it. Every
-    other node checks its own result."""
-    if isinstance(e, (Variable, Unary)):
-        return True
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call) and node.fn in ("abs", "sign", "min", "max"):
-            return True
-        if isinstance(node, Unary):
-            stack.append(node.child)
-        elif isinstance(node, Binary):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-    return False
-
-
 def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     """Compile an expression with at most one free variable, once, into
     ``f: float -> float``. For finite t, f(t) equals evaluate(e, {var: t})
-    bit for bit, and f never returns a non-finite value. A non-finite t is
-    a DomainError where abs, sign, min, max, a bare variable or a negation
-    could pass it through; elsewhere every operation checks its own result,
-    so 1/x gives 0.0 at inf where evaluate raises."""
+    bit for bit; a non-finite t raises DomainError, so f never returns a
+    non-finite value."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:
@@ -467,8 +444,6 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
 
     # Every variable left is var, read straight from the one argument.
     fn = _compile(e, lambda name: float, {})
-    if not _passes_non_finite(e):
-        return fn
 
     def checked(t: float) -> float:
         if math.isfinite(t):

@@ -8,7 +8,7 @@ membership and containment are decided exactly (float comparisons only,
 no tolerances). The generated filter is never materialized: membership of
 a candidate set in it is answered by searching for a contained base element.
 The geometric bases sample their closed-form intervals without building a
-descriptor, and every sample set is memoized.
+descriptor, and every sample set drawn from intervals is memoized.
 """
 
 from __future__ import annotations
@@ -281,6 +281,8 @@ class FilterBaseChain:
         return f"FilterBaseChain({self.id!r}, max_level={self.max_level})"
 
     def _check_level(self, k: int) -> None:
+        if not isinstance(k, int):
+            raise ValueError("level must be an int")
         if not 0 <= k <= self.max_level:
             raise ValueError(f"level {k} outside 0..{self.max_level}")
 
@@ -350,12 +352,11 @@ def _geometric_scales(delta0: float, ratio: float, max_level: int) -> tuple[floa
 
 
 def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
-                     spans: Callable[[float], tuple[tuple[float, float], ...]],
-                     element: Callable[[float], SetDescriptor]) -> FilterBaseChain:
-    """A chain whose level k has scale d = delta0*ratio**k, element
-    element(d) and sample set _sample_spans(spans(d), ...): spans(d) are
-    exactly the pieces that element(d) canonicalizes to, so sampling skips
-    the descriptor."""
+                     spans: Callable[[float], tuple[tuple[float, float], ...]]
+                     ) -> FilterBaseChain:
+    """A chain whose level k has scale d = delta0*ratio**k and element the
+    union of the open intervals spans(d), sampled straight from spans(d)
+    without building the descriptor."""
     scales = _geometric_scales(delta0, ratio, max_level)
     return FilterBaseChain(
         chain_id=f"{kind}:delta0={float(delta0)!r},ratio={float(ratio)!r}",
@@ -363,7 +364,7 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
         punctured_at_zero=True,
         params={"kind": kind, "delta0": float(delta0),
                 "ratio": float(ratio), "max_level": max_level},
-        element_fn=lambda k: element(scales[k]),
+        element_fn=lambda k: SetDescriptor(intervals=spans(scales[k])),
         scale_fn=lambda k: scales[k],
         sample_fn=lambda k, m, seed: list(_sample_spans(spans(scales[k]), m, seed, k)),
     )
@@ -372,26 +373,20 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
 def punctured_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Punctured symmetric neighborhoods of 0:
     element(k) = (-delta0*ratio**k, delta0*ratio**k) \\ {0}."""
-    return _geometric_chain(
-        "punctured", delta0, ratio, max_level,
-        spans=lambda d: ((-d, 0.0), (0.0, d)),
-        element=lambda d: SetDescriptor(intervals=((-d, d),), excluded=(0.0,)))
+    return _geometric_chain("punctured", delta0, ratio, max_level,
+                            lambda d: ((-d, 0.0), (0.0, d)))
 
 
 def right_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Right-sided neighborhoods: element(k) = (0, delta0*ratio**k)."""
-    return _geometric_chain(
-        "right", delta0, ratio, max_level,
-        spans=lambda d: ((0.0, d),),
-        element=lambda d: SetDescriptor(intervals=((0.0, d),)))
+    return _geometric_chain("right", delta0, ratio, max_level,
+                            lambda d: ((0.0, d),))
 
 
 def left_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Left-sided neighborhoods: element(k) = (-delta0*ratio**k, 0)."""
-    return _geometric_chain(
-        "left", delta0, ratio, max_level,
-        spans=lambda d: ((-d, 0.0),),
-        element=lambda d: SetDescriptor(intervals=((-d, 0.0),)))
+    return _geometric_chain("left", delta0, ratio, max_level,
+                            lambda d: ((-d, 0.0),))
 
 
 @dataclass(frozen=True)

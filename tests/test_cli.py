@@ -190,6 +190,15 @@ class TestHostileExpressions:
         assert json.loads(res.stdout)["status"] == "input-error"
         assert res.stderr == ""
 
+    @pytest.mark.parametrize("expr,a", [("x^x", "-inf"), ("(0-2)^x", "nan"),
+                                        ("1/x", "inf")])
+    def test_non_finite_point_is_input_error(self, capsys, expr, a):
+        code, payload = main_json(capsys, "continuity", "--expr", expr, f"--a={a}",
+                                  "--base", "right:delta0=1,ratio=0.5")
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert "finite real" in payload["notes"][0]
+
     @pytest.mark.parametrize("expr,symbolic", [
         ("(" * 99 + "x" + ")" * 99, 1.0),
         ("-" * 99 + "x", -1.0),

@@ -274,30 +274,16 @@ NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
 class TestNonFiniteBindings:
-    """abs, sign, min and max check nothing and a bare variable or negation
-    is not checked either, so these are the expressions through which a
-    non-finite argument could come out as inf, nan or a made-up value."""
-
     @pytest.mark.parametrize("text", ["abs(x)", "max(x,0)", "x", "-x", "sign(x)",
-                                      "min(1,x)"])
+                                      "min(1,x)", "x+1", "1/x", "exp(x)", "x^2",
+                                      "sin(x)*x", "2*abs(x)", "-(x^2)", "x^x",
+                                      "(0-2)^x"])
     @pytest.mark.parametrize("t", NON_FINITE, ids=repr)
-    def test_unchecked_paths_raise(self, text, t):
+    def test_non_finite_argument_raises(self, text, t):
         with pytest.raises(DomainError, match="not bound to a finite real"):
             evaluate(parse(text), {"x": t})
         with pytest.raises(DomainError, match="not bound to a finite real"):
             as_function(parse(text))(t)
-
-    @pytest.mark.parametrize("text", ["x+1", "1/x", "exp(x)", "x^2", "sin(x)*x",
-                                      "2*abs(x)", "-(x^2)"])
-    @pytest.mark.parametrize("t", NON_FINITE, ids=repr)
-    def test_evaluate_raises_and_as_function_stays_finite(self, text, t):
-        with pytest.raises(DomainError):
-            evaluate(parse(text), {"x": t})
-        try:
-            v = as_function(parse(text))(t)
-        except DomainError:
-            return
-        assert math.isfinite(v)
 
     def test_finite_arguments_unchanged(self):
         for text in ("abs(x)", "max(x,0)", "x", "-x", "sign(x)", "min(1,x)"):
