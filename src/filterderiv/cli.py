@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -101,12 +102,24 @@ def parse_base_spec(spec: str, *, max_level: int) -> FilterBaseChain:
                      "(expected punctured, right, left, or seq)")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every number flag: a finite float, so that the params
+    echo stays strict JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite real number")
+    return value
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base", required=True, help="base spec, e.g. punctured:delta0=1,ratio=0.5")
     p.add_argument("--levels", type=int, default=48, metavar="K")
     p.add_argument("--samples", type=int, default=32, metavar="M")
-    p.add_argument("--tol-osc", type=float, default=1e-9)
-    p.add_argument("--tol-step", type=float, default=1e-9)
+    p.add_argument("--tol-osc", type=_finite_float, default=1e-9)
+    p.add_argument("--tol-step", type=_finite_float, default=1e-9)
     p.add_argument("--stable", type=int, default=3, metavar="S")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="FILE", help="write the per-level CSV trace here")
@@ -121,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("derive", help="derivative of an expression along a base")
     d.add_argument("--expr", required=True)
-    d.add_argument("--x0", type=float, required=True)
+    d.add_argument("--x0", type=_finite_float, required=True)
     d.add_argument("--oracle", action="store_true",
                    help="append symbolic and Richardson reference values")
     _add_common_flags(d)
@@ -132,17 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("continuity", help="F-continuity of an expression at a point")
     c.add_argument("--expr", required=True)
-    c.add_argument("--a", type=float, required=True)
+    c.add_argument("--a", type=_finite_float, required=True)
     _add_common_flags(c)
 
     ch = sub.add_parser("check", help="check a differentiation rule numerically")
     ch.add_argument("rule", choices=["linearity", "product", "quotient"])
     ch.add_argument("--f", required=True)
     ch.add_argument("--g", required=True)
-    ch.add_argument("--alpha", type=float, default=1.0)
-    ch.add_argument("--beta", type=float, default=1.0)
-    ch.add_argument("--x0", type=float, required=True)
-    ch.add_argument("--check-tol", type=float, default=1e-5)
+    ch.add_argument("--alpha", type=_finite_float, default=1.0)
+    ch.add_argument("--beta", type=_finite_float, default=1.0)
+    ch.add_argument("--x0", type=_finite_float, required=True)
+    ch.add_argument("--check-tol", type=_finite_float, default=1e-5)
     _add_common_flags(ch)
 
     v = sub.add_parser("verify-base", help="check the base axioms level by level")

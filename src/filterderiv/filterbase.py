@@ -5,8 +5,10 @@ deterministic sampler. Each descriptor is a finite union of open intervals
 plus a finite point set, minus a finite excluded set; descriptors are
 canonicalized into maximal connected components so that emptiness,
 membership and containment are decided exactly (float comparisons only,
-no tolerances). The generated filter is never materialized: membership of
-a candidate set in it is answered by searching for a contained base element.
+no tolerances); the two shapes the constructors build, points only and
+open intervals only, are canonical in closed form. The generated filter is
+never materialized: membership of a candidate set in it is answered by
+searching for a contained base element.
 The geometric bases sample their closed-form intervals without building a
 descriptor, and every sample set drawn from intervals is memoized.
 """
@@ -97,6 +99,18 @@ class SetDescriptor:
 
     @cached_property
     def _canonical(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
+        if not self.intervals:
+            # Points only: every point that is not excluded stands alone.
+            return (), tuple(sorted(set(self.points) - set(self.excluded)))
+        if not self.points and not self.excluded:
+            # Sorted, disjoint open intervals are already the components.
+            return tuple(Piece(lo, hi, False, False) for lo, hi in self.intervals), ()
+        return self._sweep()
+
+    def _sweep(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
+        """The canonical form of any mix of intervals, points and excluded
+        points, by a sweep over every endpoint and point; the reference
+        that the two closed forms in _canonical are tested against."""
         cuts = sorted({v for iv in self.intervals for v in iv}
                       | set(self.points) | set(self.excluded))
         plus = set(self.points)
@@ -509,7 +523,9 @@ class AxiomReport:
     (two elements contain a common element inside their intersection) is
     verified through nestedness: element(max(j,k)) ⊆ element(j) ∩ element(k)
     for every pair, which for j < k reduces to element(k) ⊆ element(j);
-    each failing pair lands in nesting_failures.
+    each failing pair (j, k) lands in nesting_failures, ordered by j then k.
+    Nesting is checked on consecutive levels first; since exact containment
+    is transitive, the pairs are only scanned when one of those checks fails.
     """
 
     base_id: str
@@ -531,15 +547,21 @@ class AxiomReport:
 
 
 def verify_base_axioms(b: FilterBaseChain, K: int) -> AxiomReport:
-    """Check the base axioms exactly over levels 0..K (K <= b.max_level)."""
+    """Check the base axioms exactly over levels 0..K (K <= b.max_level).
+
+    K subset checks when every element(k) ⊆ element(k-1), which implies
+    every pair nests; the full scan of all pairs runs only for a broken
+    chain, to name each failing pair."""
     if not 0 <= K <= b.max_level:
         raise ValueError(f"K must lie in 0..{b.max_level}")
     descs = [b.element(k) for k in range(K + 1)]
     empty = tuple(k for k, d in enumerate(descs) if d.is_empty())
-    failures = tuple((j, k)
-                     for j in range(K + 1)
-                     for k in range(j + 1, K + 1)
-                     if not descs[k].issubset(descs[j]))
+    failures: tuple[tuple[int, int], ...] = ()
+    if not all(descs[k].issubset(descs[k - 1]) for k in range(1, K + 1)):
+        failures = tuple((j, k)
+                         for j in range(K + 1)
+                         for k in range(j + 1, K + 1)
+                         if not descs[k].issubset(descs[j]))
     return AxiomReport(base_id=b.id, levels_checked=K,
                        empty_levels=empty, nesting_failures=failures)
 

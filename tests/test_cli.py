@@ -156,6 +156,13 @@ class TestParamsEcho:
         assert params["seed"] == 0
 
 
+def strict_json(text):
+    """Parse stdout as strict JSON: Infinity, -Infinity and NaN are errors."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in stdout")
+    return json.loads(text, parse_constant=reject)
+
+
 def main_json(capsys, *argv):
     """Run cli.main in-process; return its exit code and its one JSON object."""
     from filterderiv import cli
@@ -198,6 +205,32 @@ class TestHostileExpressions:
         assert code == 4
         assert payload["status"] == "input-error"
         assert "finite real" in payload["notes"][0]
+
+    @pytest.mark.parametrize("flag", ["--x0", "--alpha", "--beta", "--check-tol",
+                                      "--tol-osc", "--tol-step"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_flag_is_strict_json_input_error(self, capsys, flag, value):
+        argv = ["check", "linearity", "--f", "x", "--g", "x", "--x0", "0.5",
+                "--base", "punctured:delta0=1,ratio=0.5", f"{flag}={value}"]
+        from filterderiv import cli
+        code = cli.main(argv)
+        payload = strict_json(capsys.readouterr().out)
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert payload["notes"] == [f"argument {flag}: {value!r} is not a finite real number"]
+
+    def test_non_finite_alpha_in_a_child_process(self):
+        res = run_cli("check", "linearity", "--f", "x", "--g", "x", "--x0", "0.5",
+                      "--alpha", "inf", "--base", "punctured:delta0=1,ratio=0.5")
+        assert res.returncode == 4
+        assert strict_json(res.stdout)["status"] == "input-error"
+        assert res.stderr == ""
+
+    def test_malformed_number_message_unchanged(self, capsys):
+        code, payload = main_json(capsys, "derive", "--expr", "x", "--x0", "abc",
+                                  "--base", "right:delta0=1,ratio=0.5")
+        assert code == 4
+        assert payload["notes"] == ["argument --x0: invalid float value: 'abc'"]
 
     @pytest.mark.parametrize("expr,symbolic", [
         ("(" * 99 + "x" + ")" * 99, 1.0),

@@ -180,6 +180,168 @@ class TestAxioms:
             verify_base_axioms(punctured_base(1.0, 0.5, max_level=8), 9)
 
 
+# Values for random descriptors: a coarse grid, so that random sets often
+# touch, contain and exclude one another, with both signs of zero.
+_GRID = (-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+def _membership(d, x):
+    """The defining formula of a descriptor's set."""
+    return ((any(lo < x < hi for lo, hi in d.intervals) or x in d.points)
+            and x not in d.excluded)
+
+
+def _probes(d):
+    """Every value the descriptor or the grid names, their neighbours and
+    the midpoints."""
+    vals = sorted({v for iv in d.intervals for v in iv}
+                  | set(d.points + d.excluded) | set(_GRID))
+    out = set(vals) | {(a + b) / 2 for a, b in zip(vals, vals[1:])}
+    out |= {math.nextafter(v, t) for v in vals for t in (-math.inf, math.inf)}
+    return sorted(out)
+
+
+def _swept(d):
+    """An equal descriptor canonicalized by the general sweep, whatever its shape."""
+    c = SetDescriptor(intervals=d.intervals, points=d.points, excluded=d.excluded)
+    object.__setattr__(c, "_canonical", d._sweep())
+    return c
+
+
+@st.composite
+def open_intervals(draw):
+    """Sorted disjoint open intervals over the grid; neighbours may share an
+    endpoint, and a shared zero may carry different signs on its two sides."""
+    cuts = sorted(draw(st.sets(st.sampled_from(_GRID), max_size=7)))
+    spans = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            if lo == 0.0 and draw(st.booleans()):
+                lo = -lo
+            spans.append((lo, hi))
+    return tuple(spans)
+
+
+_point_lists = st.lists(st.sampled_from(_GRID), max_size=8)
+
+
+@st.composite
+def descriptors(draw):
+    return SetDescriptor(intervals=draw(open_intervals()), points=draw(_point_lists),
+                         excluded=draw(st.lists(st.sampled_from(_GRID), max_size=3)))
+
+
+@st.composite
+def nested_chains(draw):
+    """element(k) = (-r_k, r_k) ∪ tail_k \\ excluded_k with r_k non-increasing,
+    shrinking point tails and growing excluded sets, so every pair nests; an
+    r_k of 0 leaves points only, possibly none."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    radii = sorted(draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                                 min_size=n, max_size=n)), reverse=True)
+    tail = draw(st.lists(st.sampled_from(_GRID), max_size=n + 2))
+    gone = draw(st.lists(st.sampled_from(_GRID), min_size=n, max_size=n))
+    return [SetDescriptor(intervals=((-r, r),) if r else (), points=tail[k:],
+                          excluded=gone[:k]) for k, r in enumerate(radii)]
+
+
+@st.composite
+def swapped_chains(draw):
+    """A nested chain with two levels swapped: failures that need not sit
+    on consecutive levels."""
+    elems = draw(nested_chains())
+    j = draw(st.integers(min_value=0, max_value=len(elems) - 1))
+    k = draw(st.integers(min_value=0, max_value=len(elems) - 1))
+    elems[j], elems[k] = elems[k], elems[j]
+    return elems
+
+
+class TestClosedFormCanonical:
+    def _agrees_with_sweep(self, d):
+        ref = _swept(d)
+        assert d.pieces == ref.pieces
+        assert repr(d.isolated_points) == repr(ref.isolated_points)
+        for x in _probes(d):
+            assert d.contains(x) == ref.contains(x) == _membership(d, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_point_lists, st.lists(st.sampled_from(_GRID), max_size=4))
+    def test_points_only(self, points, excluded):
+        self._agrees_with_sweep(S(points=points, excluded=excluded))
+
+    @settings(max_examples=150, deadline=None)
+    @given(open_intervals())
+    def test_open_intervals_only(self, spans):
+        d = S(*spans)
+        assert all(not p.lo_closed and not p.hi_closed for p in d.pieces)
+        assert d.isolated_points == ()
+        self._agrees_with_sweep(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(descriptors())
+    def test_mixed_shapes_follow_the_formula(self, d):
+        for x in _probes(d):
+            assert d.contains(x) == _membership(d, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(open_intervals().map(lambda iv: S(*iv)),
+                     _point_lists.map(lambda p: S(points=p)), descriptors()),
+           st.one_of(open_intervals().map(lambda iv: S(*iv)),
+                     _point_lists.map(lambda p: S(points=p)), descriptors()))
+    def test_issubset_agrees_with_sweep(self, a, b):
+        assert a.issubset(b) == _swept(a).issubset(_swept(b))
+        assert a.same_set(b) == _swept(a).same_set(_swept(b))
+
+    def test_cases(self):
+        dup = S(points=(0.5, 0.25, 0.5, -0.0, 0.0), excluded=(0.25, 2.0))
+        assert repr(dup.isolated_points) == "(-0.0, 0.5)"  # first zero kept
+        assert S(points=(0.0,), excluded=(-0.0,)).is_empty()
+        assert S(points=(-0.0,)).contains(0.0)
+        adjacent = S((-1.0, -0.0), (0.0, 1.0))
+        assert adjacent.pieces == (filterbase.Piece(-1.0, 0.0, False, False),
+                                   filterbase.Piece(0.0, 1.0, False, False))
+        assert not adjacent.contains(0.0) and not adjacent.contains(-0.0)
+        assert not S((-0.5, 0.5)).issubset(adjacent)
+
+
+class TestFastNesting:
+    """verify_base_axioms against the full scan of every pair."""
+
+    @staticmethod
+    def _full_scan(chain, K):
+        descs = [chain.element(k) for k in range(K + 1)]
+        return tuple((j, k) for j in range(K + 1) for k in range(j + 1, K + 1)
+                     if not descs[k].issubset(descs[j]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(nested_chains(), swapped_chains(),
+                     st.lists(descriptors(), min_size=1, max_size=8)))
+    def test_matches_full_scan(self, elems):
+        chain = chain_from_elements("random", elems)
+        K = chain.max_level
+        rep = verify_base_axioms(chain, K)
+        assert rep.nesting_failures == self._full_scan(chain, K)
+        assert rep.empty_levels == tuple(k for k, d in enumerate(elems)
+                                         if _swept(d).is_empty())
+
+    @settings(max_examples=100, deadline=None)
+    @given(nested_chains())
+    def test_nested_chains_pass(self, elems):
+        assert verify_base_axioms(chain_from_elements("nested", elems),
+                                  len(elems) - 1).axiom2_ok
+
+    def test_multi_failure_chain_pinned(self):
+        # Failing pairs recorded from the all-pairs scan before the
+        # consecutive-level check: four of them are not consecutive.
+        chain = chain_from_elements("multi", [
+            S((-1.0, 1.0)), S((-0.25, 0.25)), S((-0.5, 0.5)), S((-2.0, 2.0)),
+            S(points=(0.1,)), S(points=(0.5,), excluded=(0.5,)), S((0.3, 0.4))])
+        rep = verify_base_axioms(chain, 6)
+        assert rep.empty_levels == (5,)
+        assert rep.nesting_failures == (
+            (0, 3), (1, 2), (1, 3), (1, 6), (2, 3), (4, 6), (5, 6))
+
+
 class TestGeneratedFilter:
     def test_superset_of_element_is_member(self):
         b = punctured_base(1.0, 0.5)
