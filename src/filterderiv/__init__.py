@@ -17,14 +17,14 @@ from .fderiv import (DerivativeResult, FContinuityReport, RuleCheckReport,
                      classical_derivative, derivative, difference_quotient,
                      f_continuity, HOLDS, INCONCLUSIVE, QUOTIENT_RULE_NOTE,
                      VIOLATED)
-from .filterbase import (AxiomReport, FilterBaseChain, Piece, SequenceSpec,
+from .filterbase import (AxiomReport, FilterBaseChain, SequenceSpec,
                          SetDescriptor, chain_from_elements,
                          generated_filter_witness, in_generated_filter,
                          left_base, punctured_base, right_base, sequence_base,
                          verify_base_axioms)
 from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED,
                      LimitConfig, LimitEstimate, TraceRow, estimate_limit,
-                     format_trace_csv, oscillation_at)
+                     format_trace_csv)
 from .oracle import (OracleValue, RichardsonConfig, richardson_one_sided,
                      symbolic_derivative, symbolic_derivative_value)
 

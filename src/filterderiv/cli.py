@@ -21,17 +21,15 @@ import math
 import sys
 from typing import Sequence
 
-from .errors import (BaseNotPuncturedError, DomainError, FilterDerivError,
-                     NonSmoothPointError, ParseError)
+from .errors import DomainError, FilterDerivError, NonSmoothPointError
 from .expr import as_function, free_vars, parse
 from .fderiv import (check_linearity, check_product_rule, check_quotient_rule,
-                     classical_derivative, derivative, f_continuity)
+                     derivative, f_continuity)
 from .filterbase import (FilterBaseChain, SequenceSpec, left_base,
                          punctured_base, right_base, sequence_base,
                          verify_base_axioms)
 from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED,
-                     LimitConfig, LimitEstimate, estimate_limit,
-                     format_trace_csv)
+                     LimitConfig, estimate_limit, format_trace_csv)
 from .oracle import richardson_one_sided, symbolic_derivative_value
 
 __all__ = ["main", "build_parser", "parse_base_spec"]
@@ -123,8 +121,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stable", type=int, default=3, metavar="S")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="FILE", help="write the per-level CSV trace here")
-    p.add_argument("--json", action="store_true", default=True,
-                   help="emit JSON (default; present for symmetry)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,15 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from(args: argparse.Namespace) -> LimitConfig:
-    return LimitConfig(max_level=args.levels, samples_per_level=args.samples,
-                       tol_osc=args.tol_osc, tol_step=args.tol_step,
-                       stable_levels=args.stable, seed=args.seed)
-
-
-def _echo_common(args: argparse.Namespace, base: FilterBaseChain,
-                 cfg: LimitConfig) -> dict:
-    return {
+def _limit_setup(args: argparse.Namespace) -> tuple[LimitConfig, FilterBaseChain, dict]:
+    """The config and base of a limit-type command, and their params echo."""
+    cfg = LimitConfig(max_level=args.levels, samples_per_level=args.samples,
+                      tol_osc=args.tol_osc, tol_step=args.tol_step,
+                      stable_levels=args.stable, seed=args.seed)
+    base = parse_base_spec(args.base, max_level=cfg.max_level)
+    echo = {
         "base": args.base,
         "base_id": base.id,
         "base_params": base.params,
@@ -184,14 +178,7 @@ def _echo_common(args: argparse.Namespace, base: FilterBaseChain,
         "no_limit_floor": cfg.no_limit_floor,
         "seed": cfg.seed,
     }
-
-
-def _write_trace(args: argparse.Namespace, est: LimitEstimate) -> str | None:
-    if not args.trace:
-        return None
-    with open(args.trace, "w", newline="") as fh:
-        fh.write(format_trace_csv(est))
-    return args.trace
+    return cfg, base, echo
 
 
 def _oracle_payload(e, var: str, x0: float, f, base: FilterBaseChain) -> dict:
@@ -216,101 +203,68 @@ def _oracle_payload(e, var: str, x0: float, f, base: FilterBaseChain) -> dict:
     return out
 
 
-def _single_var(e, what: str) -> str:
-    names = free_vars(e)
-    if len(names) != 1:
-        raise ValueError(f"{what} must have exactly one free variable, "
-                         f"found {sorted(names) or 'none'}")
-    return next(iter(names))
+def _function(e, flag: str, default_var: str | None = None):
+    """(variable, compiled function) of the parsed expression of flag: without
+    default_var it needs exactly one free variable; with it at most one, and
+    a constant is a function of default_var."""
+    names = sorted(free_vars(e))
+    if default_var is None and len(names) != 1:
+        raise ValueError(f"{flag} must have exactly one free variable, "
+                         f"found {names or 'none'}")
+    if len(names) > 1:
+        raise ValueError(f"{flag} must have at most one free variable, "
+                         f"found {names}")
+    var = names[0] if names else default_var
+    return var, as_function(e, var)
 
 
-def _cmd_derive(args: argparse.Namespace) -> tuple[dict, int]:
+def _details(result) -> list[str]:
+    """The failure detail of an estimate or a rule report, as a list of notes."""
+    return [result.failure_detail] if result.failure_detail else []
+
+
+# Each handler returns (params, status, value, estimate to trace or None,
+# notes, oracle); main turns them into the payload.
+
+def _cmd_derive(args: argparse.Namespace):
     e = parse(args.expr)
-    var = _single_var(e, "--expr")
-    f = as_function(e, var)
-    cfg = _config_from(args)
-    base = parse_base_spec(args.base, max_level=cfg.max_level)
+    var, f = _function(e, "--expr")
+    cfg, base, echo = _limit_setup(args)
     res = derivative(f, args.x0, base, cfg)
-    params = {"expr": args.expr, "var": var, "x0": args.x0,
-              **_echo_common(args, base, cfg), "oracle": bool(args.oracle)}
-    notes = [res.estimate.failure_detail] if res.estimate.failure_detail else []
-    payload = {
-        "command": "derive",
-        "params": params,
-        "status": res.status,
-        "value": res.value,
-        "trace_file": _write_trace(args, res.estimate),
-        "oracle": _oracle_payload(e, var, args.x0, f, base) if args.oracle else None,
-        "notes": notes,
-    }
-    return payload, _EXIT_CODES[res.status]
+    params = {"expr": args.expr, "var": var, "x0": args.x0, **echo,
+              "oracle": args.oracle}
+    oracle = _oracle_payload(e, var, args.x0, f, base) if args.oracle else None
+    return params, res.status, res.value, res.estimate, _details(res.estimate), oracle
 
 
-def _cmd_limit(args: argparse.Namespace) -> tuple[dict, int]:
-    e = parse(args.expr)
-    names = free_vars(e)
-    if len(names) > 1:
-        raise ValueError(f"--expr must have at most one free variable, "
-                         f"found {sorted(names)}")
-    var = next(iter(names)) if names else "h"
-    g = as_function(e, var)
-    cfg = _config_from(args)
-    base = parse_base_spec(args.base, max_level=cfg.max_level)
+def _cmd_limit(args: argparse.Namespace):
+    var, g = _function(parse(args.expr), "--expr", "h")
+    cfg, base, echo = _limit_setup(args)
     est = estimate_limit(g, base, cfg)
-    params = {"expr": args.expr, "var": var, **_echo_common(args, base, cfg)}
-    payload = {
-        "command": "limit",
-        "params": params,
-        "status": est.status,
-        "value": est.value,
-        "trace_file": _write_trace(args, est),
-        "oracle": None,
-        "notes": [est.failure_detail] if est.failure_detail else [],
-    }
-    return payload, _EXIT_CODES[est.status]
+    params = {"expr": args.expr, "var": var, **echo}
+    return params, est.status, est.value, est, _details(est), None
 
 
-def _cmd_continuity(args: argparse.Namespace) -> tuple[dict, int]:
-    e = parse(args.expr)
-    names = free_vars(e)
-    if len(names) > 1:
-        raise ValueError(f"--expr must have at most one free variable, "
-                         f"found {sorted(names)}")
-    var = next(iter(names)) if names else "x"
-    f = as_function(e, var)
-    cfg = _config_from(args)
-    base = parse_base_spec(args.base, max_level=cfg.max_level)
+def _cmd_continuity(args: argparse.Namespace):
+    var, f = _function(parse(args.expr), "--expr", "x")
+    cfg, base, echo = _limit_setup(args)
     report = f_continuity(f, args.a, base, cfg)
-    if report.limit.status == CONVERGED:
+    status = report.limit.status  # undecided and domain-error pass through
+    if status == CONVERGED:
         status = "continuous" if report.is_continuous else "not-continuous"
-    elif report.limit.status == NO_LIMIT:
+    elif status == NO_LIMIT:
         status = "not-continuous"
-    else:
-        status = report.limit.status  # undecided | domain-error
-    notes = [f"target={report.target!r}"]
-    if report.limit.failure_detail:
-        notes.append(report.limit.failure_detail)
-    params = {"expr": args.expr, "var": var, "a": args.a,
-              **_echo_common(args, base, cfg)}
-    payload = {
-        "command": "continuity",
-        "params": params,
-        "status": status,
-        "value": report.limit.value,
-        "trace_file": _write_trace(args, report.limit),
-        "oracle": None,
-        "notes": notes,
-    }
-    return payload, _EXIT_CODES[status]
+    notes = [f"target={report.target!r}", *_details(report.limit)]
+    params = {"expr": args.expr, "var": var, "a": args.a, **echo}
+    return params, status, report.limit.value, report.limit, notes, None
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_check(args: argparse.Namespace):
     fe = parse(args.f)
     ge = parse(args.g)
-    f = as_function(fe, _single_var(fe, "--f"))
-    g = as_function(ge, _single_var(ge, "--g"))
-    cfg = _config_from(args)
-    base = parse_base_spec(args.base, max_level=cfg.max_level)
+    _, f = _function(fe, "--f")
+    _, g = _function(ge, "--g")
+    cfg, base, echo = _limit_setup(args)
     if args.rule == "linearity":
         rep = check_linearity(f, g, args.alpha, args.beta, args.x0, base, cfg,
                               args.check_tol)
@@ -324,47 +278,24 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     for cont in rep.continuity_reports:
         notes.append(f"f_continuity(base={cont.base_id}, target={cont.target!r}): "
                      f"{'continuous' if cont.is_continuous else 'not continuous'}")
-    if rep.failure_detail:
-        notes.append(rep.failure_detail)
-    notes.extend(rep.notes)
+    notes += [*_details(rep), *rep.notes]
     params = {"rule": args.rule, "f": args.f, "g": args.g,
               "alpha": args.alpha, "beta": args.beta, "x0": args.x0,
-              "check_tol": args.check_tol, **_echo_common(args, base, cfg)}
-    payload = {
-        "command": "check",
-        "params": params,
-        "status": rep.verdict,
-        "value": rep.lhs.value,
-        "trace_file": _write_trace(args, rep.lhs.estimate),
-        "oracle": None,
-        "notes": notes,
-    }
-    return payload, _EXIT_CODES[rep.verdict]
+              "check_tol": args.check_tol, **echo}
+    return params, rep.verdict, rep.lhs.value, rep.lhs.estimate, notes, None
 
 
-def _cmd_verify_base(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_verify_base(args: argparse.Namespace):
     base = parse_base_spec(args.base, max_level=args.levels)
     rep = verify_base_axioms(base, args.levels)
-    notes = []
-    for k in rep.empty_levels:
-        notes.append(f"axiom 1 violated: element({k}) is empty")
-    for j, k in rep.nesting_failures:
-        notes.append(f"axiom 2 violated: element({k}) is not contained in "
-                     f"element({j}) (pair (j,k)=({j},{k}))")
+    notes = [f"axiom 1 violated: element({k}) is empty" for k in rep.empty_levels]
+    notes += [f"axiom 2 violated: element({k}) is not contained in "
+              f"element({j}) (pair (j,k)=({j},{k}))" for j, k in rep.nesting_failures]
     if not notes:
         notes = [f"axioms 1 and 2 verified for levels 0..{rep.levels_checked}"]
-    status = "pass" if rep.passed else "fail"
-    payload = {
-        "command": "verify-base",
-        "params": {"base": args.base, "base_id": base.id,
-                   "base_params": base.params, "levels": args.levels},
-        "status": status,
-        "value": None,
-        "trace_file": None,
-        "oracle": None,
-        "notes": notes,
-    }
-    return payload, _EXIT_CODES[status]
+    params = {"base": args.base, "base_id": base.id,
+              "base_params": base.params, "levels": args.levels}
+    return params, "pass" if rep.passed else "fail", None, None, notes, None
 
 
 _HANDLERS = {
@@ -376,41 +307,31 @@ _HANDLERS = {
 }
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _input_error(command: str | None, argv: Sequence[str] | None,
-                 message: str) -> tuple[dict, int]:
-    payload = {
-        "command": command or "unknown",
-        "params": {"argv": list(argv) if argv is not None else None},
-        "status": "input-error",
-        "value": None,
-        "trace_file": None,
-        "oracle": None,
-        "notes": [message],
-    }
-    return payload, _EXIT_CODES["input-error"]
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _HANDLERS else "unknown"
+    trace_file = None
     try:
-        args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        payload, code = _input_error(None, argv, str(exc))
-        _emit(payload)
-        return code
-    try:
-        payload, code = _HANDLERS[args.command](args)
-    except (ParseError, ValueError, DomainError, BaseNotPuncturedError,
-            FilterDerivError, OSError) as exc:
-        payload, code = _input_error(args.command, argv, str(exc))
-    _emit(payload)
-    return code
+        args = build_parser().parse_args(argv)
+        params, status, value, est, notes, oracle = _HANDLERS[command](args)
+        if est is not None and args.trace:
+            with open(args.trace, "w", newline="") as fh:
+                fh.write(format_trace_csv(est))
+            trace_file = args.trace
+    except (_UsageError, FilterDerivError, ValueError, OSError) as exc:
+        params, status, value, notes, oracle = (
+            {"argv": argv}, "input-error", None, [str(exc)], None)
+    payload = {
+        "command": command,
+        "params": params,
+        "status": status,
+        "value": value,
+        "trace_file": trace_file,
+        "oracle": oracle,
+        "notes": notes,
+    }
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

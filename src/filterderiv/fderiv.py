@@ -3,11 +3,15 @@
 The derivative at x0 along the filter generated by a chain b is the limit of
 the difference quotient h -> (f(x0+h) - f(x0)) / h along b. Choosing the
 punctured two-sided base recovers the classical derivative; the one-sided
-bases recover right and left derivatives. Checkers for the linearity,
-product and quotient rules estimate both sides numerically and report
-holds / violated / inconclusive, where a failed hypothesis (an ingredient
-derivative that does not converge, or a missing F-continuity) always yields
-inconclusive, never violated.
+bases recover right and left derivatives.
+
+The linearity, product and quotient rules are checked by one skeleton,
+`_check_rule`; each rule supplies only its combined function, its
+right-hand side in terms of f'(x0) and g'(x0), and the functions whose
+F-continuity it needs. The skeleton estimates both sides numerically and
+reports holds / violated / inconclusive, where a failed hypothesis (an
+ingredient derivative that does not converge, or a missing F-continuity of
+g) always yields inconclusive, never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -146,61 +150,60 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                              is_continuous=ok)
 
 
-def _conclude(rule: str, lhs: DerivativeResult, rhs: float | None,
-              inputs: dict, continuity: tuple[FContinuityReport, ...],
-              hypothesis_failures: list[str], check_tol: float,
-              notes: tuple[str, ...] = ()) -> RuleCheckReport:
-    if hypothesis_failures:
-        return RuleCheckReport(
-            rule=rule, lhs=lhs, rhs_value=rhs, inputs_summary=inputs,
-            continuity_reports=continuity, verdict=INCONCLUSIVE,
-            abs_error=None, rel_error=None,
-            failure_detail="; ".join(hypothesis_failures), notes=notes)
-    if lhs.status == CONVERGED:
+def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
+                x0: float, b: FilterBaseChain, cfg: LimitConfig, check_tol: float,
+                combined: Callable[[float], float],
+                rhs_of: Callable[[float, float], float], inputs: dict,
+                continuous: tuple[Callable[[float], float], ...],
+                notes: tuple[str, ...] = ()) -> RuleCheckReport:
+    """The check shared by the three rules: estimate f', g', the F-continuity
+    of each of `continuous` (g last; the verdict needs only g's) and the
+    derivative of `combined`, in that order; compare it with rhs_of(f', g')."""
+    df = derivative(f, x0, b, cfg)
+    dg = derivative(g, x0, b, cfg)
+    continuity = tuple(f_continuity(h, x0, b, cfg) for h in continuous)
+    lhs = derivative(combined, x0, b, cfg)
+    failures = [f"derivative of {name} did not converge (status: {d.status})"
+                for name, d in (("f", df), ("g", dg)) if not d.converged]
+    if continuity and not continuity[-1].is_continuous:
+        failures.append("g is not F-continuous at x0 along the base")
+    rhs = rhs_of(df.value, dg.value) if df.converged and dg.converged else None
+    abs_err = rel_err = None
+    if failures:
+        verdict, detail = INCONCLUSIVE, "; ".join(failures)
+    elif lhs.status == CONVERGED:
         abs_err = abs(lhs.value - rhs)
         rel_err = abs_err / (1.0 + abs(rhs))
         verdict = HOLDS if rel_err <= check_tol else VIOLATED
         detail = None if verdict == HOLDS else (
             f"sides disagree: lhs={lhs.value!r}, rhs={rhs!r}")
-        return RuleCheckReport(
-            rule=rule, lhs=lhs, rhs_value=rhs, inputs_summary=inputs,
-            continuity_reports=continuity, verdict=verdict,
-            abs_error=abs_err, rel_error=rel_err, failure_detail=detail,
-            notes=notes)
-    if lhs.status == NO_LIMIT:
+    elif lhs.status == NO_LIMIT:
         # Hypotheses hold numerically yet the combined function has no
         # derivative along the base: the rule's conclusion itself failed.
-        return RuleCheckReport(
-            rule=rule, lhs=lhs, rhs_value=rhs, inputs_summary=inputs,
-            continuity_reports=continuity, verdict=VIOLATED,
-            abs_error=None, rel_error=None,
-            failure_detail="combined function has no derivative along the base "
-                           "although every hypothesis held", notes=notes)
-    detail = ("combined-function derivative was undecided"
-              if lhs.status != DOMAIN_ERROR else
-              f"combined-function estimate hit a domain error: {lhs.estimate.failure_detail}")
+        verdict = VIOLATED
+        detail = ("combined function has no derivative along the base "
+                  "although every hypothesis held")
+    elif lhs.status == DOMAIN_ERROR:
+        verdict = INCONCLUSIVE
+        detail = ("combined-function estimate hit a domain error: "
+                  f"{lhs.estimate.failure_detail}")
+    else:
+        verdict, detail = INCONCLUSIVE, "combined-function derivative was undecided"
     return RuleCheckReport(
-        rule=rule, lhs=lhs, rhs_value=rhs, inputs_summary=inputs,
-        continuity_reports=continuity, verdict=INCONCLUSIVE,
-        abs_error=None, rel_error=None, failure_detail=detail, notes=notes)
-
-
-def _ingredient_failures(named: list[tuple[str, DerivativeResult]]) -> list[str]:
-    return [f"derivative of {name} did not converge (status: {d.status})"
-            for name, d in named if not d.converged]
+        rule=rule, lhs=lhs, rhs_value=rhs,
+        inputs_summary={**inputs, "f_prime": df, "g_prime": dg},
+        continuity_reports=continuity, verdict=verdict, abs_error=abs_err,
+        rel_error=rel_err, failure_detail=detail, notes=notes)
 
 
 def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
                     alpha: float, beta: float, x0: float, b: FilterBaseChain,
                     cfg: LimitConfig, check_tol: float) -> RuleCheckReport:
     """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0."""
-    df = derivative(f, x0, b, cfg)
-    dg = derivative(g, x0, b, cfg)
-    lhs = derivative(lambda x: alpha * f(x) + beta * g(x), x0, b, cfg)
-    failures = _ingredient_failures([("f", df), ("g", dg)])
-    rhs = alpha * df.value + beta * dg.value if not failures else None
-    inputs = {"alpha": alpha, "beta": beta, "f_prime": df, "g_prime": dg}
-    return _conclude("linearity", lhs, rhs, inputs, (), failures, check_tol)
+    return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
+                       lambda x: alpha * f(x) + beta * g(x),
+                       lambda df, dg: alpha * df + beta * dg,
+                       {"alpha": alpha, "beta": beta}, ())
 
 
 def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -214,18 +217,10 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     """
     f0 = f(x0)
     g0 = g(x0)
-    df = derivative(f, x0, b, cfg)
-    dg = derivative(g, x0, b, cfg)
-    cont_f = f_continuity(f, x0, b, cfg)
-    cont_g = f_continuity(g, x0, b, cfg)
-    lhs = derivative(lambda x: f(x) * g(x), x0, b, cfg)
-    failures = _ingredient_failures([("f", df), ("g", dg)])
-    if not cont_g.is_continuous:
-        failures.append("g is not F-continuous at x0 along the base")
-    rhs = df.value * g0 + dg.value * f0 if df.converged and dg.converged else None
-    inputs = {"f_at_x0": f0, "g_at_x0": g0, "f_prime": df, "g_prime": dg}
-    return _conclude("product", lhs, rhs, inputs, (cont_f, cont_g),
-                     failures, check_tol)
+    return _check_rule("product", f, g, x0, b, cfg, check_tol,
+                       lambda x: f(x) * g(x),
+                       lambda df, dg: df * g0 + dg * f0,
+                       {"f_at_x0": f0, "g_at_x0": g0}, (f, g))
 
 
 def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -240,9 +235,6 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
     if g0 == 0.0:
         raise ValueError(f"quotient rule requires g(x0) != 0, got g({x0!r}) = 0")
     f0 = f(x0)
-    df = derivative(f, x0, b, cfg)
-    dg = derivative(g, x0, b, cfg)
-    cont_g = f_continuity(g, x0, b, cfg)
 
     def quot(x: float) -> float:
         gx = g(x)
@@ -250,12 +242,7 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
             raise DomainError("g vanishes at a sampled point", argument=x)
         return f(x) / gx
 
-    lhs = derivative(quot, x0, b, cfg)
-    failures = _ingredient_failures([("f", df), ("g", dg)])
-    if not cont_g.is_continuous:
-        failures.append("g is not F-continuous at x0 along the base")
-    rhs = ((df.value * g0 - dg.value * f0) / (g0 * g0)
-           if df.converged and dg.converged else None)
-    inputs = {"f_at_x0": f0, "g_at_x0": g0, "f_prime": df, "g_prime": dg}
-    return _conclude("quotient", lhs, rhs, inputs, (cont_g,), failures,
-                     check_tol, notes=(QUOTIENT_RULE_NOTE,))
+    return _check_rule("quotient", f, g, x0, b, cfg, check_tol, quot,
+                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0),
+                       {"f_at_x0": f0, "g_at_x0": g0}, (g,),
+                       notes=(QUOTIENT_RULE_NOTE,))

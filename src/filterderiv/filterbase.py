@@ -60,10 +60,6 @@ class Piece:
             other.hi == self.hi and (self.hi_closed or not other.hi_closed))
         return lower_ok and upper_ok
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SetDescriptor:
@@ -196,9 +192,6 @@ class SetDescriptor:
     def same_set(self, other: "SetDescriptor") -> bool:
         return self._canonical == other._canonical
 
-    def total_width(self) -> float:
-        return math.fsum(p.width for p in self.pieces)
-
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _M64
@@ -255,10 +248,11 @@ def _sample_spans(spans: tuple[tuple[float, float], ...], m: int, seed: int,
 
 def _stratified_sample(desc: SetDescriptor, m: int, seed: int, level: int) -> list[float]:
     """m distinct members of desc: _sample_spans over its interval
-    components, or the first m stored points when it has no interval part."""
+    components, or, when it has no interval part, the first m distinct
+    stored points it contains (of 0.0 and -0.0, the first stored)."""
     pieces = desc.pieces
     if not pieces:
-        pts = [p for p in desc.points if desc.contains(p)]
+        pts = [p for p in dict.fromkeys(desc.points) if desc.contains(p)]
         if len(pts) < m:
             raise ValueError(
                 f"level {level} has only {len(pts)} sampleable points, need {m}")

@@ -75,7 +75,6 @@ class LimitEstimate:
     status: str
     value: float | None
     trace: tuple[TraceRow, ...]
-    levels_used: int
     failure_detail: str | None = None
 
     @property
@@ -121,7 +120,6 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
         except DomainError as err:
             return LimitEstimate(
                 status=DOMAIN_ERROR, value=None, trace=tuple(rows),
-                levels_used=len(rows),
                 failure_detail=f"domain error at level {k}: {err}")
         if k + 1 >= s:
             window = rows[k - s + 1:]
@@ -132,16 +130,16 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
                 for prev, cur in zip(window, window[1:]))
             if osc_ok and steps_ok:
                 return LimitEstimate(status=CONVERGED, value=rows[-1].sample_mean,
-                                     trace=tuple(rows), levels_used=len(rows))
+                                     trace=tuple(rows))
     tail = rows[-s:]
     if all(r.oscillation >= cfg.no_limit_floor for r in tail):
         return LimitEstimate(
-            status=NO_LIMIT, value=None, trace=tuple(rows), levels_used=len(rows),
+            status=NO_LIMIT, value=None, trace=tuple(rows),
             failure_detail=(
                 f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
                 f"{s} levels (last = {tail[-1].oscillation!r})"))
     return LimitEstimate(
-        status=UNDECIDED, value=None, trace=tuple(rows), levels_used=len(rows),
+        status=UNDECIDED, value=None, trace=tuple(rows),
         failure_detail="stability criterion not met within the level budget")
 
 

@@ -34,6 +34,32 @@ GOLDEN_CASES = [
     ("continuity_sign_right.json", 2,
      ["continuity", "--expr", "sign(x)", "--a", "0",
       "--base", "right:delta0=1,ratio=0.5"]),
+    ("limit_h_right.json", 0,
+     ["limit", "--expr", "h", "--base", "right:delta0=1,ratio=0.5"]),
+    ("limit_h_right_5_levels.json", 2,
+     ["limit", "--expr", "h", "--base", "right:delta0=1,ratio=0.5",
+      "--levels", "5"]),
+    ("continuity_square_right.json", 0,
+     ["continuity", "--expr", "x^2", "--a", "1",
+      "--base", "right:delta0=1,ratio=0.5"]),
+    ("check_linearity_right.json", 0,
+     ["check", "linearity", "--f", "x", "--g", "1+abs(x)", "--x0", "0",
+      "--base", "right:delta0=1,ratio=0.5",
+      "--tol-osc", "1e-4", "--tol-step", "1e-7"]),
+    ("check_product_right.json", 0,
+     ["check", "product", "--f", "x", "--g", "1+abs(x)", "--x0", "0",
+      "--base", "right:delta0=1,ratio=0.5",
+      "--tol-osc", "1e-4", "--tol-step", "1e-7"]),
+    ("check_linearity_sign_right.json", 3,
+     ["check", "linearity", "--f", "sign(x)", "--g", "x^2", "--x0", "0",
+      "--base", "right:delta0=1,ratio=0.5",
+      "--tol-osc", "1e-4", "--tol-step", "1e-7"]),
+    ("check_product_sign_right.json", 3,
+     ["check", "product", "--f", "sign(x)", "--g", "x^2", "--x0", "0",
+      "--base", "right:delta0=1,ratio=0.5",
+      "--tol-osc", "1e-4", "--tol-step", "1e-7"]),
+    ("limit_two_vars.json", 4,
+     ["limit", "--expr", "h*y", "--base", "right:delta0=1,ratio=0.5"]),
 ]
 
 
@@ -79,6 +105,35 @@ class TestExitCodes:
         res = run_cli("check", "quotient", "--f", "x", "--g", "x", "--x0", "0",
                       "--base", "right:delta0=1,ratio=0.5")
         assert res.returncode == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--expr", "h", "--base", "right:delta0=1,ratio=0.5", "--json"],
+        ["derive", "--expr", "x", "--x0", "0", "--base", "right:delta0=1,ratio=0.5",
+         "--json"],
+    ])
+    def test_json_flag_is_a_usage_error(self, capsys, argv):
+        code, payload = main_json(capsys, *argv)
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert payload["notes"] == ["unrecognized arguments: --json"]
+
+    @pytest.mark.parametrize("argv,command", [
+        (["derive", "--expr", "x", "--base", "right:delta0=1,ratio=0.5"], "derive"),
+        (["check", "linearity", "--f", "x", "--g", "x", "--x0", "0.5", "--alpha", "inf",
+          "--base", "punctured:delta0=1,ratio=0.5"], "check"),
+        (["verify-base"], "verify-base"),
+        (["limit", "--expr", "h"], "limit"),
+        (["continuity", "--expr", "x", "--base", "right:delta0=1,ratio=0.5"], "continuity"),
+        (["frobnicate", "--expr", "x"], "unknown"),
+        (["--expr", "x", "derive"], "unknown"),
+        ([], "unknown"),
+    ])
+    def test_usage_error_names_its_command(self, capsys, argv, command):
+        code, payload = main_json(capsys, *argv)
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert payload["command"] == command
+        assert payload["params"] == {"argv": argv}
 
     def test_two_free_variables_is_4(self):
         res = run_cli("derive", "--expr", "x*y", "--x0", "0",

@@ -220,3 +220,63 @@ class TestOracleAgreement:
         truth = symbolic_derivative_value(e, "x", x0).value
         assert res.status == CONVERGED
         assert abs(res.value - truth) <= 1e-6 * abs(truth)
+
+
+P = punctured_base(1.0, 0.5)
+C = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e-2)
+C_NO_FLOOR = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e30)
+# At sampling seed 13 the mean of exp((-1.5+h)/2) misses exp(-0.75) by just
+# over tol_step, so g is judged not F-continuous while both derivatives
+# converge.
+SEED_13 = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e-2, seed=13)
+
+
+HIT = P.sample(0, C.samples_per_level, C.seed)[0]   # g = x - HIT vanishes there
+
+
+def _half_exp(x):
+    return math.exp(x / 2)
+
+
+class TestRuleVerdictBranches:
+    """One case per branch of the verdict: (verdict, failure_detail, and
+    whether rhs_value, abs_error and rel_error are present)."""
+
+    @pytest.mark.parametrize("check,verdict,detail,has_rhs,has_errors", [
+        (lambda: check_product_rule(math.sin, math.exp, 0.3, P, C, 1e-5),
+         "holds", None, True, True),
+        (lambda: check_product_rule(math.sin, math.exp, 0.3, P, C, 1e-15),
+         "violated", "sides disagree: lhs=1.688479912031874, rhs=1.6884799882278148",
+         True, True),
+        (lambda: check_linearity(math.sin, lambda x: x, 1e12, 1.0, 0.3, P, C, 1e-5),
+         "violated", "combined function has no derivative along the base "
+                     "although every hypothesis held", True, False),
+        (lambda: check_linearity(math.sin, lambda x: x, 1e12, 1.0, 0.3, P,
+                                 C_NO_FLOOR, 1e-5),
+         "inconclusive", "combined-function derivative was undecided", True, False),
+        (lambda: check_quotient_rule(IDENT, lambda x: x - HIT, 0.0, P, C, 1e-5),
+         "inconclusive", "combined-function estimate hit a domain error: domain "
+                         "error at level 0: g vanishes at a sampled point "
+                         "(argument -0.9831046155365686)", True, False),
+        (lambda: check_linearity(ABS, IDENT, 1.0, 1.0, 0.0, P, C, 1e-5),
+         "inconclusive", "derivative of f did not converge (status: no-limit)",
+         False, False),
+        (lambda: check_product_rule(IDENT, SIGN, 0.0, P, C, 1e-5),
+         "inconclusive", "derivative of g did not converge (status: no-limit); "
+                         "g is not F-continuous at x0 along the base", False, False),
+        (lambda: check_product_rule(math.sin, _half_exp, -1.5,
+                                    punctured_base(0.7, 0.6), SEED_13, 1e-5),
+         "inconclusive", "g is not F-continuous at x0 along the base", True, False),
+        (lambda: check_quotient_rule(math.sin, _half_exp, -1.5,
+                                     punctured_base(0.7, 0.6), SEED_13, 1e-5),
+         "inconclusive", "g is not F-continuous at x0 along the base", True, False),
+    ], ids=["holds", "sides-disagree", "no-derivative", "undecided", "domain-error",
+            "ingredient", "ingredient-and-continuity", "product-continuity",
+            "quotient-continuity"])
+    def test_branch(self, check, verdict, detail, has_rhs, has_errors):
+        rep = check()
+        assert rep.verdict == verdict
+        assert rep.failure_detail == detail
+        assert (rep.rhs_value is not None) == has_rhs
+        assert (rep.abs_error is not None) == has_errors
+        assert (rep.rel_error is not None) == has_errors

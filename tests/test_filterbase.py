@@ -408,6 +408,20 @@ class TestSampling:
         assert sum(1 for p in pts if p < 0) == 16
         assert sum(1 for p in pts if p > 0) == 16
 
+    @pytest.mark.parametrize("points,m,expected", [
+        ((0.5, 0.5, 0.25), 2, [0.5, 0.25]),
+        ((0.0, -0.0, 0.25), 2, [0.0, 0.25]),
+        ((-0.0, 0.0, 0.25), 2, [-0.0, 0.25]),
+        ((0.75, 0.5, 0.75, 0.25, 0.5), 3, [0.75, 0.5, 0.25]),
+    ])
+    def test_points_only_samples_are_distinct(self, points, m, expected):
+        pts = chain_from_elements("d", [S(points=points)]).sample(0, m, 0)
+        assert [repr(p) for p in pts] == [repr(p) for p in expected]
+
+    def test_repeated_points_count_once(self):
+        with pytest.raises(ValueError, match="only 1 sampleable points"):
+            chain_from_elements("d", [S(points=(0.5, 0.5))]).sample(0, 2, 0)
+
 
 # sample(k, 32, seed) as the per-point four-round hash produced it, for both
 # geometric shapes, levels 0, 24 and 48, and seeds 0, 13 and 2**64 + 5 (the

@@ -4,8 +4,9 @@ import pytest
 
 from filterderiv import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, DomainError,
                          LimitConfig, SequenceSpec, estimate_limit,
-                         format_trace_csv, oscillation_at, punctured_base,
-                         right_base, sequence_base)
+                         format_trace_csv, punctured_base, right_base,
+                         sequence_base)
+from filterderiv.flimit import oscillation_at
 from corpus import SMOOTH_CASES, SMOOTH_CFG
 
 import filterderiv as fd
@@ -24,7 +25,7 @@ class TestEstimateLimit:
                              punctured_base(1.0, 0.5), LimitConfig())
         assert est.status == NO_LIMIT
         assert all(r.oscillation == 2.0 for r in est.trace)
-        assert est.levels_used == len(est.trace) == 49
+        assert len(est.trace) == 49
 
     def test_sin_converges_along_pi_tail(self):
         b = sequence_base(SequenceSpec(kind="piovern", c=1.0))
@@ -37,7 +38,7 @@ class TestEstimateLimit:
         est = estimate_limit(lambda h: 5.0, punctured_base(1.0, 0.5), cfg)
         assert est.status == CONVERGED
         assert est.value == 5.0
-        assert est.levels_used == cfg.stable_levels
+        assert len(est.trace) == cfg.stable_levels
 
     def test_domain_error_aborts(self):
         est = estimate_limit(lambda h: math.log(h), punctured_base(1.0, 0.5),
@@ -152,5 +153,5 @@ class TestTraceCsv:
         text = format_trace_csv(est)
         lines = text.strip().split("\n")
         assert lines[0] == "k,scale,min,max,mean,osc"
-        assert len(lines) == est.levels_used + 1
+        assert len(lines) == LimitConfig().stable_levels + 1
         assert lines[1] == "0,1.0,5.0,5.0,5.0,0.0"
