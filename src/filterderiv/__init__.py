@@ -25,7 +25,7 @@ from .filterbase import (AxiomReport, FilterBaseChain, SequenceSpec,
 from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED,
                      LimitConfig, LimitEstimate, TraceRow, estimate_limit,
                      format_trace_csv)
-from .oracle import (OracleValue, RichardsonConfig, richardson_one_sided,
-                     symbolic_derivative, symbolic_derivative_value)
+from .oracle import (OracleValue, richardson_one_sided, symbolic_derivative,
+                     symbolic_derivative_value)
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ command, params, status, value, trace_file, oracle, notes, and exits with
 
 The params echo contains every resolved setting (defaults included), so a
 run is reproducible bit-exactly from its own output. --trace FILE writes the
-full per-level CSV regardless of status.
+full per-level CSV regardless of status. The one exception to the JSON
+output is --help, on its own or after a command: it prints argparse's usage
+text and exits 0.
 """
 
 from __future__ import annotations
@@ -113,13 +115,15 @@ def _finite_float(text: str) -> float:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """The base and the limit settings; their defaults are LimitConfig's."""
+    d = LimitConfig()
     p.add_argument("--base", required=True, help="base spec, e.g. punctured:delta0=1,ratio=0.5")
-    p.add_argument("--levels", type=int, default=48, metavar="K")
-    p.add_argument("--samples", type=int, default=32, metavar="M")
-    p.add_argument("--tol-osc", type=_finite_float, default=1e-9)
-    p.add_argument("--tol-step", type=_finite_float, default=1e-9)
-    p.add_argument("--stable", type=int, default=3, metavar="S")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--levels", type=int, default=d.max_level, metavar="K")
+    p.add_argument("--samples", type=int, default=d.samples_per_level, metavar="M")
+    p.add_argument("--tol-osc", type=_finite_float, default=d.tol_osc)
+    p.add_argument("--tol-step", type=_finite_float, default=d.tol_step)
+    p.add_argument("--stable", type=int, default=d.stable_levels, metavar="S")
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--trace", metavar="FILE", help="write the per-level CSV trace here")
 
 

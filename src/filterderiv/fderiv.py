@@ -87,12 +87,14 @@ class RuleCheckReport:
     the limit estimator uses for its step criterion. verdict is holds only
     when every ingredient converged and rel_error <= the check tolerance;
     a failed hypothesis gives inconclusive (the rule asserts nothing then).
+    f_prime and g_prime are the ingredient estimates of f'(x0) and g'(x0).
     """
 
     rule: str
     lhs: DerivativeResult
     rhs_value: float | None
-    inputs_summary: dict
+    f_prime: DerivativeResult
+    g_prime: DerivativeResult
     continuity_reports: tuple[FContinuityReport, ...]
     verdict: str
     abs_error: float | None
@@ -129,11 +131,11 @@ def derivative(f: Callable[[float], float], x0: float, b: FilterBaseChain,
     return DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
 
 
-def classical_derivative(f: Callable[[float], float], x0: float, cfg: LimitConfig,
-                         *, delta0: float = 1.0, ratio: float = 0.5) -> DerivativeResult:
-    """Derivative along the punctured two-sided base, which recovers the
-    classical derivative whenever it exists."""
-    b = punctured_base(delta0, ratio, max_level=cfg.max_level)
+def classical_derivative(f: Callable[[float], float], x0: float,
+                         cfg: LimitConfig) -> DerivativeResult:
+    """Derivative along the punctured two-sided base punctured_base(1.0, 0.5),
+    which recovers the classical derivative whenever it exists."""
+    b = punctured_base(1.0, 0.5, max_level=cfg.max_level)
     return derivative(f, x0, b, cfg)
 
 
@@ -153,7 +155,7 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
                 x0: float, b: FilterBaseChain, cfg: LimitConfig, check_tol: float,
                 combined: Callable[[float], float],
-                rhs_of: Callable[[float, float], float], inputs: dict,
+                rhs_of: Callable[[float, float], float],
                 continuous: tuple[Callable[[float], float], ...],
                 notes: tuple[str, ...] = ()) -> RuleCheckReport:
     """The check shared by the three rules: estimate f', g', the F-continuity
@@ -190,8 +192,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     else:
         verdict, detail = INCONCLUSIVE, "combined-function derivative was undecided"
     return RuleCheckReport(
-        rule=rule, lhs=lhs, rhs_value=rhs,
-        inputs_summary={**inputs, "f_prime": df, "g_prime": dg},
+        rule=rule, lhs=lhs, rhs_value=rhs, f_prime=df, g_prime=dg,
         continuity_reports=continuity, verdict=verdict, abs_error=abs_err,
         rel_error=rel_err, failure_detail=detail, notes=notes)
 
@@ -202,8 +203,7 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
     """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0."""
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
                        lambda x: alpha * f(x) + beta * g(x),
-                       lambda df, dg: alpha * df + beta * dg,
-                       {"alpha": alpha, "beta": beta}, ())
+                       lambda df, dg: alpha * df + beta * dg, ())
 
 
 def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -219,8 +219,7 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     g0 = g(x0)
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
                        lambda x: f(x) * g(x),
-                       lambda df, dg: df * g0 + dg * f0,
-                       {"f_at_x0": f0, "g_at_x0": g0}, (f, g))
+                       lambda df, dg: df * g0 + dg * f0, (f, g))
 
 
 def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -243,6 +242,5 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
         return f(x) / gx
 
     return _check_rule("quotient", f, g, x0, b, cfg, check_tol, quot,
-                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0),
-                       {"f_at_x0": f0, "g_at_x0": g0}, (g,),
+                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0), (g,),
                        notes=(QUOTIENT_RULE_NOTE,))

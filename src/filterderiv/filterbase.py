@@ -101,59 +101,33 @@ class SetDescriptor:
         if not self.points and not self.excluded:
             # Sorted, disjoint open intervals are already the components.
             return tuple(Piece(lo, hi, False, False) for lo, hi in self.intervals), ()
-        return self._sweep()
+        return self._merge()
 
-    def _sweep(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
+    def _merge(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
         """The canonical form of any mix of intervals, points and excluded
-        points, by a sweep over every endpoint and point; the reference
-        that the two closed forms in _canonical are tested against."""
-        cuts = sorted({v for iv in self.intervals for v in iv}
-                      | set(self.points) | set(self.excluded))
-        plus = set(self.points)
+        points, by a direct merge; the reference that the two closed forms
+        in _canonical are tested against. Each interval is split at the
+        excluded points inside it; each kept point outside every interval
+        is a closed piece [x, x]. In sorted order a piece joins the one
+        before it when they meet at a point that one of them holds, so a
+        kept point closes the piece ends it meets, joins two pieces, or
+        stands alone."""
         minus = set(self.excluded)
-
-        def point_in(x: float) -> bool:
-            if x in minus:
-                return False
-            if x in plus:
-                return True
-            return any(lo < x < hi for lo, hi in self.intervals)
-
-        def gap_in(a: float, b: float) -> bool:
-            return any(lo <= a and b <= hi for lo, hi in self.intervals)
-
-        # Alternate point/gap regions over the cut points and merge maximal
-        # runs of in-set regions into connected pieces.
-        regions: list[tuple[str, float, float, bool]] = []
-        for i, c in enumerate(cuts):
-            regions.append(("pt", c, c, point_in(c)))
-            if i + 1 < len(cuts):
-                nxt = cuts[i + 1]
-                regions.append(("gap", c, nxt, gap_in(c, nxt)))
-
-        pieces: list[Piece] = []
-        isolated: list[float] = []
-
-        def flush(run: list[tuple[str, float, float, bool]]) -> None:
-            if not run:
-                return
-            if len(run) == 1 and run[0][0] == "pt":
-                isolated.append(run[0][1])
-                return
-            first, last = run[0], run[-1]
-            lo = first[1]
-            hi = last[2]
-            pieces.append(Piece(lo, hi, first[0] == "pt", last[0] == "pt"))
-
-        run: list[tuple[str, float, float, bool]] = []
-        for reg in regions:
-            if reg[3]:
-                run.append(reg)
-            else:
-                flush(run)
-                run = []
-        flush(run)
-        return tuple(pieces), tuple(isolated)
+        runs: list[tuple[float, float, bool, bool]] = []
+        for lo, hi in self.intervals:
+            cuts = [lo, *sorted(x for x in minus if lo < x < hi), hi]
+            runs += [(a, b, False, False) for a, b in zip(cuts, cuts[1:])]
+        runs += [(x, x, True, True) for x in set(self.points) - minus
+                 if not any(lo < x < hi for lo, hi in self.intervals)]
+        runs.sort(key=lambda r: r[:2])
+        merged: list[tuple[float, float, bool, bool]] = []
+        for r in runs:
+            if merged and merged[-1][1] == r[0] and (merged[-1][3] or r[2]):
+                prev = merged.pop()
+                r = (prev[0], r[1], prev[2], r[3])
+            merged.append(r)
+        return (tuple(Piece(*r) for r in merged if r[0] != r[1]),
+                tuple(r[0] for r in merged if r[0] == r[1]))
 
     @property
     def pieces(self) -> tuple[Piece, ...]:

@@ -28,7 +28,7 @@ from .filterbase import FilterBaseChain
 __all__ = [
     "CONVERGED", "NO_LIMIT", "UNDECIDED", "DOMAIN_ERROR",
     "LimitConfig", "TraceRow", "LimitEstimate",
-    "estimate_limit", "oscillation_at", "format_trace_csv",
+    "estimate_limit", "format_trace_csv",
 ]
 
 CONVERGED = "converged"
@@ -48,12 +48,14 @@ class LimitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(getattr(self, name), int) for name in
+                   ("max_level", "samples_per_level", "stable_levels", "seed")):
+            raise ValueError("max_level, samples_per_level, stable_levels and "
+                             "seed must be ints")
         if self.stable_levels < 1:
             raise ValueError("stable_levels must be >= 1")
         if self.max_level < self.stable_levels:
             raise ValueError("max_level must be >= stable_levels")
-        if not (isinstance(self.samples_per_level, int) and isinstance(self.seed, int)):
-            raise ValueError("samples_per_level and seed must be ints")
         if self.samples_per_level < 2:
             raise ValueError("samples_per_level must be >= 2")
         for name in ("tol_osc", "tol_step", "no_limit_floor"):
@@ -114,13 +116,13 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
             f"cfg.max_level={cfg.max_level} exceeds chain max_level={b.max_level}")
     rows: list[TraceRow] = []
     s = cfg.stable_levels
+    status, detail = UNDECIDED, "stability criterion not met within the level budget"
     for k in range(cfg.max_level + 1):
         try:
             rows.append(_level_row(g, b, k, cfg.samples_per_level, cfg.seed))
         except DomainError as err:
-            return LimitEstimate(
-                status=DOMAIN_ERROR, value=None, trace=tuple(rows),
-                failure_detail=f"domain error at level {k}: {err}")
+            status, detail = DOMAIN_ERROR, f"domain error at level {k}: {err}"
+            break
         if k + 1 >= s:
             window = rows[k - s + 1:]
             osc_ok = all(r.oscillation <= cfg.tol_osc for r in window)
@@ -129,28 +131,17 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
                 <= cfg.tol_step * (1.0 + abs(cur.sample_mean))
                 for prev, cur in zip(window, window[1:]))
             if osc_ok and steps_ok:
-                return LimitEstimate(status=CONVERGED, value=rows[-1].sample_mean,
-                                     trace=tuple(rows))
-    tail = rows[-s:]
-    if all(r.oscillation >= cfg.no_limit_floor for r in tail):
-        return LimitEstimate(
-            status=NO_LIMIT, value=None, trace=tuple(rows),
-            failure_detail=(
+                status, detail = CONVERGED, None
+                break
+    else:
+        tail = rows[-s:]
+        if all(r.oscillation >= cfg.no_limit_floor for r in tail):
+            status, detail = NO_LIMIT, (
                 f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
-                f"{s} levels (last = {tail[-1].oscillation!r})"))
-    return LimitEstimate(
-        status=UNDECIDED, value=None, trace=tuple(rows),
-        failure_detail="stability criterion not met within the level budget")
-
-
-def oscillation_at(g: Callable[[float], float], b: FilterBaseChain, k: int,
-                   cfg: LimitConfig) -> tuple[float, float]:
-    """The sampled (min, max) of g at level k, exactly as estimate_limit
-    would record it. Domain errors pass through."""
-    if k > cfg.max_level:
-        raise ValueError(f"k={k} exceeds cfg.max_level={cfg.max_level}")
-    row = _level_row(g, b, k, cfg.samples_per_level, cfg.seed)
-    return row.sample_min, row.sample_max
+                f"{s} levels (last = {tail[-1].oscillation!r})")
+    value = rows[-1].sample_mean if status == CONVERGED else None
+    return LimitEstimate(status=status, value=value, trace=tuple(rows),
+                         failure_detail=detail)
 
 
 def format_trace_csv(est: LimitEstimate) -> str:

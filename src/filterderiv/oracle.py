@@ -12,7 +12,6 @@ extrapolation, or the filter engine itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +20,7 @@ from .expr import (BINARY_FUNCTIONS, Binary, Call, Constant, Expr, Unary,
                    Variable, evaluate, render)
 
 __all__ = [
-    "OracleValue", "RichardsonConfig", "symbolic_derivative",
+    "OracleValue", "symbolic_derivative",
     "symbolic_derivative_value", "richardson_one_sided", "KINK_TOLERANCE",
 ]
 
@@ -29,24 +28,17 @@ __all__ = [
 # symbolic rules are invalid there and the oracle refuses the point.
 KINK_TOLERANCE = 1e-12
 
+# First step and tableau depth of richardson_one_sided: steps h0 * 2**-j
+# for j < depth.
+_RICHARDSON_H0 = 0.5
+_RICHARDSON_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class OracleValue:
     value: float
     method: str  # "symbolic" | "richardson-right" | "richardson-left"
     estimated_error: float
-
-
-@dataclass(frozen=True)
-class RichardsonConfig:
-    h0: float = 0.5
-    depth: int = 8
-
-    def __post_init__(self):
-        if not self.h0 > 0.0:
-            raise ValueError("h0 must be > 0")
-        if self.depth < 2:
-            raise ValueError("depth must be >= 2")
 
 
 def _const(v: float) -> Constant:
@@ -204,20 +196,19 @@ def symbolic_derivative_value(e: Expr, var: str, x0: float) -> OracleValue:
                        estimated_error=0.0)
 
 
-def richardson_one_sided(f: Callable[[float], float], x0: float, side: str,
-                         cfg: RichardsonConfig | None = None) -> OracleValue:
+def richardson_one_sided(f: Callable[[float], float], x0: float,
+                         side: str) -> OracleValue:
     """Richardson extrapolation of one-sided difference quotients with step
     halving. estimated_error is the gap between the last two diagonal
     tableau entries."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    cfg = cfg or RichardsonConfig()
     sigma = 1.0 if side == "right" else -1.0
     fx0 = f(x0)
-    depth = cfg.depth
+    depth = _RICHARDSON_DEPTH
     tableau = [[0.0] * depth for _ in range(depth)]
     for j in range(depth):
-        h = sigma * cfg.h0 * 2.0 ** -j
+        h = sigma * _RICHARDSON_H0 * 2.0 ** -j
         tableau[j][0] = (f(x0 + h) - fx0) / h
     # one-sided quotients expand in powers h^1, h^2, ...: column i kills h^i
     for i in range(1, depth):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from filterderiv import LimitConfig
+
 GOLDEN = Path(__file__).parent / "golden"
 TOP_KEYS = {"command", "params", "status", "value", "trace_file", "oracle", "notes"}
 
@@ -209,6 +211,29 @@ class TestParamsEcho:
             assert key in params
         assert params["levels"] == 48
         assert params["seed"] == 0
+        # a flag-free run echoes the library's defaults
+        d = LimitConfig()
+        assert {k: params[k] for k in ("levels", "samples", "tol_osc", "tol_step",
+                                       "stable", "no_limit_floor", "seed")} == {
+            "levels": d.max_level, "samples": d.samples_per_level,
+            "tol_osc": d.tol_osc, "tol_step": d.tol_step,
+            "stable": d.stable_levels, "no_limit_floor": d.no_limit_floor,
+            "seed": d.seed}
+
+
+class TestHelp:
+    """--help is the one output that is not a JSON object: argparse's usage
+    text on stdout, exit 0."""
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["--help"], "usage: filterderiv "),
+        (["derive", "--help"], "usage: filterderiv derive "),
+    ], ids=["top", "derive"])
+    def test_help_prints_usage_and_exits_0(self, argv, usage):
+        res = run_cli(*argv)
+        assert res.returncode == 0
+        assert res.stdout.startswith(usage)
+        assert res.stderr == ""
 
 
 def strict_json(text):

@@ -177,6 +177,17 @@ class TestCheckProductRule:
         assert cont_f.is_continuous
         assert not cont_g.is_continuous
 
+    def test_ingredients_are_the_plain_derivatives(self):
+        f = as_function(parse("sin(x)"))
+        g = as_function(parse("exp(x/2)"))
+        b = punctured_base(1.0, 0.5)
+        rep = check_product_rule(f, g, 0.7, b, PQ_CFG, 1e-5)
+        for got, h in ((rep.f_prime, f), (rep.g_prime, g)):
+            want = derivative(h, 0.7, b, PQ_CFG)
+            assert got.converged
+            assert got.value.hex() == want.value.hex()
+            assert got.estimate == want.estimate
+
 
 class TestCheckQuotientRule:
     def test_identity_over_one_plus_abs(self):

@@ -202,9 +202,9 @@ def _probes(d):
 
 
 def _swept(d):
-    """An equal descriptor canonicalized by the general sweep, whatever its shape."""
+    """An equal descriptor canonicalized by the general merge, whatever its shape."""
     c = SetDescriptor(intervals=d.intervals, points=d.points, excluded=d.excluded)
-    object.__setattr__(c, "_canonical", d._sweep())
+    object.__setattr__(c, "_canonical", d._merge())
     return c
 
 
@@ -276,6 +276,21 @@ class TestClosedFormCanonical:
         assert all(not p.lo_closed and not p.hi_closed for p in d.pieces)
         assert d.isolated_points == ()
         self._agrees_with_sweep(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(descriptors())
+    def test_merge_gives_maximal_components(self, d):
+        """The reference itself, checked without it: its pieces and isolated
+        points hold exactly the members, and no two of them touch at a
+        point either one holds, so none could be joined."""
+        pieces, isolated = d._merge()
+        for x in _probes(d):
+            assert (any(p.contains(x) for p in pieces) or x in isolated) == _membership(d, x)
+        comps = sorted([(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in pieces]
+                       + [(x, x, True, True) for x in isolated])
+        for a, b in zip(comps, comps[1:]):
+            assert a[1] < b[0] or (a[1] == b[0] and not a[3] and not b[2])
+        assert list(isolated) == sorted(set(isolated))
 
     @settings(max_examples=150, deadline=None)
     @given(descriptors())

@@ -2,11 +2,9 @@ import math
 
 import pytest
 
-from filterderiv import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, DomainError,
-                         LimitConfig, SequenceSpec, estimate_limit,
-                         format_trace_csv, punctured_base, right_base,
-                         sequence_base)
-from filterderiv.flimit import oscillation_at
+from filterderiv import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, LimitConfig,
+                         SequenceSpec, estimate_limit, format_trace_csv,
+                         punctured_base, right_base, sequence_base)
 from corpus import SMOOTH_CASES, SMOOTH_CFG
 
 import filterderiv as fd
@@ -72,30 +70,36 @@ class TestEstimateLimit:
 
 
 class TestOscillationAt:
+    """The sampled (min, max) of one level, read from the trace rows."""
+
     def test_sign_range(self):
-        assert oscillation_at(lambda h: math.copysign(1.0, h),
-                              punctured_base(1.0, 0.5), 4,
-                              LimitConfig()) == (-1.0, 1.0)
+        row = estimate_limit(lambda h: math.copysign(1.0, h),
+                             punctured_base(1.0, 0.5), LimitConfig()).trace[4]
+        assert (row.sample_min, row.sample_max) == (-1.0, 1.0)
 
     def test_square_shrinks_on_right_base(self):
         b = right_base(1.0, 0.5)
-        cfg = LimitConfig()
+        trace = estimate_limit(lambda h: h * h, b, LimitConfig()).trace
         prev = None
         for k in (0, 2, 4):
-            lo, hi = oscillation_at(lambda h: h * h, b, k, cfg)
+            lo, hi = trace[k].sample_min, trace[k].sample_max
             assert 0.0 < lo < hi < b.scale(k) ** 2
+            assert trace[k].oscillation == hi - lo
             if prev is not None:
                 assert hi < prev
             prev = hi
 
     def test_constant(self):
-        assert oscillation_at(lambda h: 5.0, punctured_base(1.0, 0.5), 0,
-                              LimitConfig()) == (5.0, 5.0)
+        row = estimate_limit(lambda h: 5.0, punctured_base(1.0, 0.5),
+                             LimitConfig()).trace[0]
+        assert (row.sample_min, row.sample_max, row.oscillation) == (5.0, 5.0, 0.0)
 
     def test_domain_error_passes_through(self):
-        with pytest.raises(DomainError):
-            oscillation_at(lambda h: math.log(h), punctured_base(1.0, 0.5), 0,
-                           LimitConfig())
+        # the failing level leaves no row; the error names it
+        est = estimate_limit(lambda h: math.log(h), punctured_base(1.0, 0.5),
+                             LimitConfig())
+        assert est.trace == ()
+        assert est.failure_detail.startswith("domain error at level 0: ")
 
 
 class TestConfigValidation:
@@ -112,7 +116,9 @@ class TestConfigValidation:
             LimitConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [dict(seed=1.0), dict(seed="0"),
-                                        dict(samples_per_level=32.0)])
+                                        dict(samples_per_level=32.0),
+                                        dict(max_level=5.0),
+                                        dict(stable_levels=2.0)])
     def test_non_int_seed_or_sample_count_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be ints"):
             LimitConfig(**kwargs)

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from filterderiv import (DomainError, NonSmoothPointError, RichardsonConfig,
-                         as_function, evaluate, parse, richardson_one_sided,
+from filterderiv import (DomainError, NonSmoothPointError, as_function,
+                         evaluate, parse, richardson_one_sided,
                          symbolic_derivative, symbolic_derivative_value)
 from corpus import SMOOTH_CASES
 
@@ -110,12 +110,6 @@ class TestRichardson:
     def test_side_validated(self):
         with pytest.raises(ValueError):
             richardson_one_sided(abs, 0.0, "up")
-
-    def test_config_validated(self):
-        with pytest.raises(ValueError):
-            RichardsonConfig(h0=-1.0)
-        with pytest.raises(ValueError):
-            RichardsonConfig(depth=1)
 
 
 class TestSelfConsistency:
