@@ -69,13 +69,9 @@ def parse_base_spec(spec: str, *, max_level: int) -> FilterBaseChain:
                 raise ValueError(f"duplicate base option {key!r} in {spec!r}")
             opts[key] = val
 
-    def take_float(key: str, default: float | None = None) -> float:
-        if key not in opts:
-            if default is None:
-                raise ValueError(f"base spec {spec!r} is missing {key!r}")
-            return default
+    def take_float(key: str, default: float) -> float:
         try:
-            return float(opts.pop(key))
+            return float(opts.pop(key, default))
         except ValueError:
             raise ValueError(f"base option {key!r} is not a number") from None
 

@@ -64,37 +64,25 @@ class Call:
 
 Expr = Union[Constant, Variable, Unary, Binary, Call]
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = "+-*/^(),"
+# One token per match: whitespace, a number, a name, a punctuation mark, or
+# any other single character, which is an error. The alternatives cover
+# every character, so the matches tile the text.
+_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*/^(),])|(?P<other>.)",
+                       re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, char-offset) triples, ending with an eof token."""
+    """Return (kind, text, char-offset) triples, ending with an eof token; a
+    punctuation mark is its own kind."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            tokens.append(("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(_byte_offset(text, i), "a token", ch)
-    tokens.append(("eof", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, i = m.lastgroup, m.group(), m.start()
+        if kind == "other":
+            raise ParseError(_byte_offset(text, i), "a token", tok)
+        if kind != "space":
+            tokens.append((tok if kind == "punct" else kind, tok, i))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 

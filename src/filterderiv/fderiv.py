@@ -227,12 +227,16 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
                         check_tol: float) -> RuleCheckReport:
     """Check d(f/g) = (df*g(x0) - dg*f(x0)) / g(x0)^2 along b at x0.
 
-    Requires g(x0) != 0 (ValueError otherwise). A sampled h with
-    g(x0+h) = 0 aborts the combined estimate with a domain error.
+    Requires g(x0) != 0 and a g(x0)^2 that does not underflow to 0
+    (ValueError otherwise). A sampled h with g(x0+h) = 0 aborts the
+    combined estimate with a domain error.
     """
     g0 = g(x0)
     if g0 == 0.0:
         raise ValueError(f"quotient rule requires g(x0) != 0, got g({x0!r}) = 0")
+    if g0 * g0 == 0.0:
+        raise ValueError(f"quotient rule requires g(x0)^2 != 0, but g({x0!r}) = "
+                         f"{g0!r} squares to 0")
     f0 = f(x0)
 
     def quot(x: float) -> float:

@@ -32,6 +32,9 @@ _M64 = (1 << 64) - 1
 # Smallest scale a geometric chain may reach; keeps stratified sampling in
 # the normal float range where strata stay distinct.
 _MIN_SCALE = 1e-300
+# Terms a sequence base keeps past its last level, so that even its deepest
+# tail holds this many points to sample.
+_TAIL_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -174,11 +177,14 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _allocate(widths: Sequence[float], m: int) -> list[int]:
+def _allocate(widths: Sequence[float], m: int, level: int) -> list[int]:
     """Largest-remainder allocation of m sample slots proportional to width."""
-    total = math.fsum(widths)
-    quotas = [m * w / total for w in widths]
-    counts = [int(math.floor(q)) for q in quotas]
+    try:
+        total = math.fsum(widths)
+        quotas = [m * w / total for w in widths]
+        counts = [int(math.floor(q)) for q in quotas]
+    except (OverflowError, ValueError):  # a width, the total or a quota is not finite
+        raise ValueError(f"level {level} is too wide to sample {m} points") from None
     short = m - sum(counts)
     order = sorted(range(len(widths)), key=lambda i: (-(quotas[i] - counts[i]), i))
     for i in order[:short]:
@@ -204,7 +210,7 @@ def _sample_spans(spans: tuple[tuple[float, float], ...], m: int, seed: int,
     A pure function of its arguments, so it is memoized."""
     widths = [hi - lo for lo, hi in spans]
     out: list[float] = []
-    for c, ((lo, hi), width, n) in enumerate(zip(spans, widths, _allocate(widths, m))):
+    for c, ((lo, hi), width, n) in enumerate(zip(spans, widths, _allocate(widths, m, level))):
         h = 0x243F6A8885A308D3
         for part in (seed, level, c):
             h = _splitmix64(h ^ (part & _M64))
@@ -257,7 +263,6 @@ class FilterBaseChain:
         self._element_fn = element_fn
         self._scale_fn = scale_fn
         self._sample_fn = sample_fn
-        self._elements: dict[int, SetDescriptor] = {}
 
     def __repr__(self):
         return f"FilterBaseChain({self.id!r}, max_level={self.max_level})"
@@ -270,14 +275,11 @@ class FilterBaseChain:
 
     def element(self, k: int) -> SetDescriptor:
         self._check_level(k)
-        found = self._elements.get(k)
-        if found is None:
-            found = self._element_fn(k)
-            if self.punctured_at_zero and found.contains(0.0):
-                raise ValueError(
-                    f"chain {self.id!r} is flagged punctured_at_zero "
-                    f"but element({k}) contains 0")
-            self._elements[k] = found
+        found = self._element_fn(k)
+        if self.punctured_at_zero and found.contains(0.0):
+            raise ValueError(
+                f"chain {self.id!r} is flagged punctured_at_zero "
+                f"but element({k}) contains 0")
         return found
 
     def scale(self, k: int) -> float:
@@ -314,38 +316,33 @@ class FilterBaseChain:
         )
 
 
-def _geometric_scales(delta0: float, ratio: float, max_level: int) -> tuple[float, ...]:
+def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
+                     spans: Callable[[float], tuple[tuple[float, float], ...]]
+                     ) -> FilterBaseChain:
+    """A chain whose level k has scale d = delta0*ratio**k and element the
+    union of the open intervals spans(d), sampled straight from spans(d)
+    without building the descriptor. Each scale is checked against
+    _MIN_SCALE as it is computed, so a chain too deep is rejected at its
+    first level below it."""
     delta0 = float(delta0)
     ratio = float(ratio)
     if not (math.isfinite(delta0) and delta0 > 0.0):
         raise ValueError("delta0 must be a positive real")
     if not (math.isfinite(ratio) and 0.0 < ratio < 1.0):
         raise ValueError("ratio must lie strictly inside (0, 1)")
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
-    scales = [delta0]
-    for _ in range(max_level):
-        scales.append(scales[-1] * ratio)
-    if scales[-1] < _MIN_SCALE:
-        raise ValueError(
-            f"delta0*ratio**{max_level} = {scales[-1]!r} is below {_MIN_SCALE}; "
-            "reduce max_level")
-    return tuple(scales)
-
-
-def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
-                     spans: Callable[[float], tuple[tuple[float, float], ...]]
-                     ) -> FilterBaseChain:
-    """A chain whose level k has scale d = delta0*ratio**k and element the
-    union of the open intervals spans(d), sampled straight from spans(d)
-    without building the descriptor."""
-    scales = _geometric_scales(delta0, ratio, max_level)
+    scales: list[float] = []
+    scale = delta0
+    for k in range(max_level + 1):
+        if scale < _MIN_SCALE:
+            raise ValueError(f"delta0*ratio**{k} = {scale!r} is below {_MIN_SCALE}; "
+                             "reduce max_level")
+        scales.append(scale)
+        scale *= ratio
     return FilterBaseChain(
-        chain_id=f"{kind}:delta0={float(delta0)!r},ratio={float(ratio)!r}",
+        chain_id=f"{kind}:delta0={delta0!r},ratio={ratio!r}",
         max_level=max_level,
         punctured_at_zero=True,
-        params={"kind": kind, "delta0": float(delta0),
-                "ratio": float(ratio), "max_level": max_level},
+        params={"kind": kind, "delta0": delta0, "ratio": ratio, "max_level": max_level},
         element_fn=lambda k: SetDescriptor(intervals=spans(scales[k])),
         scale_fn=lambda k: scales[k],
         sample_fn=lambda k, m, seed: list(_sample_spans(spans(scales[k]), m, seed, k)),
@@ -429,14 +426,11 @@ def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def sequence_base(spec: SequenceSpec, *, max_level: int = 64,
-                  tail_points: int = 256) -> FilterBaseChain:
+def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain:
     """Tails-of-a-sequence base: element(k) = {h_n : n >= k+1}, truncated at a
-    single global index max_level + tail_points so that the truncated tails
+    single global index max_level + _TAIL_POINTS so that the truncated tails
     nest exactly. sample() returns the first m members of the tail."""
-    if tail_points < 2:
-        raise ValueError("tail_points must be >= 2")
-    cutoff = max_level + tail_points
+    cutoff = max_level + _TAIL_POINTS
     values = _sequence_terms(spec, cutoff)
 
     def element(k: int) -> SetDescriptor:
@@ -450,7 +444,7 @@ def sequence_base(spec: SequenceSpec, *, max_level: int = 64,
 
     params: dict[str, object] = {"kind": "seq", "seq_kind": spec.kind,
                                  "c": spec.c, "max_level": max_level,
-                                 "tail_points": tail_points}
+                                 "tail_points": _TAIL_POINTS}
     if spec.p is not None:
         params["p"] = spec.p
     if spec.q is not None:

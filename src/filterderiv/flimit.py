@@ -99,8 +99,13 @@ def _level_row(g: Callable[[float], float], b: FilterBaseChain, k: int,
         vals.append(v)
     lo = min(vals)
     hi = max(vals)
+    try:
+        mean = math.fsum(vals) / len(vals)
+    except OverflowError:  # the sum overflows, the mean does not: take it exactly
+        from fractions import Fraction  # imported here: it slows every CLI start
+        mean = float(sum(map(Fraction, vals)) / len(vals))
     return TraceRow(scale=b.scale(k), sample_min=lo, sample_max=hi,
-                    sample_mean=math.fsum(vals) / len(vals), oscillation=hi - lo)
+                    sample_mean=mean, oscillation=hi - lo)
 
 
 def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,

@@ -12,10 +12,11 @@ extrapolation, or the filter engine itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonSmoothPointError
+from .errors import DomainError, NonSmoothPointError
 from .expr import (BINARY_FUNCTIONS, Binary, Call, Constant, Expr, Unary,
                    Variable, evaluate, render)
 
@@ -200,7 +201,7 @@ def richardson_one_sided(f: Callable[[float], float], x0: float,
                          side: str) -> OracleValue:
     """Richardson extrapolation of one-sided difference quotients with step
     halving. estimated_error is the gap between the last two diagonal
-    tableau entries."""
+    tableau entries; a tableau that leaves the float range is a DomainError."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     sigma = 1.0 if side == "right" else -1.0
@@ -218,4 +219,6 @@ def richardson_one_sided(f: Callable[[float], float], x0: float,
                 / (factor - 1.0)
     value = tableau[depth - 1][depth - 1]
     err = abs(value - tableau[depth - 2][depth - 2])
+    if not math.isfinite(err):  # also when value is not finite
+        raise DomainError("Richardson tableau left the float range", argument=x0)
     return OracleValue(value=value, method=f"richardson-{side}", estimated_error=err)

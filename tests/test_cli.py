@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterderiv import LimitConfig
 
@@ -220,6 +224,11 @@ class TestParamsEcho:
             "stable": d.stable_levels, "no_limit_floor": d.no_limit_floor,
             "seed": d.seed}
 
+    def test_sequence_tail_echoed(self, capsys):
+        _, payload = main_json(capsys, "limit", "--expr", "h",
+                               "--base", "seq:kind=geo", "--levels", "8")
+        assert payload["params"]["base_params"]["tail_points"] == 256
+
 
 class TestHelp:
     """--help is the one output that is not a JSON object: argparse's usage
@@ -312,6 +321,26 @@ class TestHostileExpressions:
         assert code == 4
         assert payload["notes"] == ["argument --x0: invalid float value: 'abc'"]
 
+    @pytest.mark.parametrize("argv,code,note", [
+        (["derive", "--expr", "x²", "--x0", "1", "--base", "right:"], 4,
+         "syntax error at offset 1: expected a token, found '²'"),
+        (["limit", "--expr", "1e308+h", "--base", "right:"], 0, None),
+        (["derive", "--expr", "x", "--x0", "1", "--base", "punctured:delta0=1e308"], 4,
+         "level 0 is too wide to sample 32 points"),
+        (["check", "quotient", "--f", "x", "--g", "x", "--x0", "1e-200",
+          "--base", "right:"], 4,
+         "quotient rule requires g(x0)^2 != 0, but g(1e-200) = 1e-200 squares to 0"),
+        (["derive", "--expr", "x", "--x0", "1", "--base", "right:", "--levels", "10000000"],
+         4, "delta0*ratio**997 = 7.466108948025751e-301 is below 1e-300; reduce max_level"),
+    ], ids=["superscript", "huge-mean", "huge-width", "tiny-denominator", "too-deep"])
+    def test_float_range_edges_keep_the_contract(self, capsys, argv, code, note):
+        got, payload = main_json(capsys, *argv)
+        assert got == code
+        if note is None:
+            assert payload["value"] == 1e308
+        else:
+            assert payload["notes"] == [note]
+
     @pytest.mark.parametrize("expr,symbolic", [
         ("(" * 99 + "x" + ")" * 99, 1.0),
         ("-" * 99 + "x", -1.0),
@@ -323,3 +352,53 @@ class TestHostileExpressions:
                                   "--base", "right:delta0=1,ratio=0.5", "--oracle")
         assert code in (0, 2, 3)
         assert payload["oracle"]["symbolic"]["value"] == symbolic
+
+
+# Inputs of the contract property: ordinary ones, and ones at the edges of
+# the grammar and of the float range.
+CONTRACT_EXPRS = ["x", "h", "abs(x)", "sign(x)", "1/x", "log(x)", "x^2", "sin(1/x)",
+                  "x*y", "x²", "x⁰", "1e308+h", "1e308*x"]
+CONTRACT_BASES = ["right:", "left:", "punctured:", "right:delta0=2,ratio=0.25",
+                  "seq:kind=piovern", "seq:kind=geo,q=-0.5", "punctured:delta0=1e308",
+                  "seq:kind=powinv,c=1e308,p=1e-3"]
+CONTRACT_NUMBERS = ["0", "1", "-0.5", "1e-200", "1e308", "-1e308"]
+
+
+@st.composite
+def contract_argv(draw):
+    def expr():
+        return draw(st.sampled_from(CONTRACT_EXPRS))
+
+    def number():
+        return draw(st.sampled_from(CONTRACT_NUMBERS))
+
+    command = draw(st.sampled_from(["derive", "limit", "continuity", "check",
+                                    "verify-base"]))
+    if command == "derive":
+        argv = ["derive", "--expr", expr(), "--x0", number()]
+        argv += ["--oracle"] if draw(st.booleans()) else []
+    elif command == "limit":
+        argv = ["limit", "--expr", expr()]
+    elif command == "continuity":
+        argv = ["continuity", "--expr", expr(), "--a", number()]
+    elif command == "check":
+        argv = ["check", draw(st.sampled_from(["linearity", "product", "quotient"])),
+                "--f", expr(), "--g", expr(), "--x0", number(), "--alpha", number()]
+    else:
+        argv = ["verify-base"]
+    return argv + ["--base", draw(st.sampled_from(CONTRACT_BASES)),
+                   "--levels", str(draw(st.integers(min_value=0, max_value=8)))]
+
+
+class TestContractProperty:
+    # Derandomized with a fixed example count, so a failure in CI replays
+    # with the same argv on any machine.
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(contract_argv())
+    def test_exit_code_and_one_json_object(self, argv):
+        from filterderiv import cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        assert isinstance(strict_json(out.getvalue()), dict)

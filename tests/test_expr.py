@@ -24,6 +24,12 @@ class TestParse:
             parse("x +* 2")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("text", ["x²", "x⁰"])
+    def test_superscript_digit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == 1
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse("2+2 x")

@@ -207,8 +207,13 @@ class TestCheckQuotientRule:
         assert abs(rep.rhs_value - math.cos(0.3)) <= 1e-5
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"requires g\(x0\) != 0, got g\(0\.0\) = 0$"):
             check_quotient_rule(IDENT, IDENT, 0.0, right_base(1.0, 0.5),
+                                PQ_CFG, 1e-5)
+
+    def test_denominator_whose_square_underflows_rejected(self):
+        with pytest.raises(ValueError, match=r"g\(1e-200\) = 1e-200 squares to 0"):
+            check_quotient_rule(IDENT, IDENT, 1e-200, right_base(1.0, 0.5),
                                 PQ_CFG, 1e-5)
 
     def test_sampled_zero_of_g_is_inconclusive(self):

@@ -107,6 +107,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             punctured_base(1.0, 0.1, max_level=400)
 
+    def test_too_deep_chain_names_its_first_level_below_min_scale(self):
+        # 0.5**997 is the first power of 0.5 below 1e-300; the ten million
+        # levels asked for are never computed
+        with pytest.raises(ValueError, match=r"^delta0\*ratio\*\*997 = 7\.46"):
+            right_base(1, 0.5, max_level=10**7)
+
 
 class TestSequenceBase:
     def test_piovern_terms(self):
@@ -134,15 +140,15 @@ class TestSequenceBase:
             sequence_base(SequenceSpec(**spec_kwargs))
 
     def test_underflowing_tail_rejected(self):
-        with pytest.raises(ValueError):
-            sequence_base(SequenceSpec(kind="geo", c=1.0, q=0.5),
-                          max_level=64, tail_points=1400)
+        # the tail runs to term 900 + 256, past 0.5**1075 = 0
+        with pytest.raises(ValueError, match="underflowed"):
+            sequence_base(SequenceSpec(kind="geo", c=1.0, q=0.5), max_level=900)
 
     def test_sample_exhausts_truncation(self):
-        b = sequence_base(SequenceSpec(kind="piovern", c=1.0),
-                          max_level=8, tail_points=4)
-        with pytest.raises(ValueError):
-            b.sample(8, 5, seed=0)
+        b = sequence_base(SequenceSpec(kind="piovern", c=1.0), max_level=8)
+        assert len(b.sample(8, 256, seed=0)) == 256
+        with pytest.raises(ValueError, match="holds 256 points, need 257"):
+            b.sample(8, 257, seed=0)
 
     def test_negative_ratio_geo_allowed(self):
         b = sequence_base(SequenceSpec(kind="geo", c=1.0, q=-0.5))
@@ -432,6 +438,13 @@ class TestSampling:
     def test_points_only_samples_are_distinct(self, points, m, expected):
         pts = chain_from_elements("d", [S(points=points)]).sample(0, m, 0)
         assert [repr(p) for p in pts] == [repr(p) for p in expected]
+
+    @pytest.mark.parametrize("maker", [punctured_base, right_base])
+    def test_width_beyond_the_float_range_is_a_value_error(self, maker):
+        # punctured: the two widths sum past the float range; right: 32
+        # times the one width does
+        with pytest.raises(ValueError, match="level 0 is too wide to sample 32 points"):
+            maker(1e308, 0.5).sample(0, 32, seed=0)
 
     def test_repeated_points_count_once(self):
         with pytest.raises(ValueError, match="only 1 sampleable points"):

@@ -56,6 +56,13 @@ class TestEstimateLimit:
         est = estimate_limit(math.log, right_base(1.0, 0.5), LimitConfig())
         assert est.status == NO_LIMIT
 
+    def test_mean_whose_sum_overflows_is_finite(self):
+        # the fsum of 32 values of 1e308 overflows; their mean does not
+        est = estimate_limit(lambda h: 1e308 + h, right_base(1.0, 0.5), LimitConfig())
+        assert est.status == CONVERGED
+        assert est.value == 1e308
+        assert all(r.sample_mean == 1e308 for r in est.trace)
+
     def test_determinism(self):
         cfg = LimitConfig(seed=11)
         b = punctured_base(1.0, 0.5)

@@ -107,6 +107,12 @@ class TestRichardson:
         with pytest.raises(DomainError):
             richardson_one_sided(as_function(parse("log(x)")), 0.0, "right")
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_tableau_beyond_the_float_range_is_a_domain_error(self, side):
+        # every quotient is 1e308, so the first extrapolation step overflows
+        with pytest.raises(DomainError, match="left the float range"):
+            richardson_one_sided(lambda x: 1e308 * x, 1.0, side)
+
     def test_side_validated(self):
         with pytest.raises(ValueError):
             richardson_one_sided(abs, 0.0, "up")
