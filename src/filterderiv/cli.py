@@ -275,9 +275,10 @@ def _cmd_check(args: argparse.Namespace):
     notes = [f"rhs_value={rep.rhs_value!r}",
              f"abs_error={rep.abs_error!r}",
              f"rel_error={rep.rel_error!r}"]
-    for cont in rep.continuity_reports:
-        notes.append(f"f_continuity(base={cont.base_id}, target={cont.target!r}): "
-                     f"{'continuous' if cont.is_continuous else 'not continuous'}")
+    names = ("f", "g")[2 - len(rep.continuity_reports):]  # g's report is last
+    notes += [f"f_continuity({name}, base={c.base_id}, target={c.target!r}): "
+              f"{'continuous' if c.is_continuous else 'not continuous'}"
+              for name, c in zip(names, rep.continuity_reports)]
     notes += [*_details(rep), *rep.notes]
     params = {"rule": args.rule, "f": args.f, "g": args.g,
               "alpha": args.alpha, "beta": args.beta, "x0": args.x0,

@@ -6,12 +6,12 @@ punctured two-sided base recovers the classical derivative; the one-sided
 bases recover right and left derivatives.
 
 The linearity, product and quotient rules are checked by one skeleton,
-`_check_rule`; each rule supplies only its combined function, its
-right-hand side in terms of f'(x0) and g'(x0), and the functions whose
-F-continuity it needs. The skeleton estimates both sides numerically and
-reports holds / violated / inconclusive, where a failed hypothesis (an
-ingredient derivative that does not converge, or a missing F-continuity of
-g) always yields inconclusive, never violated.
+`_check_rule`, which evaluates f and g once per sampled point for all of
+its estimates; each rule supplies how it combines the values of f and g,
+its right-hand side in f'(x0) and g'(x0), and the functions whose
+F-continuity it needs. It reports holds / violated / inconclusive, where a
+failed hypothesis (an ingredient derivative that does not converge, or a
+missing F-continuity of g) always yields inconclusive, never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -22,13 +22,14 @@ rule's derivation and is not used (see QUOTIENT_RULE_NOTE).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, LimitConfig,
-                     LimitEstimate, estimate_limit)
+                     LimitEstimate, _descend, _finite_values, estimate_limit)
 
 __all__ = [
     "DerivativeResult", "FContinuityReport", "RuleCheckReport",
@@ -119,14 +120,18 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
     return quotient
 
 
-def derivative(f: Callable[[float], float], x0: float, b: FilterBaseChain,
-               cfg: LimitConfig) -> DerivativeResult:
-    """Limit of the difference quotient of f at x0 along b. The chain must
-    be flagged punctured_at_zero, since h is a divisor."""
+def _require_punctured(b: FilterBaseChain) -> None:
     if not b.punctured_at_zero:
         raise BaseNotPuncturedError(
             f"chain {b.id!r} is not punctured at zero; its elements may "
             "contain h = 0 where the difference quotient is undefined")
+
+
+def derivative(f: Callable[[float], float], x0: float, b: FilterBaseChain,
+               cfg: LimitConfig) -> DerivativeResult:
+    """Limit of the difference quotient of f at x0 along b. The chain must
+    be flagged punctured_at_zero, since h is a divisor."""
+    _require_punctured(b)
     est = estimate_limit(difference_quotient(f, x0), b, cfg)
     return DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
 
@@ -139,32 +144,104 @@ def classical_derivative(f: Callable[[float], float], x0: float,
     return derivative(f, x0, b, cfg)
 
 
-def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
-                 cfg: LimitConfig) -> FContinuityReport:
-    """Check lim f(a+h) along b against f(a). f must be defined at a
-    (a DomainError from f(a) propagates)."""
-    target = f(a)
+def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
+                estimate: Callable[[], LimitEstimate]) -> FContinuityReport:
+    """Compare a function's value target at a with its limit, estimate()."""
     if not math.isfinite(target):
         raise DomainError("f(a) is not a finite real", argument=a)
-    est = estimate_limit(lambda h: f(a + h), b, cfg)
+    est = estimate()
     ok = est.converged and abs(est.value - target) <= cfg.tol_step * (1.0 + abs(target))
     return FContinuityReport(point=a, base_id=b.id, limit=est, target=target,
                              is_continuous=ok)
 
 
+def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
+                 cfg: LimitConfig) -> FContinuityReport:
+    """Check lim f(a+h) along b against f(a). f must be defined at a
+    (a DomainError from f(a) propagates)."""
+    return _continuity(f(a), a, b, cfg, lambda: estimate_limit(lambda h: f(a + h), b, cfg))
+
+
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
                 x0: float, b: FilterBaseChain, cfg: LimitConfig, check_tol: float,
-                combined: Callable[[float], float],
+                combine: Callable[[float, float], float],
                 rhs_of: Callable[[float, float], float],
-                continuous: tuple[Callable[[float], float], ...],
-                notes: tuple[str, ...] = ()) -> RuleCheckReport:
+                continuous: tuple[str, ...], notes: tuple[str, ...] = (),
+                at_x0: tuple[float, float] | None = None) -> RuleCheckReport:
     """The check shared by the three rules: estimate f', g', the F-continuity
-    of each of `continuous` (g last; the verdict needs only g's) and the
-    derivative of `combined`, in that order; compare it with rhs_of(f', g')."""
-    df = derivative(f, x0, b, cfg)
-    dg = derivative(g, x0, b, cfg)
-    continuity = tuple(f_continuity(h, x0, b, cfg) for h in continuous)
-    lhs = derivative(combined, x0, b, cfg)
+    of each function named in `continuous` (g last; the verdict needs only
+    g's) and the derivative of c = combine(f, g), in that order; compare it
+    with rhs_of(f', g'). at_x0 is (f(x0), g(x0)) if the caller has them.
+    The estimates read one table: level k's samples h, points x0 + h and f
+    and g there, filled when the first estimate reaches level k."""
+    _require_punctured(b)
+    m, seed = cfg.samples_per_level, cfg.seed
+    table: dict = {None: ((), (x0,))}  # level None is x0 itself
+    if at_x0 is not None:
+        table["f", None], table["g", None] = ([at_x0[0]], None), ([at_x0[1]], None)
+
+    def level(k):
+        if k not in table:
+            hs = b.sample(k, m, seed)
+            table[k] = hs, [x0 + h for h in hs]
+        return table[k]
+
+    def values(name: str, k, i: int | None = None):
+        # f or g on level k, cut short at its first exception; or f or g at
+        # point i, raising it there. (No closure calls itself: no ref cycles.)
+        if (name, k) not in table:
+            fn, vals, xs = f if name == "f" else g, [], level(k)[1]
+            try:
+                for x in xs:
+                    vals.append(fn(x))
+                table[name, k] = vals, None
+            except Exception as exc:
+                table[name, k] = vals, exc
+        vals, exc = table[name, k]
+        if i is None or i < len(vals):
+            return vals if i is None else vals[i]
+        raise exc
+
+    def at(name: str, k, i: int | None = None):  # as values, for f, g or c
+        if name != "c":
+            return values(name, k, i)
+        if i is None:
+            return [combine(p, q) for p, q in zip(values("f", k), values("g", k))]
+        if rule != "quotient":
+            return combine(values("f", k, i), values("g", k, i))
+        gx = values("g", k, i)  # f/g reads g first: it is undefined where g vanishes
+        if gx == 0.0:
+            raise DomainError("g vanishes at a sampled point", argument=level(k)[1][i])
+        return combine(values("f", k, i), gx)
+
+    def estimate(name: str, quotient: bool) -> LimitEstimate:  # of name or name'
+        def level_values(k: int) -> list[float]:
+            hs = level(k)[0]
+            with suppress(Exception):  # all at once; any failure is raised again below
+                vals = at(name, k)
+                if quotient:
+                    y0 = at(name, None)[0]
+                    vals = [(y - y0) / h for y, h in zip(vals, hs)]
+                if len(vals) == len(hs) and math.isfinite(sum(vals)):
+                    return vals
+
+            points = iter(range(len(hs)))  # at_h is called at each point in turn
+
+            def at_h(h: float):  # name at x0 + h; the quotient reads x0 as h = 0.0
+                return at(name, None, 0) if quotient and h == 0.0 else at(name, k, next(points))
+
+            # point by point, in derivative's or f_continuity's steps, to the first failure
+            return _finite_values(difference_quotient(at_h, 0.0) if quotient else at_h, hs)
+        return _descend(level_values, b, cfg)
+
+    def derived(name: str) -> DerivativeResult:
+        return DerivativeResult(x0=x0, base_id=b.id, estimate=estimate(name, True), cfg=cfg)
+
+    df, dg = derived("f"), derived("g")
+    continuity = tuple(_continuity(at(name, None, 0), x0, b, cfg,
+                                   lambda name=name: estimate(name, False))
+                       for name in continuous)
+    lhs = derived("c")
     failures = [f"derivative of {name} did not converge (status: {d.status})"
                 for name, d in (("f", df), ("g", dg)) if not d.converged]
     if continuity and not continuity[-1].is_continuous:
@@ -202,7 +279,7 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
                     cfg: LimitConfig, check_tol: float) -> RuleCheckReport:
     """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0."""
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
-                       lambda x: alpha * f(x) + beta * g(x),
+                       lambda fv, gv: alpha * fv + beta * gv,
                        lambda df, dg: alpha * df + beta * dg, ())
 
 
@@ -218,8 +295,8 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     f0 = f(x0)
     g0 = g(x0)
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
-                       lambda x: f(x) * g(x),
-                       lambda df, dg: df * g0 + dg * f0, (f, g))
+                       lambda fv, gv: fv * gv,
+                       lambda df, dg: df * g0 + dg * f0, ("f", "g"), at_x0=(f0, g0))
 
 
 def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -238,13 +315,7 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
         raise ValueError(f"quotient rule requires g(x0)^2 != 0, but g({x0!r}) = "
                          f"{g0!r} squares to 0")
     f0 = f(x0)
-
-    def quot(x: float) -> float:
-        gx = g(x)
-        if gx == 0.0:
-            raise DomainError("g vanishes at a sampled point", argument=x)
-        return f(x) / gx
-
-    return _check_rule("quotient", f, g, x0, b, cfg, check_tol, quot,
-                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0), (g,),
-                       notes=(QUOTIENT_RULE_NOTE,))
+    return _check_rule("quotient", f, g, x0, b, cfg, check_tol,
+                       lambda fv, gv: fv / gv,
+                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0), ("g",),
+                       notes=(QUOTIENT_RULE_NOTE,), at_x0=(f0, g0))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .filterbase import FilterBaseChain
@@ -84,9 +84,8 @@ class LimitEstimate:
         return self.status == CONVERGED
 
 
-def _level_row(g: Callable[[float], float], b: FilterBaseChain, k: int,
-               m: int, seed: int) -> TraceRow:
-    pts = b.sample(k, m, seed)
+def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[float]:
+    """g at each of pts, as finite reals, or a DomainError at the first failure."""
     vals = []
     for x in pts:
         try:
@@ -97,25 +96,12 @@ def _level_row(g: Callable[[float], float], b: FilterBaseChain, k: int,
         if not math.isfinite(v):
             raise DomainError("function value is not a finite real", argument=x)
         vals.append(v)
-    lo = min(vals)
-    hi = max(vals)
-    try:
-        mean = math.fsum(vals) / len(vals)
-    except OverflowError:  # the sum overflows, the mean does not: take it exactly
-        from fractions import Fraction  # imported here: it slows every CLI start
-        mean = float(sum(map(Fraction, vals)) / len(vals))
-    return TraceRow(scale=b.scale(k), sample_min=lo, sample_max=hi,
-                    sample_mean=mean, oscillation=hi - lo)
+    return vals
 
 
-def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
-                   cfg: LimitConfig) -> LimitEstimate:
-    """Estimate lim g along the filter generated by b.
-
-    Precondition (not re-verified here; the built-in constructors guarantee
-    it): b satisfies the base axioms up to cfg.max_level, which must not
-    exceed b.max_level.
-    """
+def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
+             cfg: LimitConfig) -> LimitEstimate:
+    """The descent over level_values(k), level k's finite values or a DomainError."""
     if cfg.max_level > b.max_level:
         raise ValueError(
             f"cfg.max_level={cfg.max_level} exceeds chain max_level={b.max_level}")
@@ -124,10 +110,18 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
     status, detail = UNDECIDED, "stability criterion not met within the level budget"
     for k in range(cfg.max_level + 1):
         try:
-            rows.append(_level_row(g, b, k, cfg.samples_per_level, cfg.seed))
+            vals = level_values(k)
         except DomainError as err:
             status, detail = DOMAIN_ERROR, f"domain error at level {k}: {err}"
             break
+        lo, hi = min(vals), max(vals)
+        try:
+            mean = math.fsum(vals) / len(vals)
+        except OverflowError:  # the sum overflows, the mean does not: take it exactly
+            from fractions import Fraction  # imported here: it slows every CLI start
+            mean = float(sum(map(Fraction, vals)) / len(vals))
+        rows.append(TraceRow(scale=b.scale(k), sample_min=lo, sample_max=hi,
+                             sample_mean=mean, oscillation=hi - lo))
         if k + 1 >= s:
             window = rows[k - s + 1:]
             osc_ok = all(r.oscillation <= cfg.tol_osc for r in window)
@@ -147,6 +141,18 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
     value = rows[-1].sample_mean if status == CONVERGED else None
     return LimitEstimate(status=status, value=value, trace=tuple(rows),
                          failure_detail=detail)
+
+
+def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
+                   cfg: LimitConfig) -> LimitEstimate:
+    """Estimate lim g along the filter generated by b.
+
+    Precondition (not re-verified here; the built-in constructors guarantee
+    it): b satisfies the base axioms up to cfg.max_level, which must not
+    exceed b.max_level.
+    """
+    m, seed = cfg.samples_per_level, cfg.seed
+    return _descend(lambda k: _finite_values(g, b.sample(k, m, seed)), b, cfg)
 
 
 def format_trace_csv(est: LimitEstimate) -> str:

@@ -260,6 +260,24 @@ def main_json(capsys, *argv):
     return code, json.loads(out)   # raises unless stdout is exactly one object
 
 
+class TestCheckNotes:
+    CHECK = ["--x0", "0", "--base", "right:delta0=1,ratio=0.5",
+             "--tol-osc", "1e-4", "--tol-step", "1e-7"]
+
+    @pytest.mark.parametrize("rule,f,g,code,named", [
+        ("product", "sign(x)", "x^2", 3, [("f", "not continuous"), ("g", "continuous")]),
+        ("product", "x^2", "sign(x)", 3, [("f", "continuous"), ("g", "not continuous")]),
+        ("quotient", "x", "1+abs(x)", 0, [("g", "continuous")]),
+        ("linearity", "sign(x)", "x^2", 3, []),
+    ])
+    def test_continuity_notes_name_their_function(self, capsys, rule, f, g, code, named):
+        rc, out = main_json(capsys, "check", rule, "--f", f, "--g", g, *self.CHECK)
+        assert rc == code
+        notes = [n for n in out["notes"] if n.startswith("f_continuity(")]
+        assert [(n[len("f_continuity("):].split(",")[0], n.rsplit(": ", 1)[1])
+                for n in notes] == named
+
+
 class TestHostileExpressions:
     def test_overflowing_literal_is_input_error(self):
         res = run_cli("derive", "--expr", "1e999*x", "--x0", "0",

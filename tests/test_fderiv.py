@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterderiv import (CONVERGED, NO_LIMIT, BaseNotPuncturedError,
                          DomainError, LimitConfig, QUOTIENT_RULE_NOTE,
@@ -10,7 +13,9 @@ from filterderiv import (CONVERGED, NO_LIMIT, BaseNotPuncturedError,
                          derivative, difference_quotient, f_continuity,
                          left_base, parse, punctured_base, right_base,
                          symbolic_derivative_value)
-from corpus import PQ_CFG, SMOOTH_CFG
+from corpus import (KINK_TEXTS, POSITIVE_TEXTS, PQ_CFG, SMOOTH_CFG, SMOOTH_TEXTS,
+                    named_functions, one_sided_bases, pick_rule_instance,
+                    two_sided_bases)
 
 ABS = as_function(parse("abs(x)"))
 IDENT = as_function(parse("x"))
@@ -296,3 +301,150 @@ class TestRuleVerdictBranches:
         assert (rep.rhs_value is not None) == has_rhs
         assert (rep.abs_error is not None) == has_errors
         assert (rep.rel_error is not None) == has_errors
+
+
+# ------------------------------------------------------------------
+# A rule check evaluates f and g once per sampled point for all of its
+# estimates. The reference below composes the same ingredients from the
+# public API, each estimate evaluating f and g on its own; the check must
+# reproduce it bit for bit, raised exceptions included.
+
+def _combined(rule, f, g, alpha, beta):
+    """The combined function as a point closure; the quotient reads g first."""
+    if rule == "linearity":
+        return lambda x: alpha * f(x) + beta * g(x)
+    if rule == "product":
+        return lambda x: f(x) * g(x)
+
+    def quot(x):
+        gx = g(x)
+        if gx == 0.0:
+            raise DomainError("g vanishes at a sampled point", argument=x)
+        return f(x) / gx
+    return quot
+
+
+def _reference(rule, f, g, x0, b, cfg, alpha, beta):
+    """(f', g', the F-continuity reports, the combined derivative)."""
+    if rule == "product":
+        f(x0), g(x0)
+    elif rule == "quotient":
+        g0 = g(x0)
+        if g0 == 0.0:
+            raise ValueError(f"quotient rule requires g(x0) != 0, got g({x0!r}) = 0")
+        if g0 * g0 == 0.0:
+            raise ValueError(f"quotient rule requires g(x0)^2 != 0, but g({x0!r}) = "
+                             f"{g0!r} squares to 0")
+        f(x0)
+    df = derivative(f, x0, b, cfg)
+    dg = derivative(g, x0, b, cfg)
+    continuous = {"linearity": (), "product": (f, g), "quotient": (g,)}[rule]
+    cont = tuple(f_continuity(h, x0, b, cfg) for h in continuous)
+    lhs = derivative(_combined(rule, f, g, alpha, beta), x0, b, cfg)
+    return df, dg, cont, lhs
+
+
+def _outcome(thunk):
+    try:
+        return thunk(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_matches_reference(rule, f, g, x0, b, cfg, alpha=1.0, beta=1.0):
+    check = {"linearity": lambda: check_linearity(f, g, alpha, beta, x0, b, cfg, 1e-5),
+             "product": lambda: check_product_rule(f, g, x0, b, cfg, 1e-5),
+             "quotient": lambda: check_quotient_rule(f, g, x0, b, cfg, 1e-5)}[rule]
+    rep, error = _outcome(check)
+    ref, ref_error = _outcome(lambda: _reference(rule, f, g, x0, b, cfg, alpha, beta))
+    assert error == ref_error
+    if ref is not None:
+        # repr prints every float exactly: each trace row, status, value and
+        # failure_detail of each estimate must agree
+        assert repr(rep.f_prime) == repr(ref[0])
+        assert repr(rep.g_prime) == repr(ref[1])
+        assert repr(rep.continuity_reports) == repr(ref[2])
+        assert repr(rep.lhs) == repr(ref[3])
+    return rep, error
+
+
+LOG = as_function(parse("log(x)"))
+SQRT = as_function(parse("sqrt(x)"))
+POLE = as_function(parse("1/(x-0.25)"))
+HUGE = as_function(parse("exp(x)*1e300"))
+R = right_base(1.0, 0.5)
+VANISH = lambda x: x - HIT            # noqa: E731  g vanishes at a sampled point
+POLE_AT_HIT = lambda x: 1.0 / (x - HIT)  # noqa: E731  f fails at that point too
+NONE_LEFT = lambda x: None if x < -0.6 else x  # noqa: E731  raises TypeError downstream
+
+EQUIVALENCE_CASES = [
+    ("log-sqrt-at-0", LOG, SQRT, 0.0, R, C),
+    ("sqrt-log-at-0", SQRT, LOG, 0.0, R, C),
+    ("log-fails-mid-level", IDENT, LOG, 0.5, P, C),
+    ("pole", POLE, IDENT, 0.0, P, C),
+    ("pole-undefined-at-x0", POLE, IDENT, 0.25, P, C),
+    ("g-vanishes", IDENT, VANISH, 0.0, P, C),
+    ("g-vanishes-where-f-fails", POLE_AT_HIT, VANISH, 0.0, P, C),
+    ("overflowing-product", HUGE, HUGE, 1.0, P, C),
+    ("stdlib-errors", math.log, lambda x: 1.0 / x, 0.0, P, C),
+    ("uncaught-type-error", NONE_LEFT, IDENT, 0.0, P, C),
+    ("smooth", math.sin, math.exp, 0.3, P, C),
+    ("kinks", ABS, SIGN, 0.0, R, PQ_CFG),
+]
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
+    @pytest.mark.parametrize("name,f,g,x0,b,cfg", EQUIVALENCE_CASES,
+                             ids=[c[0] for c in EQUIVALENCE_CASES])
+    def test_matches_reference(self, name, f, g, x0, b, cfg, rule):
+        assert_matches_reference(rule, f, g, x0, b, cfg, 2.0, -3.0)
+
+    def test_fixed_cases_reach_every_failure_path(self):
+        details, raised = set(), set()
+        for _, f, g, x0, b, cfg in EQUIVALENCE_CASES:
+            for rule in ("linearity", "product", "quotient"):
+                rep, error = assert_matches_reference(rule, f, g, x0, b, cfg, 2.0, -3.0)
+                if error is not None:
+                    raised.add(error[0])
+                    continue
+                for est in (rep.f_prime.estimate, rep.g_prime.estimate, rep.lhs.estimate,
+                            *(c.limit for c in rep.continuity_reports)):
+                    details.add((est.failure_detail or "").split(": ", 1)[-1].split(" (")[0])
+        assert {"g vanishes at a sampled point", "function value is not a finite real",
+                "math domain error", "float division by zero"} <= details
+        assert any("log applied outside its domain" in d for d in details)
+        assert {DomainError, TypeError, ValueError} <= raised
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["linearity", "product", "quotient"]))
+    def test_corpus_draws_match_reference(self, seed, rule):
+        rng = random.Random(seed)
+        smooth = [fn for _, fn in named_functions(SMOOTH_TEXTS)]
+        kinks = [fn for _, fn in named_functions(KINK_TEXTS)]
+        b, x0, pool = pick_rule_instance(rng, smooth, kinks, two_sided_bases(),
+                                         one_sided_bases())
+        partners = pool
+        if rule == "quotient":
+            partners = [fn for _, fn in named_functions(POSITIVE_TEXTS)]
+        assert_matches_reference(rule, rng.choice(pool), rng.choice(partners), x0, b,
+                                 PQ_CFG, rng.uniform(-10, 10), rng.uniform(-10, 10))
+
+    @pytest.mark.parametrize("x0", [0.3, 0.0])
+    def test_product_evaluates_f_and_g_once_per_point(self, x0):
+        calls = {"f": 0, "g": 0}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        rep = check_product_rule(counted("f", math.sin), counted("g", math.exp), x0,
+                                 P, C, 1e-5)
+        estimates = [rep.f_prime.estimate, rep.g_prime.estimate, rep.lhs.estimate,
+                     *(c.limit for c in rep.continuity_reports)]
+        assert all(e.status != "domain-error" for e in estimates)
+        reached = max(len(e.trace) for e in estimates)
+        bound = C.samples_per_level * reached + 1   # every point reached, and x0
+        assert 0 < calls["f"] <= bound and 0 < calls["g"] <= bound
