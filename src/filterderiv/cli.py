@@ -274,7 +274,9 @@ def _cmd_check(args: argparse.Namespace):
         rep = check_quotient_rule(f, g, args.x0, base, cfg, args.check_tol)
     notes = [f"rhs_value={rep.rhs_value!r}",
              f"abs_error={rep.abs_error!r}",
-             f"rel_error={rep.rel_error!r}"]
+             f"rel_error={rep.rel_error!r}",
+             f"f_prime={rep.f_prime.value!r} ({rep.f_prime.status})",
+             f"g_prime={rep.g_prime.value!r} ({rep.g_prime.status})"]
     names = ("f", "g")[2 - len(rep.continuity_reports):]  # g's report is last
     notes += [f"f_continuity({name}, base={c.base_id}, target={c.target!r}): "
               f"{'continuous' if c.is_continuous else 'not continuous'}"

@@ -9,9 +9,10 @@ The linearity, product and quotient rules are checked by one skeleton,
 `_check_rule`, which evaluates f and g once per sampled point for all of
 its estimates; each rule supplies how it combines the values of f and g,
 its right-hand side in f'(x0) and g'(x0), and the functions whose
-F-continuity it needs. It reports holds / violated / inconclusive, where a
-failed hypothesis (an ingredient derivative that does not converge, or a
-missing F-continuity of g) always yields inconclusive, never violated.
+F-continuity it needs. A level where that falls short is redone by the
+closures derivative and f_continuity use. It reports holds / violated /
+inconclusive; a failed hypothesis (an ingredient derivative that does not
+converge, or a missing F-continuity of g) gives inconclusive, never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -22,14 +23,13 @@ rule's derivation and is not used (see QUOTIENT_RULE_NOTE).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, LimitConfig,
-                     LimitEstimate, _descend, _finite_values, estimate_limit)
+                     LimitEstimate, _descend, _finite_values, _value, estimate_limit)
 
 __all__ = [
     "DerivativeResult", "FContinuityReport", "RuleCheckReport",
@@ -157,9 +157,10 @@ def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
 
 def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                  cfg: LimitConfig) -> FContinuityReport:
-    """Check lim f(a+h) along b against f(a). f must be defined at a
-    (a DomainError from f(a) propagates)."""
-    return _continuity(f(a), a, b, cfg, lambda: estimate_limit(lambda h: f(a + h), b, cfg))
+    """Check lim f(a+h) along b against f(a). f must be defined at a: f(a)
+    raises a DomainError otherwise, stdlib errors included (see _value)."""
+    return _continuity(_value(f, a), a, b, cfg,
+                       lambda: estimate_limit(lambda h: f(a + h), b, cfg))
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
@@ -167,18 +168,20 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
                 combine: Callable[[float, float], float],
                 rhs_of: Callable[[float, float], float],
                 continuous: tuple[str, ...], notes: tuple[str, ...] = (),
-                at_x0: tuple[float, float] | None = None) -> RuleCheckReport:
+                at_x0: tuple[float, float] | None = None,
+                c: Callable[[float], float] | None = None) -> RuleCheckReport:
     """The check shared by the three rules: estimate f', g', the F-continuity
     of each function named in `continuous` (g last; the verdict needs only
-    g's) and the derivative of c = combine(f, g), in that order; compare it
-    with rhs_of(f', g'). at_x0 is (f(x0), g(x0)) if the caller has them.
-    The estimates read one table: level k's samples h, points x0 + h and f
-    and g there, filled when the first estimate reaches level k."""
+    g's) and the derivative of c, in that order; compare it with rhs_of(f',
+    g'). c is x -> combine(f(x), g(x)) unless given; at_x0 is (f(x0), g(x0))
+    if the caller has them. Estimates read one table of f and g at level k's
+    points x0 + h, and redo a level it falls short on with f's, g's or c's closure."""
     _require_punctured(b)
     m, seed = cfg.samples_per_level, cfg.seed
+    fns = {"f": f, "g": g, "c": c or (lambda x: combine(f(x), g(x)))}
     table: dict = {None: ((), (x0,))}  # level None is x0 itself
     if at_x0 is not None:
-        table["f", None], table["g", None] = ([at_x0[0]], None), ([at_x0[1]], None)
+        table["f", None], table["g", None] = [at_x0[0]], [at_x0[1]]
 
     def level(k):
         if k not in table:
@@ -186,59 +189,39 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
             table[k] = hs, [x0 + h for h in hs]
         return table[k]
 
-    def values(name: str, k, i: int | None = None):
-        # f or g on level k, cut short at its first exception; or f or g at
-        # point i, raising it there. (No closure calls itself: no ref cycles.)
+    def row(name: str, k) -> list[float]:  # f or g on level k, or [] if it raises there
         if (name, k) not in table:
-            fn, vals, xs = f if name == "f" else g, [], level(k)[1]
             try:
-                for x in xs:
-                    vals.append(fn(x))
-                table[name, k] = vals, None
-            except Exception as exc:
-                table[name, k] = vals, exc
-        vals, exc = table[name, k]
-        if i is None or i < len(vals):
-            return vals if i is None else vals[i]
-        raise exc
+                table[name, k] = list(map(fns[name], level(k)[1]))
+            except Exception:  # an empty row is never read: its level is redone
+                table[name, k] = []
+        return table[name, k]
 
-    def at(name: str, k, i: int | None = None):  # as values, for f, g or c
-        if name != "c":
-            return values(name, k, i)
-        if i is None:
-            return [combine(p, q) for p, q in zip(values("f", k), values("g", k))]
-        if rule != "quotient":
-            return combine(values("f", k, i), values("g", k, i))
-        gx = values("g", k, i)  # f/g reads g first: it is undefined where g vanishes
-        if gx == 0.0:
-            raise DomainError("g vanishes at a sampled point", argument=level(k)[1][i])
-        return combine(values("f", k, i), gx)
+    def values(name: str, k) -> list[float]:  # as row, for f, g or c (no self-calls: no cycles)
+        return list(map(combine, row("f", k), row("g", k))) if name == "c" else row(name, k)
 
     def estimate(name: str, quotient: bool) -> LimitEstimate:  # of name or name'
         def level_values(k: int) -> list[float]:
             hs = level(k)[0]
-            with suppress(Exception):  # all at once; any failure is raised again below
-                vals = at(name, k)
+            try:  # from the table, all at once
+                vals = values(name, k)
                 if quotient:
-                    y0 = at(name, None)[0]
+                    y0 = values(name, None)[0]
                     vals = [(y - y0) / h for y, h in zip(vals, hs)]
                 if len(vals) == len(hs) and math.isfinite(sum(vals)):
                     return vals
-
-            points = iter(range(len(hs)))  # at_h is called at each point in turn
-
-            def at_h(h: float):  # name at x0 + h; the quotient reads x0 as h = 0.0
-                return at(name, None, 0) if quotient and h == 0.0 else at(name, k, next(points))
-
-            # point by point, in derivative's or f_continuity's steps, to the first failure
-            return _finite_values(difference_quotient(at_h, 0.0) if quotient else at_h, hs)
+            except Exception:  # redone below, where it is raised or wrapped again
+                pass
+            fn = fns[name]  # the table fell short: as derivative or f_continuity does
+            return _finite_values(difference_quotient(fn, x0) if quotient
+                                  else lambda h: fn(x0 + h), hs)
         return _descend(level_values, b, cfg)
 
     def derived(name: str) -> DerivativeResult:
         return DerivativeResult(x0=x0, base_id=b.id, estimate=estimate(name, True), cfg=cfg)
 
     df, dg = derived("f"), derived("g")
-    continuity = tuple(_continuity(at(name, None, 0), x0, b, cfg,
+    continuity = tuple(_continuity(row(name, None)[0], x0, b, cfg,
                                    lambda name=name: estimate(name, False))
                        for name in continuous)
     lhs = derived("c")
@@ -292,8 +275,8 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     f(x0)*g(x0+h) in the derivation uses nothing more); the verdict enforces
     just that, but the report carries continuity results for both factors.
     """
-    f0 = f(x0)
-    g0 = g(x0)
+    f0 = _value(f, x0)
+    g0 = _value(g, x0)
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: fv * gv,
                        lambda df, dg: df * g0 + dg * f0, ("f", "g"), at_x0=(f0, g0))
@@ -308,14 +291,21 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
     (ValueError otherwise). A sampled h with g(x0+h) = 0 aborts the
     combined estimate with a domain error.
     """
-    g0 = g(x0)
+    g0 = _value(g, x0)
     if g0 == 0.0:
         raise ValueError(f"quotient rule requires g(x0) != 0, got g({x0!r}) = 0")
     if g0 * g0 == 0.0:
         raise ValueError(f"quotient rule requires g(x0)^2 != 0, but g({x0!r}) = "
                          f"{g0!r} squares to 0")
-    f0 = f(x0)
+    f0 = _value(f, x0)
+
+    def quot(x: float) -> float:  # f/g reads g first: it is undefined where g vanishes
+        gx = g(x)
+        if gx == 0.0:
+            raise DomainError("g vanishes at a sampled point", argument=x)
+        return f(x) / gx
+
     return _check_rule("quotient", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: fv / gv,
                        lambda df, dg: (df * g0 - dg * f0) / (g0 * g0), ("g",),
-                       notes=(QUOTIENT_RULE_NOTE,), at_x0=(f0, g0))
+                       notes=(QUOTIENT_RULE_NOTE,), at_x0=(f0, g0), c=quot)

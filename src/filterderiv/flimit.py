@@ -84,14 +84,21 @@ class LimitEstimate:
         return self.status == CONVERGED
 
 
+def _value(g: Callable[[float], float], x: float) -> float:
+    """g(x), a plain callable's stdlib domain error raised as a DomainError."""
+    try:
+        return g(x)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc), argument=x) from exc
+
+
 def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[float]:
     """g at each of pts, as finite reals, or a DomainError at the first failure."""
     vals = []
     for x in pts:
-        try:
+        try:  # _value(g, x), inlined: this loop is the estimator's hot path
             v = g(x)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            # plain callables signal domain problems the stdlib way
             raise DomainError(str(exc), argument=x) from exc
         if not math.isfinite(v):
             raise DomainError("function value is not a finite real", argument=x)

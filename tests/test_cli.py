@@ -277,6 +277,17 @@ class TestCheckNotes:
         assert [(n[len("f_continuity("):].split(",")[0], n.rsplit(": ", 1)[1])
                 for n in notes] == named
 
+    def test_ingredient_notes_follow_rel_error(self, capsys):
+        rc, out = main_json(capsys, "check", "product", "--f", "sign(x)", "--g", "x^2",
+                            *self.CHECK)
+        assert rc == 3
+        notes = out["notes"]
+        i = notes.index("rel_error=None")
+        assert notes[i + 1] == "f_prime=None (no-limit)"
+        value, status = notes[i + 2].removeprefix("g_prime=").split(" ")
+        assert status == "(converged)" and abs(float(value)) <= 1e-6
+        assert "derivative of f did not converge (status: no-limit)" in notes
+
 
 class TestHostileExpressions:
     def test_overflowing_literal_is_input_error(self):

@@ -116,6 +116,10 @@ class TestFContinuity:
             f_continuity(as_function(parse("log(x)")), 0.0,
                          right_base(1.0, 0.5), CFG)
 
+    def test_stdlib_error_at_point_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"^math domain error \(argument 0\.0\)$"):
+            f_continuity(math.log, 0.0, right_base(1.0, 0.5), CFG)
+
 
 class TestCheckLinearity:
     def test_one_sided_combination(self):
@@ -193,6 +197,11 @@ class TestCheckProductRule:
             assert got.value.hex() == want.value.hex()
             assert got.estimate == want.estimate
 
+    def test_stdlib_error_at_x0_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"^math domain error \(argument 0\.0\)$"):
+            check_product_rule(math.log, lambda x: x, 0.0, punctured_base(1.0, 0.5),
+                               CFG, 1e-5)
+
 
 class TestCheckQuotientRule:
     def test_identity_over_one_plus_abs(self):
@@ -228,6 +237,11 @@ class TestCheckQuotientRule:
         rep = check_quotient_rule(IDENT, g, 0.0, b, PQ_CFG, 1e-5)
         assert rep.verdict == "inconclusive"
         assert "domain error" in rep.failure_detail
+
+    def test_stdlib_error_at_x0_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"^float division by zero \(argument 0\.0\)$"):
+            check_quotient_rule(math.sin, lambda x: 1.0 / x, 0.0,
+                                punctured_base(1.0, 0.5), CFG, 1e-5)
 
 
 class TestOracleAgreement:
@@ -324,18 +338,26 @@ def _combined(rule, f, g, alpha, beta):
     return quot
 
 
+def _at(fn, x):
+    """fn(x), a stdlib domain error raised as DomainError, as the checks read x0."""
+    try:
+        return fn(x)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc), argument=x) from exc
+
+
 def _reference(rule, f, g, x0, b, cfg, alpha, beta):
     """(f', g', the F-continuity reports, the combined derivative)."""
     if rule == "product":
-        f(x0), g(x0)
+        _at(f, x0), _at(g, x0)
     elif rule == "quotient":
-        g0 = g(x0)
+        g0 = _at(g, x0)
         if g0 == 0.0:
             raise ValueError(f"quotient rule requires g(x0) != 0, got g({x0!r}) = 0")
         if g0 * g0 == 0.0:
             raise ValueError(f"quotient rule requires g(x0)^2 != 0, but g({x0!r}) = "
                              f"{g0!r} squares to 0")
-        f(x0)
+        _at(f, x0)
     df = derivative(f, x0, b, cfg)
     dg = derivative(g, x0, b, cfg)
     continuous = {"linearity": (), "product": (f, g), "quotient": (g,)}[rule]
@@ -388,6 +410,8 @@ EQUIVALENCE_CASES = [
     ("overflowing-product", HUGE, HUGE, 1.0, P, C),
     ("stdlib-errors", math.log, lambda x: 1.0 / x, 0.0, P, C),
     ("uncaught-type-error", NONE_LEFT, IDENT, 0.0, P, C),
+    ("finite-values-whose-sum-overflows", as_function(parse("1e308+x")),
+     as_function(parse("1+x")), 0.0, P, C),
     ("smooth", math.sin, math.exp, 0.3, P, C),
     ("kinks", ABS, SIGN, 0.0, R, PQ_CFG),
 ]
