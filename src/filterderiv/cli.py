@@ -25,8 +25,9 @@ from typing import Sequence
 
 from .errors import DomainError, FilterDerivError, NonSmoothPointError
 from .expr import as_function, free_vars, parse
-from .fderiv import (check_linearity, check_product_rule, check_quotient_rule,
-                     derivative, f_continuity)
+from .fderiv import (HOLDS, INCONCLUSIVE, VIOLATED, check_linearity,
+                     check_product_rule, check_quotient_rule, derivative,
+                     f_continuity)
 from .filterbase import (FilterBaseChain, SequenceSpec, left_base,
                          punctured_base, right_base, sequence_base,
                          verify_base_axioms)
@@ -37,9 +38,9 @@ from .oracle import richardson_one_sided, symbolic_derivative_value
 __all__ = ["main", "build_parser", "parse_base_spec"]
 
 _EXIT_CODES = {
-    CONVERGED: 0, "holds": 0, "continuous": 0, "pass": 0,
-    NO_LIMIT: 2, "violated": 2, "not-continuous": 2, "fail": 2,
-    UNDECIDED: 3, "inconclusive": 3,
+    CONVERGED: 0, HOLDS: 0, "continuous": 0, "pass": 0,
+    NO_LIMIT: 2, VIOLATED: 2, "not-continuous": 2, "fail": 2,
+    UNDECIDED: 3, INCONCLUSIVE: 3,
     DOMAIN_ERROR: 4, "input-error": 4,
 }
 
@@ -110,16 +111,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# The limit flags, one row each: (argparse dest and params echo key,
+# LimitConfig field, type, metavar); --dest has dashes for underscores.
+_LIMIT_FLAGS = (
+    ("levels", "max_level", int, "K"),
+    ("samples", "samples_per_level", int, "M"),
+    ("tol_osc", "tol_osc", _finite_float, None),
+    ("tol_step", "tol_step", _finite_float, None),
+    ("stable", "stable_levels", int, "S"),
+    ("seed", "seed", int, None),
+)
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     """The base and the limit settings; their defaults are LimitConfig's."""
     d = LimitConfig()
     p.add_argument("--base", required=True, help="base spec, e.g. punctured:delta0=1,ratio=0.5")
-    p.add_argument("--levels", type=int, default=d.max_level, metavar="K")
-    p.add_argument("--samples", type=int, default=d.samples_per_level, metavar="M")
-    p.add_argument("--tol-osc", type=_finite_float, default=d.tol_osc)
-    p.add_argument("--tol-step", type=_finite_float, default=d.tol_step)
-    p.add_argument("--stable", type=int, default=d.stable_levels, metavar="S")
-    p.add_argument("--seed", type=int, default=d.seed)
+    for dest, field, kind, metavar in _LIMIT_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), type=kind,
+                       default=getattr(d, field), metavar=metavar)
     p.add_argument("--trace", metavar="FILE", help="write the per-level CSV trace here")
 
 
@@ -162,21 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _limit_setup(args: argparse.Namespace) -> tuple[LimitConfig, FilterBaseChain, dict]:
     """The config and base of a limit-type command, and their params echo."""
-    cfg = LimitConfig(max_level=args.levels, samples_per_level=args.samples,
-                      tol_osc=args.tol_osc, tol_step=args.tol_step,
-                      stable_levels=args.stable, seed=args.seed)
+    cfg = LimitConfig(**{field: getattr(args, dest) for dest, field, _, _ in _LIMIT_FLAGS})
     base = parse_base_spec(args.base, max_level=cfg.max_level)
     echo = {
         "base": args.base,
         "base_id": base.id,
         "base_params": base.params,
-        "levels": cfg.max_level,
-        "samples": cfg.samples_per_level,
-        "tol_osc": cfg.tol_osc,
-        "tol_step": cfg.tol_step,
-        "stable": cfg.stable_levels,
+        **{dest: getattr(cfg, field) for dest, field, _, _ in _LIMIT_FLAGS},
         "no_limit_floor": cfg.no_limit_floor,
-        "seed": cfg.seed,
     }
     return cfg, base, echo
 

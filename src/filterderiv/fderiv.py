@@ -29,7 +29,7 @@ from typing import Callable
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, LimitConfig,
-                     LimitEstimate, _descend, _finite_values, _value, estimate_limit)
+                     LimitEstimate, _descend, _finite_values, estimate_limit)
 
 __all__ = [
     "DerivativeResult", "FContinuityReport", "RuleCheckReport",
@@ -146,9 +146,7 @@ def classical_derivative(f: Callable[[float], float], x0: float,
 
 def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
                 estimate: Callable[[], LimitEstimate]) -> FContinuityReport:
-    """Compare a function's value target at a with its limit, estimate()."""
-    if not math.isfinite(target):
-        raise DomainError("f(a) is not a finite real", argument=a)
+    """Compare a function's finite value target at a with its limit, estimate()."""
     est = estimate()
     ok = est.converged and abs(est.value - target) <= cfg.tol_step * (1.0 + abs(target))
     return FContinuityReport(point=a, base_id=b.id, limit=est, target=target,
@@ -157,9 +155,9 @@ def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
 
 def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                  cfg: LimitConfig) -> FContinuityReport:
-    """Check lim f(a+h) along b against f(a). f must be defined at a: f(a)
-    raises a DomainError otherwise, stdlib errors included (see _value)."""
-    return _continuity(_value(f, a), a, b, cfg,
+    """Check lim f(a+h) along b against f(a). f(a) must be a finite real: a
+    DomainError is raised otherwise, before any sampled point is evaluated."""
+    return _continuity(_finite_values(f, (a,))[0], a, b, cfg,
                        lambda: estimate_limit(lambda h: f(a + h), b, cfg))
 
 
@@ -275,8 +273,7 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     f(x0)*g(x0+h) in the derivation uses nothing more); the verdict enforces
     just that, but the report carries continuity results for both factors.
     """
-    f0 = _value(f, x0)
-    g0 = _value(g, x0)
+    f0, g0 = _finite_values(f, (x0,))[0], _finite_values(g, (x0,))[0]
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: fv * gv,
                        lambda df, dg: df * g0 + dg * f0, ("f", "g"), at_x0=(f0, g0))
@@ -291,13 +288,13 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
     (ValueError otherwise). A sampled h with g(x0+h) = 0 aborts the
     combined estimate with a domain error.
     """
-    g0 = _value(g, x0)
+    g0 = _finite_values(g, (x0,))[0]
     if g0 == 0.0:
         raise ValueError(f"quotient rule requires g(x0) != 0, got g({x0!r}) = 0")
     if g0 * g0 == 0.0:
         raise ValueError(f"quotient rule requires g(x0)^2 != 0, but g({x0!r}) = "
                          f"{g0!r} squares to 0")
-    f0 = _value(f, x0)
+    f0 = _finite_values(f, (x0,))[0]
 
     def quot(x: float) -> float:  # f/g reads g first: it is undefined where g vanishes
         gx = g(x)

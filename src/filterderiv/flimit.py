@@ -84,19 +84,12 @@ class LimitEstimate:
         return self.status == CONVERGED
 
 
-def _value(g: Callable[[float], float], x: float) -> float:
-    """g(x), a plain callable's stdlib domain error raised as a DomainError."""
-    try:
-        return g(x)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc), argument=x) from exc
-
-
 def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[float]:
-    """g at each of pts, as finite reals, or a DomainError at the first failure."""
+    """g at each of pts, as finite reals, or a DomainError at the first failure
+    (a stdlib domain error or a non-finite value): the one check of a value."""
     vals = []
     for x in pts:
-        try:  # _value(g, x), inlined: this loop is the estimator's hot path
+        try:
             v = g(x)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(str(exc), argument=x) from exc

@@ -230,6 +230,35 @@ class TestParamsEcho:
         assert payload["params"]["base_params"]["tail_points"] == 256
 
 
+class TestSamplesAndStable:
+    """--samples and --stable reach LimitConfig and the echo like the other
+    limit flags."""
+
+    def test_run_matches_library(self, capsys, tmp_path):
+        from filterderiv import estimate_limit, format_trace_csv, right_base
+        trace = tmp_path / "t.csv"
+        code, payload = main_json(capsys, "limit", "--expr", "h", "--base", "right:",
+                                  "--samples", "8", "--stable", "2", "--levels", "6",
+                                  "--trace", str(trace))
+        cfg = LimitConfig(max_level=6, samples_per_level=8, stable_levels=2)
+        est = estimate_limit(lambda h: h, right_base(1.0, 0.5, max_level=6), cfg)
+        assert trace.read_text() == format_trace_csv(est)
+        assert code == 2 and payload["status"] == est.status == "no-limit"
+        assert payload["params"]["samples"] == 8 and payload["params"]["stable"] == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--samples", "1"], "samples_per_level must be >= 2"),
+        (["--stable", "0"], "stable_levels must be >= 1"),
+        (["--stable", "9", "--levels", "8"], "max_level must be >= stable_levels"),
+    ], ids=["samples-1", "stable-0", "stable-above-levels"])
+    def test_invalid_value_is_input_error(self, capsys, flags, message):
+        code, payload = main_json(capsys, "limit", "--expr", "h", "--base", "right:",
+                                  *flags)
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert payload["notes"] == [message]
+
+
 class TestHelp:
     """--help is the one output that is not a JSON object: argparse's usage
     text on stdout, exit 0."""

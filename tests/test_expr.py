@@ -336,3 +336,16 @@ class TestNestingLimit:
         assert evaluate(e, {"x": x}) == expected
         assert as_function(e)(x) == expected
         assert parse(render(e)) == e
+
+
+class TestInputErrors:
+    """Each public raise site of the module that no other test reaches."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: render(Constant(math.inf)), "cannot render a non-finite constant"),
+        (lambda: as_function(parse("x*y"), "x"), "free variables besides 'x'"),
+    ], ids=["render-non-finite-constant", "as-function-extra-variable"])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert message in str(exc.value)

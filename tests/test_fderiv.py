@@ -244,6 +244,38 @@ class TestCheckQuotientRule:
                                 punctured_base(1.0, 0.5), CFG, 1e-5)
 
 
+class TestNonFiniteValueAtX0:
+    """A value at x0 (or a) that is not a finite real fails the rule's
+    hypothesis: it is a DomainError raised before any sampled point is
+    evaluated, naming x0, whichever function it is."""
+
+    @pytest.mark.parametrize("case", ["quotient-g-inf", "product-f-nan", "continuity-f-inf"])
+    def test_raised_after_one_call(self, case):
+        calls = []
+
+        def counted(fn):
+            def wrapped(x):
+                calls.append(x)
+                return fn(x)
+            return wrapped
+
+        b = punctured_base(1.0, 0.5)
+        f = counted(lambda x: 2.0 + math.sin(x))
+        run = {
+            "quotient-g-inf": lambda: check_quotient_rule(
+                f, counted(lambda x: math.inf if x == 0 else x), 0.0, b, CFG, 1e-5),
+            "product-f-nan": lambda: check_product_rule(
+                counted(lambda x: math.nan if x == 0 else x), f, 0.0, b, CFG, 1e-5),
+            "continuity-f-inf": lambda: f_continuity(
+                counted(lambda x: math.inf if x == 0 else x), 0.0, b, CFG),
+        }[case]
+        with pytest.raises(DomainError) as exc:
+            run()
+        assert str(exc.value) == "function value is not a finite real (argument 0.0)"
+        assert exc.value.argument == 0.0
+        assert calls == [0.0]   # one call, of the non-finite function, at x0
+
+
 class TestOracleAgreement:
     # classical filter derivative vs the symbolic route, spot check
     @pytest.mark.parametrize("text,x0", [

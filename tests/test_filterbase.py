@@ -893,3 +893,32 @@ class TestSubchain:
         assert sub.scale(3) == b.scale(6)
         assert sub.sample(3, 8, seed=1) == b.sample(6, 8, seed=1)
         assert sub.punctured_at_zero
+
+
+def _lie():
+    """A chain flagged punctured at zero whose element(0) contains 0."""
+    return chain_from_elements("lie", [S((-1.0, 1.0))], punctured_at_zero=True)
+
+
+class TestInputErrors:
+    """Each public raise site of the module that no other test reaches."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: SetDescriptor(points=(math.inf,)), "points must be finite"),
+        (lambda: punctured_base(1, 0.5, max_level=-1), "max_level must be >= 0"),
+        (lambda: punctured_base(1, 0.5, max_level=4).element(5), "level 5 outside 0..4"),
+        (lambda: _lie().element(0), "flagged punctured_at_zero but element(0) contains 0"),
+        (lambda: _lie().sample(0, 4, 0), "flagged punctured_at_zero but element(0) contains 0"),
+        (lambda: punctured_base(1, 0.5).subchain(0), "stride must be >= 1"),
+        (lambda: sequence_base(SequenceSpec("powinv", c=1.0, p=1e-300)),
+         "not strictly decreasing in magnitude"),
+        (lambda: chain_from_elements("e", []), "need at least one element"),
+        (lambda: generated_filter_witness(punctured_base(1, 0.5, max_level=8),
+                                          S((-1.0, 1.0)), 9), "K must lie in 0..8"),
+    ], ids=["non-finite-point", "negative-max-level", "level-past-max",
+            "punctured-flag-lies-element", "punctured-flag-lies-sample", "stride-0",
+            "non-decreasing-sequence", "no-elements", "witness-past-max"])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert message in str(exc.value)
