@@ -67,7 +67,7 @@ Expr = Union[Constant, Variable, Unary, Binary, Call]
 # One token per match: whitespace, a number, a name, a punctuation mark, or
 # any other single character, which is an error. The alternatives cover
 # every character, so the matches tile the text.
-_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
                        r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*/^(),])|(?P<other>.)",
                        re.DOTALL)
 
@@ -118,14 +118,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, expected: str) -> None:
+    def fail(self, expected: str) -> ParseError:
         kind, text, off = self.peek()
         found = text if kind != "eof" else "end of input"
-        raise ParseError(_byte_offset(self.text, off), expected, found)
+        return ParseError(_byte_offset(self.text, off), expected, found)
 
     def expect(self, kind: str, expected: str) -> tuple[str, str, int]:
         if self.peek()[0] != kind:
-            self.fail(expected)
+            raise self.fail(expected)
         return self.advance()
 
     def too_deep(self, off: int) -> None:
@@ -154,7 +154,7 @@ class _Parser:
     def parse(self) -> Expr:
         e, _ = self.expr()
         if self.peek()[0] != "eof":
-            self.fail("an operator or end of input")
+            raise self.fail("an operator or end of input")
         return e
 
     def expr(self) -> tuple[Expr, int]:
@@ -223,8 +223,7 @@ class _Parser:
             e, depth = self.inner(off, self.expr)
             self.expect(")", "')'")
             return self.nest(e, depth, off)
-        self.fail("a number, name, '-', or '('")
-        raise AssertionError("unreachable")
+        raise self.fail("a number, name, '-', or '('")
 
 
 def parse(text: str) -> Expr:
@@ -244,11 +243,11 @@ def free_vars(e: Expr) -> frozenset[str]:
         return free_vars(e.child)
     if isinstance(e, Binary):
         return free_vars(e.left) | free_vars(e.right)
-    return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
+    return frozenset().union(*(free_vars(a) for a in e.args))
 
 
-# The functions whose result is checked: ValueError or OverflowError from
-# math, or a non-finite result, is a DomainError.
+# The functions whose ValueError or OverflowError is a DomainError; for the
+# finite arguments they receive, math raises instead of returning inf or nan.
 _CHECKED = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
             "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 _ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
@@ -320,13 +319,10 @@ def _compile_binary(e: Binary, left: Callable, right: Callable) -> Callable:
             raise DomainError("negative base with non-integer exponent",
                               subject=render(e), argument=lv)
         try:
-            v = math.pow(lv, rv)
+            return math.pow(lv, rv)
         except (ValueError, OverflowError):
             raise DomainError("power is not a finite real",
                               subject=render(e), argument=lv) from None
-        if math.isfinite(v):
-            return v
-        raise _not_finite(e)
     return power
 
 
@@ -350,13 +346,10 @@ def _compile_call(e: Call, args: list[Callable]) -> Callable:
     def call(arg):
         x = child(arg)
         try:
-            v = fn(x)
+            return fn(x)
         except (ValueError, OverflowError):
             raise DomainError(f"{e.fn} applied outside its domain",
                               subject=render(e), argument=x) from None
-        if math.isfinite(v):
-            return v
-        raise _not_finite(e)
     return call
 
 

@@ -145,9 +145,8 @@ def classical_derivative(f: Callable[[float], float], x0: float,
 
 
 def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
-                estimate: Callable[[], LimitEstimate]) -> FContinuityReport:
-    """Compare a function's finite value target at a with its limit, estimate()."""
-    est = estimate()
+                est: LimitEstimate) -> FContinuityReport:
+    """Compare a function's finite value target at a with its limit est."""
     ok = est.converged and abs(est.value - target) <= cfg.tol_step * (1.0 + abs(target))
     return FContinuityReport(point=a, base_id=b.id, limit=est, target=target,
                              is_continuous=ok)
@@ -158,7 +157,7 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
     """Check lim f(a+h) along b against f(a). f(a) must be a finite real: a
     DomainError is raised otherwise, before any sampled point is evaluated."""
     return _continuity(_finite_values(f, (a,))[0], a, b, cfg,
-                       lambda: estimate_limit(lambda h: f(a + h), b, cfg))
+                       estimate_limit(lambda h: f(a + h), b, cfg))
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
@@ -187,12 +186,9 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
             table[k] = hs, [x0 + h for h in hs]
         return table[k]
 
-    def row(name: str, k) -> list[float]:  # f or g on level k, or [] if it raises there
+    def row(name: str, k) -> list[float]:  # f or g on level k, stored unless it raises
         if (name, k) not in table:
-            try:
-                table[name, k] = list(map(fns[name], level(k)[1]))
-            except Exception:  # an empty row is never read: its level is redone
-                table[name, k] = []
+            table[name, k] = list(map(fns[name], level(k)[1]))
         return table[name, k]
 
     def values(name: str, k) -> list[float]:  # as row, for f, g or c (no self-calls: no cycles)
@@ -206,7 +202,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
                 if quotient:
                     y0 = values(name, None)[0]
                     vals = [(y - y0) / h for y, h in zip(vals, hs)]
-                if len(vals) == len(hs) and math.isfinite(sum(vals)):
+                if math.isfinite(sum(vals)):
                     return vals
             except Exception:  # redone below, where it is raised or wrapped again
                 pass
@@ -220,7 +216,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
 
     df, dg = derived("f"), derived("g")
     continuity = tuple(_continuity(row(name, None)[0], x0, b, cfg,
-                                   lambda name=name: estimate(name, False))
+                                   estimate(name, False))
                        for name in continuous)
     lhs = derived("c")
     failures = [f"derivative of {name} did not converge (status: {d.status})"

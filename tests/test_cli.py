@@ -102,6 +102,23 @@ class TestExitCodes:
         assert payload["status"] == "input-error"
         assert "unknown base family" in payload["notes"][0]
 
+    @pytest.mark.parametrize("base,note", [
+        ("right:delta0", "malformed base option 'delta0' in 'right:delta0'"),
+        ("right:ratio=0.5,ratio=0.25",
+         "duplicate base option 'ratio' in 'right:ratio=0.5,ratio=0.25'"),
+        ("right:ratio=half", "base option 'ratio' is not a number"),
+        ("right:q=0.5", "unknown base options ['q'] in 'right:q=0.5'"),
+        ("seq:c=1", "base spec 'seq:c=1' is missing 'kind'"),
+        ("seq:kind=geo,p=2", "unknown base options ['p'] in 'seq:kind=geo,p=2'"),
+        ("seq:kind=cubic", "unknown sequence kind 'cubic' (expected powinv, geo, or piovern)"),
+    ])
+    def test_bad_base_option_is_4_with_one_note(self, capsys, base, note):
+        code, payload = main_json(capsys, "derive", "--expr", "x", "--x0", "0",
+                                  "--base", base)
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert payload["notes"] == [note]
+
     def test_unknown_flag_is_4(self):
         res = run_cli("derive", "--expr", "abs(x)", "--x0", "0",
                       "--base", "right:delta0=1,ratio=0.5", "--frobnicate")
@@ -194,6 +211,14 @@ class TestOracleFlag:
         assert oracle["richardson_left"]["value"] == -1.0
         assert oracle["richardson_right"] is None
         assert "kink" in oracle["symbolic_note"]
+
+    def test_symbolic_domain_error_is_a_note(self, capsys):
+        _, payload = main_json(capsys, "derive", "--expr", "sqrt(x)", "--x0", "0",
+                               "--base", "right:", "--oracle")
+        oracle = payload["oracle"]
+        assert oracle["symbolic"] is None
+        assert oracle["symbolic_note"] == (
+            "domain error: division by zero in 1.0/(2.0*sqrt(x)) (argument 0.0)")
 
     def test_smooth_point_symbolic_agrees(self):
         res = run_cli("derive", "--expr", "x^2", "--x0", "1.5",
@@ -382,6 +407,8 @@ class TestHostileExpressions:
     @pytest.mark.parametrize("argv,code,note", [
         (["derive", "--expr", "x²", "--x0", "1", "--base", "right:"], 4,
          "syntax error at offset 1: expected a token, found '²'"),
+        (["derive", "--expr", "x+٣", "--x0", "1", "--base", "right:"], 4,
+         "syntax error at offset 2: expected a token, found '٣'"),
         (["limit", "--expr", "1e308+h", "--base", "right:"], 0, None),
         (["derive", "--expr", "x", "--x0", "1", "--base", "punctured:delta0=1e308"], 4,
          "level 0 is too wide to sample 32 points"),
@@ -390,7 +417,8 @@ class TestHostileExpressions:
          "quotient rule requires g(x0)^2 != 0, but g(1e-200) = 1e-200 squares to 0"),
         (["derive", "--expr", "x", "--x0", "1", "--base", "right:", "--levels", "10000000"],
          4, "delta0*ratio**997 = 7.466108948025751e-301 is below 1e-300; reduce max_level"),
-    ], ids=["superscript", "huge-mean", "huge-width", "tiny-denominator", "too-deep"])
+    ], ids=["superscript", "non-ascii-digit", "huge-mean", "huge-width",
+            "tiny-denominator", "too-deep"])
     def test_float_range_edges_keep_the_contract(self, capsys, argv, code, note):
         got, payload = main_json(capsys, *argv)
         assert got == code

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,13 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.offset == 1
+
+    @pytest.mark.parametrize("text,offset", [("x+٣", 2), ("３*x", 0), ("1e٣", 2)])
+    def test_non_ascii_digit_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == (f"syntax error at offset {offset}: "
+                                  f"expected a token, found '{text[offset]}'")
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
@@ -159,6 +167,31 @@ DOMAIN_ERROR_TABLE = [
     ('min(1/x,log(x))', {'x': 0.0}, 'division by zero in 1.0/x (argument 0.0)'),
     ('-sqrt(x)', {'x': -1.0}, 'sqrt applied outside its domain in sqrt(x) (argument -1.0)'),
 ]
+
+
+# Doubles at the ends of the float range and where exp overflows (710) or
+# underflows (-745), drawn often, besides any other finite double.
+EDGE_DOUBLES = [sign * v for v in (sys.float_info.max, sys.float_info.min, 5e-324, 0.0)
+                for sign in (1.0, -1.0)] + [710.0, -745.0]
+_finite_doubles = st.one_of(st.sampled_from(EDGE_DOUBLES),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestMathRaisesInsteadOfNonFinite:
+    """math raises ValueError or OverflowError rather than return inf or nan
+    for finite arguments, so the evaluator's functions and powers need no
+    finiteness check of their own: a result is finite or a DomainError."""
+
+    @pytest.mark.parametrize("text", ["sin(x)", "cos(x)", "tan(x)", "exp(x)",
+                                      "log(x)", "sqrt(x)", "x^y"])
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(x=_finite_doubles, y=_finite_doubles)
+    def test_finite_value_or_domain_error(self, text, x, y):
+        try:
+            v = evaluate(parse(text), {"x": x, "y": y})
+        except DomainError:
+            return
+        assert type(v) is float and math.isfinite(v)
 
 
 class TestEvaluationTable:
