@@ -29,8 +29,23 @@ __all__ = [
     "UNARY_FUNCTIONS", "BINARY_FUNCTIONS",
 ]
 
-UNARY_FUNCTIONS = ("abs", "sign", "sin", "cos", "tan", "exp", "log", "sqrt")
+
+def _sign(x: float) -> float:
+    return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
+
+
+# The one-argument functions: their ValueError or OverflowError is a DomainError;
+# for the finite arguments they receive, math raises instead of returning inf or nan.
+_UNARY_OPS = {"abs": math.fabs, "sign": _sign, "sin": math.sin, "cos": math.cos,
+              "tan": math.tan, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+UNARY_FUNCTIONS = tuple(_UNARY_OPS)
 BINARY_FUNCTIONS = ("min", "max")
+
+# The binary ops: name -> (symbol, binding level); a higher level binds
+# tighter. "^" associates to the right, the others to the left.
+_BINARY_OPS = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2),
+               "pow": ("^", 3)}
+_OP_NAMES = {symbol: name for name, (symbol, _) in _BINARY_OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -162,7 +177,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op, _, off = self.advance()
             right, right_depth = self.term()
-            left, depth = self.nest(Binary("add" if op == "+" else "sub", left, right),
+            left, depth = self.nest(Binary(_OP_NAMES[op], left, right),
                                     max(depth, right_depth), off)
         return left, depth
 
@@ -171,16 +186,16 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, off = self.advance()
             right, right_depth = self.factor()
-            left, depth = self.nest(Binary("mul" if op == "*" else "div", left, right),
+            left, depth = self.nest(Binary(_OP_NAMES[op], left, right),
                                     max(depth, right_depth), off)
         return left, depth
 
     def factor(self) -> tuple[Expr, int]:
         base, depth = self.unary()
         if self.peek()[0] == "^":
-            off = self.advance()[2]
+            op, _, off = self.advance()
             exponent, exponent_depth = self.inner(off, self.factor)
-            return self.nest(Binary("pow", base, exponent), max(depth, exponent_depth), off)
+            return self.nest(Binary(_OP_NAMES[op], base, exponent), max(depth, exponent_depth), off)
         return base, depth
 
     def unary(self) -> tuple[Expr, int]:
@@ -246,10 +261,6 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*(free_vars(a) for a in e.args))
 
 
-# The functions whose ValueError or OverflowError is a DomainError; for the
-# finite arguments they receive, math raises instead of returning inf or nan.
-_CHECKED = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
-            "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 _ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
@@ -332,16 +343,7 @@ def _compile_call(e: Call, args: list[Callable]) -> Callable:
         pick = min if e.fn == "min" else max
         return lambda arg: pick(first(arg), second(arg))
     (child,) = args
-    if e.fn == "abs":
-        return lambda arg: math.fabs(child(arg))
-    if e.fn == "sign":
-        def sign(arg):
-            x = child(arg)
-            return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
-        return sign
-    if e.fn not in _CHECKED:
-        raise AssertionError(f"unknown function {e.fn}")
-    fn = _CHECKED[e.fn]
+    fn = _UNARY_OPS[e.fn]
 
     def call(arg):
         x = child(arg)
@@ -390,23 +392,20 @@ def render(e: Expr) -> str:
         return f"-{child}"
     if isinstance(e, Call):
         return f"{e.fn}({','.join(render(a) for a in e.args)})"
+    symbol, level = _BINARY_OPS[e.op]
     l, r = render(e.left), render(e.right)
-    if e.op in ("add", "sub"):
-        if isinstance(e.right, Binary) and e.right.op in ("add", "sub"):
-            r = f"({r})"
-        return f"{l}{'+' if e.op == 'add' else '-'}{r}"
-    if e.op in ("mul", "div"):
-        if isinstance(e.left, Binary) and e.left.op in ("add", "sub"):
-            l = f"({l})"
-        if isinstance(e.right, Binary) and e.right.op in ("add", "sub", "mul", "div"):
-            r = f"({r})"
-        return f"{l}{'*' if e.op == 'mul' else '/'}{r}"
-    # pow: base must be a unary production, exponent a factor
-    if isinstance(e.left, Binary):
+    # A child that binds looser than e is bracketed, and so is one that binds
+    # as tightly on the side e does not associate to.
+    if _level(e.left) < level or (e.op == "pow" and _level(e.left) == level):
         l = f"({l})"
-    if isinstance(e.right, Binary) and e.right.op != "pow":
+    if _level(e.right) < level or (e.op != "pow" and _level(e.right) == level):
         r = f"({r})"
-    return f"{l}^{r}"
+    return f"{l}{symbol}{r}"
+
+
+def _level(e: Expr) -> float:
+    """The binding level of e's top node: a binary op's, or above them all."""
+    return _BINARY_OPS[e.op][1] if isinstance(e, Binary) else math.inf
 
 
 def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:

@@ -174,6 +174,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     if the caller has them. Estimates read one table of f and g at level k's
     points x0 + h, and redo a level it falls short on with f's, g's or c's closure."""
     _require_punctured(b)
+    if not 0.0 <= check_tol < math.inf:
+        raise ValueError("check_tol must be a finite real >= 0")
     m, seed = cfg.samples_per_level, cfg.seed
     fns = {"f": f, "g": g, "c": c or (lambda x: combine(f(x), g(x)))}
     table: dict = {None: ((), (x0,))}  # level None is x0 itself
@@ -254,7 +256,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
 def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
                     alpha: float, beta: float, x0: float, b: FilterBaseChain,
                     cfg: LimitConfig, check_tol: float) -> RuleCheckReport:
-    """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0."""
+    """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0; check_tol
+    must be a finite real >= 0 (ValueError otherwise)."""
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: alpha * fv + beta * gv,
                        lambda df, dg: alpha * df + beta * dg, ())
@@ -268,6 +271,7 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     The rule needs F-continuity only of g (adding and subtracting
     f(x0)*g(x0+h) in the derivation uses nothing more); the verdict enforces
     just that, but the report carries continuity results for both factors.
+    check_tol must be a finite real >= 0 (ValueError otherwise).
     """
     f0, g0 = _finite_values(f, (x0,))[0], _finite_values(g, (x0,))[0]
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
@@ -280,9 +284,9 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
                         check_tol: float) -> RuleCheckReport:
     """Check d(f/g) = (df*g(x0) - dg*f(x0)) / g(x0)^2 along b at x0.
 
-    Requires g(x0) != 0 and a g(x0)^2 that does not underflow to 0
-    (ValueError otherwise). A sampled h with g(x0+h) = 0 aborts the
-    combined estimate with a domain error.
+    Requires g(x0) != 0, a g(x0)^2 that does not underflow to 0 and a
+    check_tol that is a finite real >= 0 (ValueError otherwise). A sampled h
+    with g(x0+h) = 0 aborts the combined estimate with a domain error.
     """
     g0 = _finite_values(g, (x0,))[0]
     if g0 == 0.0:

@@ -301,7 +301,9 @@ class FilterBaseChain:
         return _stratified_sample(self.element(k), m, seed, level=k)
 
     def subchain(self, stride: int) -> "FilterBaseChain":
-        """The coarser chain k -> element(stride * k)."""
+        """The coarser chain k -> element(stride * k), for an int stride >= 1."""
+        if not isinstance(stride, int):
+            raise ValueError("stride must be an int")
         if stride < 1:
             raise ValueError("stride must be >= 1")
         parent = self

@@ -119,6 +119,14 @@ class TestExitCodes:
         assert payload["status"] == "input-error"
         assert payload["notes"] == [note]
 
+    def test_negative_check_tol_is_4_with_one_note(self, capsys):
+        code, payload = main_json(capsys, "check", "product", "--f", "x", "--g", "x",
+                                  "--x0", "1", "--base", "punctured:", "--tol-osc", "1e-4",
+                                  "--tol-step", "1e-7", "--check-tol", "-1")
+        assert code == 4
+        assert payload["status"] == "input-error"
+        assert payload["notes"] == ["check_tol must be a finite real >= 0"]
+
     def test_unknown_flag_is_4(self):
         res = run_cli("derive", "--expr", "abs(x)", "--x0", "0",
                       "--base", "right:delta0=1,ratio=0.5", "--frobnicate")

@@ -132,6 +132,7 @@ EVALUATION_TABLE = [
     ('8-3-2', {}, '0x1.8000000000000p+1'),
     ('x/3*3', {'x': 0.1}, '0x1.999999999999ap-4'),
     ('abs(x)', {'x': -0.7}, '0x1.6666666666666p-1'),
+    ('abs(x)', {'x': -0.0}, '0x0.0p+0'),
     ('sign(x)', {'x': -0.0}, '0x0.0p+0'),
     ('sign(x)', {'x': 2.5}, '0x1.0000000000000p+0'),
     ('sign(x)', {'x': -2.5}, '-0x1.0000000000000p+0'),
@@ -284,6 +285,58 @@ class TestRender:
     def test_reparse_is_identity_on_strings(self, text):
         tree = parse(text)
         assert parse(render(tree)) == tree
+
+
+_A, _B, _C = Variable("a"), Variable("b"), Variable("c")
+
+# Every binary op as the left and as the right child of every binary op:
+# (parent, child, printed with the child on the left, on the right). The
+# round trips above accept redundant brackets; this pins the ones printed.
+BINARY_NESTING_TABLE = [
+    ("add", "add", "a+b+c", "a+(b+c)"),
+    ("add", "sub", "a-b+c", "a+(b-c)"),
+    ("add", "mul", "a*b+c", "a+b*c"),
+    ("add", "div", "a/b+c", "a+b/c"),
+    ("add", "pow", "a^b+c", "a+b^c"),
+    ("sub", "add", "a+b-c", "a-(b+c)"),
+    ("sub", "sub", "a-b-c", "a-(b-c)"),
+    ("sub", "mul", "a*b-c", "a-b*c"),
+    ("sub", "div", "a/b-c", "a-b/c"),
+    ("sub", "pow", "a^b-c", "a-b^c"),
+    ("mul", "add", "(a+b)*c", "a*(b+c)"),
+    ("mul", "sub", "(a-b)*c", "a*(b-c)"),
+    ("mul", "mul", "a*b*c", "a*(b*c)"),
+    ("mul", "div", "a/b*c", "a*(b/c)"),
+    ("mul", "pow", "a^b*c", "a*b^c"),
+    ("div", "add", "(a+b)/c", "a/(b+c)"),
+    ("div", "sub", "(a-b)/c", "a/(b-c)"),
+    ("div", "mul", "a*b/c", "a/(b*c)"),
+    ("div", "div", "a/b/c", "a/(b/c)"),
+    ("div", "pow", "a^b/c", "a/b^c"),
+    ("pow", "add", "(a+b)^c", "a^(b+c)"),
+    ("pow", "sub", "(a-b)^c", "a^(b-c)"),
+    ("pow", "mul", "(a*b)^c", "a^(b*c)"),
+    ("pow", "div", "(a/b)^c", "a^(b/c)"),
+    ("pow", "pow", "(a^b)^c", "a^b^c"),
+]
+
+RENDER_TABLE = (
+    [(Binary(p, Binary(c, _A, _B), _C), left) for p, c, left, _ in BINARY_NESTING_TABLE]
+    + [(Binary(p, _A, Binary(c, _B, _C)), right) for p, c, _, right in BINARY_NESTING_TABLE]
+    + [(Unary("neg", Binary("add", _A, _B)), "-(a+b)"),
+       (Unary("neg", Binary("sub", _A, _B)), "-(a-b)"),
+       (Unary("neg", Binary("mul", _A, _B)), "-(a*b)"),
+       (Unary("neg", Binary("div", _A, _B)), "-(a/b)"),
+       (Unary("neg", Binary("pow", _A, _B)), "-(a^b)"),
+       (Unary("neg", Unary("neg", _A)), "--a"),
+       (Call("sin", (Binary("add", _A, _B),)), "sin(a+b)")]
+)
+
+
+class TestRenderTable:
+    @pytest.mark.parametrize("tree,text", RENDER_TABLE, ids=[t for _, t in RENDER_TABLE])
+    def test_exact_text(self, tree, text):
+        assert render(tree) == text
 
 
 class TestNonFiniteConstants:

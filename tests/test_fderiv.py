@@ -276,6 +276,35 @@ class TestNonFiniteValueAtX0:
         assert calls == [0.0]   # one call, of the non-finite function, at x0
 
 
+class TestInputErrors:
+    """A check_tol that is negative or not finite would give a verdict that
+    means nothing: each check rejects it before any sampled point."""
+
+    CHECKS = {
+        "linearity": lambda f, g, tol: check_linearity(f, g, 1.0, 1.0, 1.0,
+                                                       punctured_base(1, 0.5), PQ_CFG, tol),
+        "product": lambda f, g, tol: check_product_rule(f, g, 1.0, punctured_base(1, 0.5),
+                                                        PQ_CFG, tol),
+        "quotient": lambda f, g, tol: check_quotient_rule(f, g, 1.0, punctured_base(1, 0.5),
+                                                          PQ_CFG, tol),
+    }
+
+    @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
+    @pytest.mark.parametrize("check_tol", [-1e-5, math.nan, math.inf], ids=repr)
+    def test_bad_check_tol(self, rule, check_tol):
+        calls = []
+        square = lambda x: calls.append(x) or x * x
+        with pytest.raises(ValueError) as exc:
+            self.CHECKS[rule](square, IDENT, check_tol)
+        assert str(exc.value) == "check_tol must be a finite real >= 0"
+        assert set(calls) <= {1.0}   # x0 at most, no sampled point
+
+    @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
+    def test_zero_check_tol_is_accepted(self, rule):
+        rep = self.CHECKS[rule](lambda x: x * x, IDENT, 0.0)
+        assert rep.verdict in ("holds", "violated")
+
+
 class TestOracleAgreement:
     # classical filter derivative vs the symbolic route, spot check
     @pytest.mark.parametrize("text,x0", [

@@ -910,6 +910,8 @@ class TestInputErrors:
         (lambda: _lie().element(0), "flagged punctured_at_zero but element(0) contains 0"),
         (lambda: _lie().sample(0, 4, 0), "flagged punctured_at_zero but element(0) contains 0"),
         (lambda: punctured_base(1, 0.5).subchain(0), "stride must be >= 1"),
+        (lambda: punctured_base(1, 0.5).subchain(1.5), "stride must be an int"),
+        (lambda: punctured_base(1, 0.5).subchain(2.0), "stride must be an int"),
         (lambda: sequence_base(SequenceSpec("powinv", c=1.0, p=1e-300)),
          "not strictly decreasing in magnitude"),
         (lambda: chain_from_elements("e", []), "need at least one element"),
@@ -917,7 +919,7 @@ class TestInputErrors:
                                           S((-1.0, 1.0)), 9), "K must lie in 0..8"),
     ], ids=["non-finite-point", "negative-max-level", "level-past-max",
             "punctured-flag-lies-element", "punctured-flag-lies-sample", "stride-0",
-            "non-decreasing-sequence", "no-elements", "witness-past-max"])
+            "stride-1.5", "stride-2.0", "non-decreasing-sequence", "no-elements", "witness-past-max"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
