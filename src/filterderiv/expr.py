@@ -16,9 +16,9 @@ Note that the base of "^" is a *unary* production, so ``-x^2`` parses as
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Union
 
 from .errors import DomainError, ParseError, UnboundVariableError
@@ -107,10 +107,11 @@ def _byte_offset(text: str, char_index: int) -> int:
 
 # Deepest input the parser accepts. Depth counts one level for every
 # operator, sign, function call and pair of brackets on the way down to a
-# number or a name. At this depth the parser (six frames per bracket), the
-# compiled evaluator and the oracle's derivative trees, which grow a few
-# times deeper than their input, all stay well inside Python's default
-# recursion limit of 1000 frames.
+# number or a name. At this depth the parser (six frames per bracket) and
+# the code generator (one frame per level of a tree, also of the oracle's
+# derivative trees, which grow a few times deeper than their input) stay
+# well inside Python's default recursion limit of 1000 frames; the code it
+# generates is flat.
 _MAX_DEPTH = 100
 
 
@@ -261,98 +262,81 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*(free_vars(a) for a in e.args))
 
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+def _generate(e: Expr, var: str | None = None) -> Callable:
+    """Compile e, once, into one Python function of one argument. Its code
+    gives each node one temporary, in tree order (left before right,
+    arguments before the call), followed by the node's own check, which
+    raises the node's DomainError through a callable that renders the node
+    only then. A subtree that occurs in e several times as one object (the
+    oracle's derivative trees share their parts) is one temporary. Without
+    ``var`` the argument is a mapping that _binding reads each variable
+    from; with it, the argument is var's value, which the first lines reject
+    unless it is a finite real and then take as a float. Only temporary
+    names, the repr of float constants and the symbols of _BINARY_OPS are
+    written into the code: every other object (readers, nodes, messages,
+    functions, other constants) reaches it through the function's namespace."""
+    ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
+          "pow": math.pow, "Raised": (ValueError, OverflowError)}
+    lines: list[str] = []
+    temps: dict[int, str] = {}
 
+    def ref(obj) -> str:  # obj's name in the namespace
+        name = f"k{len(ns)}"
+        ns[name] = obj
+        return name
 
-def _not_finite(node: Expr) -> DomainError:
-    return DomainError("result is not a finite real", subject=render(node))
+    def emit(node: Expr) -> str:  # the temporary that holds node's value
+        if id(node) in temps:
+            return temps[id(node)]
+        t = temps[id(node)] = f"t{len(temps)}"
 
+        def fail(message: str, argument: str = "") -> str:  # node's raise statement
+            def error(argument=None):
+                return DomainError(message, subject=render(node), argument=argument)
+            return f"raise {ref(error)}({argument})"
 
-def _compile(e: Expr, read: Callable[[str], Callable],
-             shared: dict[int, Callable]) -> Callable:
-    """Compile e into nested closures of one argument; ``read(name)`` is the
-    closure that takes a variable's value from that argument. Each closure
-    does its node's IEEE operations in tree order (left before right,
-    arguments before the call) and raises any DomainError at its own node;
-    the node is rendered only then. ``shared`` maps id(node) to the closures
-    made so far, so that a subtree occurring in e several times as one
-    object (the oracle's derivative trees share their parts) compiles once."""
-    fn = shared.get(id(e))
-    if fn is not None:
-        return fn
-    if isinstance(e, Constant):
-        value = e.value
-        if math.isfinite(value):
-            fn = lambda arg: value
+        if isinstance(node, Constant):
+            value = node.value
+            if not math.isfinite(value):
+                error = partial(DomainError, "constant is not a finite real", argument=value)
+                lines.append(f"raise {ref(error)}()")
+            else:
+                lines.append(f"{t} = {repr(value) if type(value) is float else ref(value)}")
+        elif isinstance(node, Variable):
+            lines.append(f"{t} = " + ("arg" if var is not None
+                                      else f"{ref(_binding(node.name))}(arg)"))
+        elif isinstance(node, Unary):
+            lines.append(f"{t} = -{emit(node.child)}")
+        elif isinstance(node, Binary):
+            left, right = emit(node.left), emit(node.right)
+            if node.op == "pow":
+                lines.extend([f"if {left} < 0.0 and {right} != floor({right}): "
+                              + fail("negative base with non-integer exponent", left),
+                              "try:", f"    {t} = pow({left}, {right})", "except Raised:",
+                              f"    {fail('power is not a finite real', left)} from None"])
+            else:
+                if node.op == "div":
+                    lines.append(f"if {right} == 0.0: {fail('division by zero', right)}")
+                lines.extend([f"{t} = {left} {_BINARY_OPS[node.op][0]} {right}",
+                              f"if not isfinite({t}): {fail('result is not a finite real')}"])
+        elif node.fn in BINARY_FUNCTIONS:
+            first, second = map(emit, node.args)
+            lines.append(f"{t} = {ref(min if node.fn == 'min' else max)}({first}, {second})")
         else:
-            def fn(arg):
-                raise DomainError("constant is not a finite real", argument=value)
-    elif isinstance(e, Variable):
-        fn = read(e.name)
-    elif isinstance(e, Unary):
-        child = _compile(e.child, read, shared)
-        fn = lambda arg: -child(arg)
-    elif isinstance(e, Binary):
-        fn = _compile_binary(e, _compile(e.left, read, shared),
-                             _compile(e.right, read, shared))
-    else:
-        fn = _compile_call(e, [_compile(a, read, shared) for a in e.args])
-    shared[id(e)] = fn
-    return fn
+            (child,) = map(emit, node.args)
+            lines.extend(["try:", f"    {t} = {ref(_UNARY_OPS[node.fn])}({child})",
+                          "except Raised:",
+                          f"    {fail(node.fn + ' applied outside its domain', child)} from None"])
+        return t
 
-
-def _compile_binary(e: Binary, left: Callable, right: Callable) -> Callable:
-    if e.op in _ARITHMETIC:
-        op = _ARITHMETIC[e.op]
-
-        def arithmetic(arg):
-            v = op(left(arg), right(arg))
-            if math.isfinite(v):
-                return v
-            raise _not_finite(e)
-        return arithmetic
-    if e.op == "div":
-        def div(arg):
-            lv = left(arg)
-            rv = right(arg)
-            if rv == 0.0:
-                raise DomainError("division by zero", subject=render(e), argument=rv)
-            v = lv / rv
-            if math.isfinite(v):
-                return v
-            raise _not_finite(e)
-        return div
-
-    def power(arg):  # every other op is "pow"
-        lv = left(arg)
-        rv = right(arg)
-        if lv < 0.0 and rv != math.floor(rv):
-            raise DomainError("negative base with non-integer exponent",
-                              subject=render(e), argument=lv)
-        try:
-            return math.pow(lv, rv)
-        except (ValueError, OverflowError):
-            raise DomainError("power is not a finite real",
-                              subject=render(e), argument=lv) from None
-    return power
-
-
-def _compile_call(e: Call, args: list[Callable]) -> Callable:
-    if e.fn in BINARY_FUNCTIONS:
-        first, second = args
-        pick = min if e.fn == "min" else max
-        return lambda arg: pick(first(arg), second(arg))
-    (child,) = args
-    fn = _UNARY_OPS[e.fn]
-
-    def call(arg):
-        x = child(arg)
-        try:
-            return fn(x)
-        except (ValueError, OverflowError):
-            raise DomainError(f"{e.fn} applied outside its domain",
-                              subject=render(e), argument=x) from None
-    return call
+    result = emit(e)
+    if var is not None:
+        unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
+        lines[:0] = [f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)",
+                     f"arg = {ref(float)}(arg)"]
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def f(arg):\n{body}    return {result}\n", "<expression>", "exec"), ns)
+    return ns["f"]
 
 
 def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
@@ -371,9 +355,10 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE-double evaluation. Out-of-domain conditions (division by zero,
     log/sqrt of negatives, non-real powers, overflow, a non-finite constant
     or binding) raise DomainError, so the result is always a finite float.
-    The expression is compiled on each call, so use as_function to evaluate
-    one expression at many points."""
-    return _compile(e, _binding, {})(bindings)
+    Each call generates and compiles one function for e (about 0.2 ms for a
+    short expression), so use as_function to evaluate one expression at many
+    points."""
+    return _generate(e)(bindings)
 
 
 def render(e: Expr) -> str:
@@ -422,12 +407,4 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
         raise ValueError(f"expression has free variables besides {var!r}: "
                          f"{sorted(names - {var})}")
 
-    # Every variable left is var, read straight from the one argument.
-    fn = _compile(e, lambda name: float, {})
-
-    def checked(t: float) -> float:
-        if math.isfinite(t):
-            return fn(t)
-        raise DomainError("variable is not bound to a finite real", subject=var,
-                          argument=t)
-    return checked
+    return _generate(e, var)

@@ -256,8 +256,11 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
 def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
                     alpha: float, beta: float, x0: float, b: FilterBaseChain,
                     cfg: LimitConfig, check_tol: float) -> RuleCheckReport:
-    """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0; check_tol
-    must be a finite real >= 0 (ValueError otherwise)."""
+    """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0; alpha and
+    beta must be finite reals and check_tol a finite real >= 0 (ValueError
+    otherwise, before any sampled point is evaluated)."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite reals")
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: alpha * fv + beta * gv,
                        lambda df, dg: alpha * df + beta * dg, ())

@@ -61,6 +61,8 @@ class LimitConfig:
         for name in ("tol_osc", "tol_step", "no_limit_floor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from filterderiv import (Binary, Call, Constant, DomainError, ParseError,
                          Unary, UnboundVariableError, Variable, as_function,
                          evaluate, free_vars, parse, render)
+from filterderiv import expr as expr_module
 from filterderiv.expr import _MAX_DEPTH, BINARY_FUNCTIONS, UNARY_FUNCTIONS
 
 
@@ -435,3 +436,148 @@ class TestInputErrors:
         with pytest.raises(ValueError) as exc:
             call()
         assert message in str(exc.value)
+
+
+def _reference(e, env):
+    """A tree walk with the evaluator's documented semantics, independent of
+    the generated code: each node's IEEE operation in tree order (left
+    before right, arguments before the call) and its DomainError at the
+    node itself."""
+    if isinstance(e, Constant):
+        if not math.isfinite(e.value):
+            raise DomainError("constant is not a finite real", argument=e.value)
+        return e.value
+    if isinstance(e, Variable):
+        if e.name not in env:
+            raise UnboundVariableError(e.name)
+        v = float(env[e.name])
+        if not math.isfinite(v):
+            raise DomainError("variable is not bound to a finite real", subject=e.name,
+                              argument=v)
+        return v
+    if isinstance(e, Unary):
+        return -_reference(e.child, env)
+    if isinstance(e, Call):
+        args = [_reference(a, env) for a in e.args]
+        if e.fn in BINARY_FUNCTIONS:
+            return (min if e.fn == "min" else max)(*args)
+        fn = {"abs": math.fabs, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+              "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+              "sign": lambda u: 0.0 if u == 0.0 else math.copysign(1.0, u)}[e.fn]
+        try:
+            return fn(args[0])
+        except (ValueError, OverflowError):
+            raise DomainError(f"{e.fn} applied outside its domain", subject=render(e),
+                              argument=args[0]) from None
+    left, right = _reference(e.left, env), _reference(e.right, env)
+    if e.op == "pow":
+        if left < 0.0 and right != math.floor(right):
+            raise DomainError("negative base with non-integer exponent", subject=render(e),
+                              argument=left)
+        try:
+            return math.pow(left, right)
+        except (ValueError, OverflowError):
+            raise DomainError("power is not a finite real", subject=render(e),
+                              argument=left) from None
+    if e.op == "div":
+        if right == 0.0:
+            raise DomainError("division by zero", subject=render(e), argument=right)
+        v = left / right
+    else:
+        v = {"add": left + right, "sub": left - right, "mul": left * right}[e.op]
+    if not math.isfinite(v):
+        raise DomainError("result is not a finite real", subject=render(e))
+    return v
+
+
+def _outcome(call):
+    """A result as float.hex, or an error as (type, str, subject, argument)."""
+    try:
+        return call().hex()
+    except (DomainError, UnboundVariableError) as exc:
+        return (type(exc), str(exc), getattr(exc, "subject", None),
+                repr(getattr(exc, "argument", None)))
+
+
+# Constants that reach every DomainError: zero divisors, negative bases and
+# arguments, overflow, non-finite values.
+_ref_leaf = st.one_of(
+    st.builds(Constant, st.sampled_from([0.0, -0.0, 0.5, 2.0, -1.5, 3.0, 1e300, 1e-300,
+                                         710.0, 400.0, math.inf, -math.inf, math.nan])),
+    st.builds(Constant, st.floats(min_value=-4.0, max_value=4.0)),
+    st.just(Variable("x")),
+)
+
+
+def _ref_compound(children):
+    # besides every node kind, subtrees that occur twice as one object
+    return st.one_of(
+        _compound(children),
+        st.builds(lambda op, a: Binary(op, a, a),
+                  st.sampled_from(["add", "sub", "mul", "div", "pow"]), children),
+        st.builds(lambda f, a, b: Call(f, (a, Binary("sub", b, a))),
+                  st.sampled_from(["min", "max"]), children, children),
+    )
+
+
+_ref_trees = st.recursive(_ref_leaf, _ref_compound, max_leaves=12)
+
+
+class TestGeneratedCodeAgainstReference:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tree=_ref_trees, t=st.one_of(st.sampled_from(EDGE_DOUBLES + [0.5, -2.0, 1.0]),
+                                        st.floats(allow_nan=False, allow_infinity=False)))
+    def test_same_value_or_same_error(self, tree, t):
+        expected = _outcome(lambda: _reference(tree, {"x": t}))
+        assert _outcome(lambda: evaluate(tree, {"x": t})) == expected
+        assert _outcome(lambda: as_function(tree, "x")(t)) == expected
+
+    @pytest.mark.parametrize("t", NON_FINITE, ids=repr)
+    def test_non_finite_argument_is_checked_first(self, t):
+        tree = Binary("add", Call("log", (Constant(-1.0),)), Variable("x"))
+        assert _outcome(lambda: as_function(tree, "x")(t)) == (
+            DomainError, f"variable is not bound to a finite real in x (argument {t!r})",
+            "x", repr(t))
+        assert _outcome(lambda: evaluate(tree, {"x": t}))[1] == (
+            "log applied outside its domain in log(-1.0) (argument -1.0)")
+
+
+class TestNoTreeTextIsCompiled:
+    """Names and constants reach the generated code through its namespace,
+    never as source text."""
+
+    CODE = "__import__('os').getcwd()"
+
+    def compiled(self, monkeypatch) -> list[str]:
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        return sources
+
+    @pytest.mark.parametrize("name", [CODE, "arg", "t0", "k7", "isfinite"])
+    def test_variable_name_is_a_name(self, name, monkeypatch):
+        sources = self.compiled(monkeypatch)
+        tree = Binary("mul", Variable(name), Call("log", (Variable(name),)))
+        assert evaluate(tree, {name: math.e}) == math.e
+        assert as_function(tree, name)(math.e) == math.e
+        with pytest.raises(UnboundVariableError) as exc:
+            evaluate(tree, {})
+        assert exc.value.name == name
+        with pytest.raises(DomainError) as exc:
+            as_function(tree)(-1.0)
+        assert str(exc.value) == (f"log applied outside its domain in log({name}) "
+                                  "(argument -1.0)")
+        assert len(sources) == 4 and not any(self.CODE in s for s in sources)
+
+    def test_int_constant_is_a_value(self, monkeypatch):
+        sources = self.compiled(monkeypatch)
+        value = 12345678901
+        assert evaluate(Constant(value), {}) == value
+        assert type(evaluate(Constant(value), {})) is int
+        tree = Binary("add", Constant(value), Variable("x"))
+        assert evaluate(tree, {"x": 0.5}) == 12345678901.5
+        assert as_function(tree)(0.5) == 12345678901.5
+        assert len(sources) == 4 and not any(str(value) in s for s in sources)

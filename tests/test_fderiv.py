@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filterderiv import fderiv
 from filterderiv import (CONVERGED, NO_LIMIT, BaseNotPuncturedError,
                          DomainError, LimitConfig, QUOTIENT_RULE_NOTE,
                          SetDescriptor, as_function, chain_from_elements,
@@ -21,6 +22,7 @@ ABS = as_function(parse("abs(x)"))
 IDENT = as_function(parse("x"))
 SIGN = as_function(parse("sign(x)"))
 CFG = LimitConfig()
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestDifferenceQuotient:
@@ -303,6 +305,39 @@ class TestInputErrors:
     def test_zero_check_tol_is_accepted(self, rule):
         rep = self.CHECKS[rule](lambda x: x * x, IDENT, 0.0)
         assert rep.verdict in ("holds", "violated")
+
+    @pytest.mark.parametrize("coefficient", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_non_finite_linearity_coefficient(self, coefficient, value):
+        calls = []
+        square = lambda x: calls.append(x) or x * x
+        coefficients = {"alpha": 1.0, "beta": 1.0, coefficient: value}
+        with pytest.raises(ValueError) as exc:
+            check_linearity(square, IDENT, coefficients["alpha"], coefficients["beta"], 1.0,
+                            punctured_base(1, 0.5), PQ_CFG, 1e-5)
+        assert str(exc.value) == "alpha and beta must be finite reals"
+        assert calls == []
+
+
+class TestOneEstimatePerDerivative:
+    """derivative and classical_derivative each make exactly one call of
+    fderiv.estimate_limit, the name the traced benchmark counts estimates by."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: derivative(ABS, 0.0, right_base(1.0, 0.5), CFG),
+        lambda: derivative(as_function(parse("log(x)")), 0.0, right_base(1.0, 0.5), CFG),
+        lambda: classical_derivative(as_function(parse("x^2")), 1.0, SMOOTH_CFG),
+    ], ids=["derivative", "derivative-domain-error", "classical_derivative"])
+    def test_one_call(self, call, monkeypatch):
+        estimates = []
+        estimate_limit = fderiv.estimate_limit
+
+        def counted(*args):
+            estimates.append(estimate_limit(*args))
+            return estimates[-1]
+        monkeypatch.setattr(fderiv, "estimate_limit", counted)
+        res = call()
+        assert len(estimates) == 1 and res.estimate is estimates[0]
 
 
 class TestOracleAgreement:

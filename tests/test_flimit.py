@@ -130,6 +130,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="must be ints"):
             LimitConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["tol_osc", "tol_step", "no_limit_floor"])
+    def test_infinite_tolerance_rejected(self, name):
+        # an infinite tolerance would call anything converged: abs'(0) among them
+        with pytest.raises(ValueError) as exc:
+            LimitConfig(**{name: math.inf})
+        assert str(exc.value) == f"{name} must be finite"
+
 
 class TestRefinementAndSeeds:
     # numeric form of: a limit along a filter persists along finer filters
