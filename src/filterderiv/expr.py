@@ -3,9 +3,9 @@ real variable.
 
 Grammar (whitespace insignificant)::
 
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
-    factor := unary ("^" factor)?          -- "^" is right-associative
+    expr   := term (("+" | "-") term)*     -- level 1
+    term   := factor (("*" | "/") factor)*  -- level 2
+    factor := unary ("^" factor)?           -- level 3; "^" is right-associative
     unary  := "-" unary | atom
     atom   := NUMBER | IDENT | IDENT "(" expr ("," expr)? ")" | "(" expr ")"
 
@@ -34,18 +34,21 @@ def _sign(x: float) -> float:
     return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
 
 
-# The one-argument functions: their ValueError or OverflowError is a DomainError;
-# for the finite arguments they receive, math raises instead of returning inf or nan.
-_UNARY_OPS = {"abs": math.fabs, "sign": _sign, "sin": math.sin, "cos": math.cos,
-              "tan": math.tan, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
-UNARY_FUNCTIONS = tuple(_UNARY_OPS)
-BINARY_FUNCTIONS = ("min", "max")
+# The functions: name -> (operation, arity). An operation's ValueError or
+# OverflowError is a DomainError; for the finite arguments they receive, the
+# math functions raise instead of returning inf or nan, and min and max never raise.
+_FUNCTIONS = {"abs": (math.fabs, 1), "sign": (_sign, 1), "sin": (math.sin, 1),
+              "cos": (math.cos, 1), "tan": (math.tan, 1), "exp": (math.exp, 1),
+              "log": (math.log, 1), "sqrt": (math.sqrt, 1), "min": (min, 2), "max": (max, 2)}
+UNARY_FUNCTIONS = tuple(name for name, (_, arity) in _FUNCTIONS.items() if arity == 1)
+BINARY_FUNCTIONS = tuple(name for name, (_, arity) in _FUNCTIONS.items() if arity == 2)
 
 # The binary ops: name -> (symbol, binding level); a higher level binds
 # tighter. "^" associates to the right, the others to the left.
 _BINARY_OPS = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2),
                "pow": ("^", 3)}
-_OP_NAMES = {symbol: name for name, (symbol, _) in _BINARY_OPS.items()}
+_BY_SYMBOL = {symbol: (name, level) for name, (symbol, level) in _BINARY_OPS.items()}
+_TOP_LEVEL = max(level for _, level in _BINARY_OPS.values())
 
 
 @dataclass(frozen=True)
@@ -156,14 +159,14 @@ class _Parser:
             self.too_deep(off)
         return e, below + 1
 
-    def inner(self, off: int, production) -> tuple[Expr, int]:
-        """Run production inside one more construct opened at char offset
-        off. Each open construct adds a level above the tree inside it, so
-        the limit is known to be crossed before the recursion goes deeper."""
+    def inner(self, off: int, production, *args) -> tuple[Expr, int]:
+        """Run production(*args) inside one more construct opened at char
+        offset off. Each open construct adds a level above the tree inside
+        it, so the limit is known to be crossed before the recursion goes deeper."""
         self.open += 1
         if self.open >= _MAX_DEPTH:
             self.too_deep(off)
-        result = production()
+        result = production(*args)
         self.open -= 1
         return result
 
@@ -173,31 +176,19 @@ class _Parser:
             raise self.fail("an operator or end of input")
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        left, depth = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, off = self.advance()
-            right, right_depth = self.term()
-            left, depth = self.nest(Binary(_OP_NAMES[op], left, right),
-                                    max(depth, right_depth), off)
+    def expr(self, level: int = 1) -> tuple[Expr, int]:
+        """The operators of _BINARY_OPS that bind at level or tighter. The top
+        level's operands are unary; "^" takes its right operand, the rest of
+        its chain, at its own level, and the others loop to the left."""
+        left, depth = self.expr(level + 1) if level < _TOP_LEVEL else self.unary()
+        while (op := _BY_SYMBOL.get(self.peek()[0])) and op[1] == level:
+            off = self.advance()[2]
+            if op[0] == "pow":
+                right, right_depth = self.inner(off, self.expr, level)
+            else:
+                right, right_depth = self.expr(level + 1) if level < _TOP_LEVEL else self.unary()
+            left, depth = self.nest(Binary(op[0], left, right), max(depth, right_depth), off)
         return left, depth
-
-    def term(self) -> tuple[Expr, int]:
-        left, depth = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, off = self.advance()
-            right, right_depth = self.factor()
-            left, depth = self.nest(Binary(_OP_NAMES[op], left, right),
-                                    max(depth, right_depth), off)
-        return left, depth
-
-    def factor(self) -> tuple[Expr, int]:
-        base, depth = self.unary()
-        if self.peek()[0] == "^":
-            op, _, off = self.advance()
-            exponent, exponent_depth = self.inner(off, self.factor)
-            return self.nest(Binary(_OP_NAMES[op], base, exponent), max(depth, exponent_depth), off)
-        return base, depth
 
     def unary(self) -> tuple[Expr, int]:
         kind, _, off = self.peek()
@@ -219,7 +210,7 @@ class _Parser:
             self.advance()
             if self.peek()[0] != "(":
                 return Variable(text), 1
-            if text not in UNARY_FUNCTIONS and text not in BINARY_FUNCTIONS:
+            if text not in _FUNCTIONS:
                 raise ParseError(_byte_offset(self.text, off),
                                  "a recognized function name", text)
             self.advance()
@@ -228,7 +219,7 @@ class _Parser:
                 self.advance()
                 args.append(self.inner(off, self.expr))
             self.expect(")", "')'")
-            want = 2 if text in BINARY_FUNCTIONS else 1
+            want = _FUNCTIONS[text][1]
             if len(args) != want:
                 raise ParseError(_byte_offset(self.text, off),
                                  f"{want} argument(s) to {text}", f"{len(args)} given")
@@ -319,14 +310,14 @@ def _generate(e: Expr, var: str | None = None) -> Callable:
                     lines.append(f"if {right} == 0.0: {fail('division by zero', right)}")
                 lines.extend([f"{t} = {left} {_BINARY_OPS[node.op][0]} {right}",
                               f"if not isfinite({t}): {fail('result is not a finite real')}"])
-        elif node.fn in BINARY_FUNCTIONS:
-            first, second = map(emit, node.args)
-            lines.append(f"{t} = {ref(min if node.fn == 'min' else max)}({first}, {second})")
         else:
-            (child,) = map(emit, node.args)
-            lines.extend(["try:", f"    {t} = {ref(_UNARY_OPS[node.fn])}({child})",
+            op, arity = _FUNCTIONS[node.fn]
+            if len(node.args) != arity:  # a hand-built call; parse checks its own
+                raise ValueError(f"{node.fn} takes {arity} argument(s), got {len(node.args)}")
+            args = [emit(a) for a in node.args]
+            lines.extend(["try:", f"    {t} = {ref(op)}({', '.join(args)})",
                           "except Raised:",
-                          f"    {fail(node.fn + ' applied outside its domain', child)} from None"])
+                          f"    {fail(node.fn + ' applied outside its domain', args[0])} from None"])
         return t
 
     result = emit(e)

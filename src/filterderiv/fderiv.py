@@ -23,6 +23,7 @@ rule's derivation and is not used (see QUOTIENT_RULE_NOTE).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,7 +175,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     if the caller has them. Estimates read one table of f and g at level k's
     points x0 + h, and redo a level it falls short on with f's, g's or c's closure."""
     _require_punctured(b)
-    if not 0.0 <= check_tol < math.inf:
+    if not 0.0 <= check_tol <= sys.float_info.max:
         raise ValueError("check_tol must be a finite real >= 0")
     m, seed = cfg.samples_per_level, cfg.seed
     fns = {"f": f, "g": g, "c": c or (lambda x: combine(f(x), g(x)))}
@@ -259,7 +260,7 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
     """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0; alpha and
     beta must be finite reals and check_tol a finite real >= 0 (ValueError
     otherwise, before any sampled point is evaluated)."""
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    if not all(-sys.float_info.max <= c <= sys.float_info.max for c in (alpha, beta)):
         raise ValueError("alpha and beta must be finite reals")
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: alpha * fv + beta * gv,

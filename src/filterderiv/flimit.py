@@ -19,6 +19,7 @@ with the full per-level trace as falsifiable evidence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,7 +62,7 @@ class LimitConfig:
         for name in ("tol_osc", "tol_step", "no_limit_floor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-            if getattr(self, name) == math.inf:
+            if getattr(self, name) > sys.float_info.max:  # inf, or an int no double holds
                 raise ValueError(f"{name} must be finite")
 
 

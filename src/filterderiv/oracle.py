@@ -102,6 +102,19 @@ def _pow(a: Expr, b: Expr) -> Expr:
     return Binary("pow", a, b)
 
 
+# The chain rule of each one-argument function f: (u, f(u), u') -> d f(u).
+_CHAIN_RULES = {
+    "abs": lambda u, e, du: _mul(Call("sign", (u,)), du),
+    "sign": lambda u, e, du: _const(0.0),
+    "sin": lambda u, e, du: _mul(Call("cos", (u,)), du),
+    "cos": lambda u, e, du: _neg(_mul(Call("sin", (u,)), du)),
+    "tan": lambda u, e, du: _div(du, _pow(Call("cos", (u,)), _const(2.0))),
+    "exp": lambda u, e, du: _mul(e, du),
+    "log": lambda u, e, du: _div(du, u),
+    "sqrt": lambda u, e, du: _div(du, _mul(_const(2.0), e)),
+}
+
+
 def symbolic_derivative(e: Expr, var: str) -> Expr:
     """Differentiate node by node. Conventions: d abs(u) = sign(u)*u',
     d sign(u) = 0, and d min(a,b) / d max(a,b) is the derivative of the
@@ -144,23 +157,7 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
         wa, wb = (below, above) if e.fn == "min" else (above, below)
         return _mul(_const(0.5), _add(_mul(wa, symbolic_derivative(a, var)),
                                       _mul(wb, symbolic_derivative(b, var))))
-    u = e.args[0]
-    du = symbolic_derivative(u, var)
-    if e.fn == "abs":
-        return _mul(Call("sign", (u,)), du)
-    if e.fn == "sign":
-        return _const(0.0)
-    if e.fn == "sin":
-        return _mul(Call("cos", (u,)), du)
-    if e.fn == "cos":
-        return _neg(_mul(Call("sin", (u,)), du))
-    if e.fn == "tan":
-        return _div(du, _pow(Call("cos", (u,)), _const(2.0)))
-    if e.fn == "exp":
-        return _mul(e, du)
-    if e.fn == "log":
-        return _div(du, u)
-    return _div(du, _mul(_const(2.0), e))  # every other function is sqrt
+    return _CHAIN_RULES[e.fn](e.args[0], e, symbolic_derivative(e.args[0], var))
 
 
 def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:

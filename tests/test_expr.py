@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from filterderiv import (Binary, Call, Constant, DomainError, ParseError,
                          Unary, UnboundVariableError, Variable, as_function,
-                         evaluate, free_vars, parse, render)
+                         evaluate, free_vars, parse, render, symbolic_derivative_value)
 from filterderiv import expr as expr_module
 from filterderiv.expr import _MAX_DEPTH, BINARY_FUNCTIONS, UNARY_FUNCTIONS
 
@@ -338,6 +339,7 @@ class TestRenderTable:
     @pytest.mark.parametrize("tree,text", RENDER_TABLE, ids=[t for _, t in RENDER_TABLE])
     def test_exact_text(self, tree, text):
         assert render(tree) == text
+        assert parse(text) == tree
 
 
 class TestNonFiniteConstants:
@@ -394,6 +396,14 @@ def _nested(depth_levels: int, kind: str) -> str:
             "powers": "^".join(["x"] * depth_levels)}[kind]
 
 
+def _iterate(step, x: float) -> float:
+    """step applied _MAX_DEPTH - 1 times to x: the value of the deepest call
+    chain or power tower in x."""
+    for _ in range(_MAX_DEPTH - 1):
+        x = step(x)
+    return x
+
+
 class TestNestingLimit:
     @pytest.mark.parametrize("text,offset", [
         ("(" * 1000 + "x" + ")" * 1000, _MAX_DEPTH - 1),
@@ -417,12 +427,21 @@ class TestNestingLimit:
 
     @pytest.mark.parametrize("kind,x,expected", [
         ("brackets", 0.25, 0.25), ("signs", 0.25, -0.25), ("sum", 0.25, 25.0),
+        ("calls", 0.25, _iterate(math.sin, 0.25)),
+        ("powers", 0.5, _iterate(partial(math.pow, 0.5), 0.5)),
     ])
     def test_deepest_accepted_input_evaluates(self, kind, x, expected):
         e = parse(_nested(_MAX_DEPTH, kind))
         assert evaluate(e, {"x": x}) == expected
         assert as_function(e)(x) == expected
         assert parse(render(e)) == e
+        # the oracle's derivative trees are a few times deeper than e
+        assert math.isfinite(symbolic_derivative_value(e, "x", x).value)
+
+    def test_deepest_power_tower_derivative_is_a_domain_error(self):
+        # 1.5^1.5^... overflows: a DomainError, not a RecursionError
+        with pytest.raises(DomainError, match="power is not a finite real"):
+            symbolic_derivative_value(parse(_nested(_MAX_DEPTH, "powers")), "x", 1.5)
 
 
 class TestInputErrors:
@@ -431,7 +450,10 @@ class TestInputErrors:
     @pytest.mark.parametrize("call,message", [
         (lambda: render(Constant(math.inf)), "cannot render a non-finite constant"),
         (lambda: as_function(parse("x*y"), "x"), "free variables besides 'x'"),
-    ], ids=["render-non-finite-constant", "as-function-extra-variable"])
+        (lambda: as_function(Call("min", (_A,)), "a"), "min takes 2 argument(s), got 1"),
+        (lambda: evaluate(Call("sin", (_A, _A)), {"a": 1.0}), "sin takes 1 argument(s), got 2"),
+    ], ids=["render-non-finite-constant", "as-function-extra-variable",
+            "call-with-too-few-arguments", "call-with-too-many-arguments"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

@@ -23,6 +23,7 @@ IDENT = as_function(parse("x"))
 SIGN = as_function(parse("sign(x)"))
 CFG = LimitConfig()
 NON_FINITE = [math.nan, math.inf, -math.inf]
+TOO_LARGE = pytest.param(10**400, id="10**400")  # an int no double holds
 
 
 class TestDifferenceQuotient:
@@ -292,7 +293,7 @@ class TestInputErrors:
     }
 
     @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
-    @pytest.mark.parametrize("check_tol", [-1e-5, math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("check_tol", [-1e-5, math.nan, math.inf, TOO_LARGE], ids=repr)
     def test_bad_check_tol(self, rule, check_tol):
         calls = []
         square = lambda x: calls.append(x) or x * x
@@ -307,7 +308,7 @@ class TestInputErrors:
         assert rep.verdict in ("holds", "violated")
 
     @pytest.mark.parametrize("coefficient", ["alpha", "beta"])
-    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("value", NON_FINITE + [TOO_LARGE], ids=repr)
     def test_non_finite_linearity_coefficient(self, coefficient, value):
         calls = []
         square = lambda x: calls.append(x) or x * x

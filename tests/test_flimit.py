@@ -132,10 +132,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", ["tol_osc", "tol_step", "no_limit_floor"])
     def test_infinite_tolerance_rejected(self, name):
-        # an infinite tolerance would call anything converged: abs'(0) among them
-        with pytest.raises(ValueError) as exc:
-            LimitConfig(**{name: math.inf})
-        assert str(exc.value) == f"{name} must be finite"
+        # an infinite tolerance would call anything converged: abs'(0) among them;
+        # an int too large for a double would overflow at the first comparison
+        for value in (math.inf, 10**400):
+            with pytest.raises(ValueError) as exc:
+                LimitConfig(**{name: value})
+            assert str(exc.value) == f"{name} must be finite"
 
 
 class TestRefinementAndSeeds:

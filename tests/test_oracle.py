@@ -3,9 +3,11 @@ import time
 
 import pytest
 
-from filterderiv import (DomainError, NonSmoothPointError, as_function,
-                         evaluate, parse, richardson_one_sided,
+from filterderiv import (Call, DomainError, NonSmoothPointError, Variable, as_function,
+                         evaluate, parse, render, richardson_one_sided,
                          symbolic_derivative, symbolic_derivative_value)
+from filterderiv import oracle
+from filterderiv.expr import UNARY_FUNCTIONS
 from corpus import SMOOTH_CASES
 
 
@@ -19,6 +21,7 @@ class TestSymbolicRules:
         ("x^3-2*x", 2.0, 10.0),
         ("7", 1.0, 0.0),
         ("sin(x)", 0.0, 1.0),
+        ("cos(x)", math.pi / 2, -1.0),
         ("exp(x)", 0.0, 1.0),
         ("log(x)", 2.0, 0.5),
         ("sqrt(x)", 4.0, 0.25),
@@ -28,6 +31,24 @@ class TestSymbolicRules:
     ])
     def test_pointwise(self, text, x0, expected):
         assert evaluate(d(text), {"x": x0}) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("fn,text", [
+        ("abs", "sign(2.0*x)*2.0"),
+        ("sign", "0.0"),
+        ("sin", "cos(2.0*x)*2.0"),
+        ("cos", "-(sin(2.0*x)*2.0)"),
+        ("tan", "2.0/cos(2.0*x)^2.0"),
+        ("exp", "exp(2.0*x)*2.0"),
+        ("log", "2.0/(2.0*x)"),
+        ("sqrt", "2.0/(2.0*sqrt(2.0*x))"),
+    ])
+    def test_chain_rule_tree(self, fn, text):
+        assert render(d(f"{fn}(2*x)")) == text
+
+    def test_every_function_has_a_chain_rule(self):
+        assert tuple(oracle._CHAIN_RULES) == UNARY_FUNCTIONS
+        with pytest.raises(KeyError):  # an unknown name is not differentiated as another
+            symbolic_derivative(Call("cbrt", (Variable("x"),)), "x")
 
     def test_abs_derivative_is_sign(self):
         diff = d("abs(x)")
