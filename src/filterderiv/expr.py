@@ -19,13 +19,13 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, ParseError, UnboundVariableError
 
 __all__ = [
     "Constant", "Variable", "Unary", "Binary", "Call", "Expr",
-    "parse", "evaluate", "free_vars", "render", "as_function",
+    "parse", "evaluate", "evaluate_each", "free_vars", "render", "as_function",
     "UNARY_FUNCTIONS", "BINARY_FUNCTIONS",
 ]
 
@@ -253,8 +253,10 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*(free_vars(a) for a in e.args))
 
 
-def _generate(e: Expr, var: str | None = None) -> Callable:
-    """Compile e, once, into one Python function of one argument. Its code
+def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
+    """Compile e, once, into one Python function of one argument; given a
+    list of trees, into a generator function that yields each tree's value
+    before the code of the next tree's unshared nodes runs. Its code
     gives each node one temporary, in tree order (left before right,
     arguments before the call), followed by the node's own check, which
     raises the node's DomainError through a callable that renders the node
@@ -320,13 +322,18 @@ def _generate(e: Expr, var: str | None = None) -> Callable:
                           f"    {fail(node.fn + ' applied outside its domain', args[0])} from None"])
         return t
 
-    result = emit(e)
+    if isinstance(e, list):
+        for root in e:
+            lines.append(f"yield {emit(root)}")
+        tail = ""
+    else:
+        tail = f"    return {emit(e)}\n"
     if var is not None:
         unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
         lines[:0] = [f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)",
                      f"arg = {ref(float)}(arg)"]
     body = "".join(f"    {line}\n" for line in lines)
-    exec(compile(f"def f(arg):\n{body}    return {result}\n", "<expression>", "exec"), ns)
+    exec(compile(f"def f(arg):\n{body}{tail}", "<expression>", "exec"), ns)
     return ns["f"]
 
 
@@ -348,8 +355,19 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     or binding) raise DomainError, so the result is always a finite float.
     Each call generates and compiles one function for e (about 0.2 ms for a
     short expression), so use as_function to evaluate one expression at many
-    points."""
+    points, and evaluate_each for many expressions at one point."""
     return _generate(e)(bindings)
+
+
+def evaluate_each(exprs: Sequence[Expr], bindings: Mapping[str, float]) -> Iterator[float]:
+    """evaluate(e, bindings) for each e of exprs in turn, lazily, from one
+    generated function: a node that several of them share as one object is
+    evaluated once. Each value is yielded before any node of the next tree
+    that no earlier tree shares is evaluated, so a caller that stops early
+    never sees the later trees' errors, and a tree that fails raises what
+    evaluate raises for it. A hand-built call with the wrong number of
+    arguments in any tree raises ValueError here, before the first value."""
+    return _generate(list(exprs))(bindings) if exprs else iter(())
 
 
 def render(e: Expr) -> str:

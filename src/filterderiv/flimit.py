@@ -3,9 +3,12 @@
 The estimator samples each level of the chain, tracks the sampled
 min/max/mean, and issues one of four verdicts:
 
-- converged:   the last `stable_levels` levels all have oscillation
-               (max - min) <= tol_osc and successive means agree to
+- converged:   a trailing streak of `stable_levels` levels, each with
+               oscillation (max - min) <= tol_osc and each after the first
+               with a mean that agrees with the one before it to
                tol_step * (1 + |mean|); the value is the final level's mean.
+               The streak is counted as the levels arrive, so each level's
+               test takes constant time.
 - no-limit:    the level budget is exhausted and oscillation stayed >=
                no_limit_floor on each of the last `stable_levels` levels.
 - undecided:   neither of the above held by the last level.
@@ -104,12 +107,20 @@ def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[fl
 
 def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
              cfg: LimitConfig) -> LimitEstimate:
-    """The descent over level_values(k), level k's finite values or a DomainError."""
+    """The descent over level_values(k), level k's finite values or a DomainError.
+
+    run is the length of the trailing streak: a level whose oscillation
+    exceeds tol_osc ends it (run 0); an oscillation-ok level extends it when
+    its mean passes the step test against the level before, and otherwise
+    starts a new one (run 1). The descent converges at the first level with
+    run >= stable_levels, which is the first level whose last stable_levels
+    rows all pass both tests."""
     if cfg.max_level > b.max_level:
         raise ValueError(
             f"cfg.max_level={cfg.max_level} exceeds chain max_level={b.max_level}")
     rows: list[TraceRow] = []
-    s = cfg.stable_levels
+    s, tol_osc, tol_step = cfg.stable_levels, cfg.tol_osc, cfg.tol_step
+    run, prev = 0, 0.0
     status, detail = UNDECIDED, "stability criterion not met within the level budget"
     for k in range(cfg.max_level + 1):
         try:
@@ -123,18 +134,19 @@ def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
         except OverflowError:  # the sum overflows, the mean does not: take it exactly
             from fractions import Fraction  # imported here: it slows every CLI start
             mean = float(sum(map(Fraction, vals)) / len(vals))
+        osc = hi - lo
         rows.append(TraceRow(scale=b.scale(k), sample_min=lo, sample_max=hi,
-                             sample_mean=mean, oscillation=hi - lo))
-        if k + 1 >= s:
-            window = rows[k - s + 1:]
-            osc_ok = all(r.oscillation <= cfg.tol_osc for r in window)
-            steps_ok = all(
-                abs(cur.sample_mean - prev.sample_mean)
-                <= cfg.tol_step * (1.0 + abs(cur.sample_mean))
-                for prev, cur in zip(window, window[1:]))
-            if osc_ok and steps_ok:
-                status, detail = CONVERGED, None
-                break
+                             sample_mean=mean, oscillation=osc))
+        if not osc <= tol_osc:
+            run = 0
+        elif run and abs(mean - prev) <= tol_step * (1.0 + abs(mean)):
+            run += 1
+        else:
+            run = 1
+        prev = mean
+        if run >= s:
+            status, detail = CONVERGED, None
+            break
     else:
         tail = rows[-s:]
         if all(r.oscillation >= cfg.no_limit_floor for r in tail):

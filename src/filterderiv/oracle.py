@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import DomainError, NonSmoothPointError
 from .expr import (BINARY_FUNCTIONS, Binary, Call, Constant, Expr, Unary,
-                   Variable, evaluate, render)
+                   Variable, evaluate, evaluate_each, render)
 
 __all__ = [
     "OracleValue", "symbolic_derivative",
@@ -161,7 +161,13 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
 
 
 def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:
-    env = {var: x0}
+    """Refuse x0 at the first kink in a depth-first walk of e (a node before
+    its children, the right child first). The kink arguments are evaluated
+    in that order, all from one compiled function, and only up to that
+    kink: an argument that raises raises only if no earlier kink was found,
+    and no other part of e is evaluated."""
+    kinks: list[Call] = []
+    args: list[Expr] = []
     stack: list[Expr] = [e]
     while stack:
         node = stack.pop()
@@ -172,17 +178,25 @@ def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:
         elif isinstance(node, Call):
             stack.extend(node.args)
             if node.fn in ("abs", "sign"):
-                u = evaluate(node.args[0], env)
-                if abs(u) < KINK_TOLERANCE:
-                    raise NonSmoothPointError(
-                        f"argument of {render(node)} is {u!r} at {var}={x0!r}; "
-                        "the symbolic rules are invalid at this kink")
+                kinks.append(node)
+                args.append(node.args[0])
             elif node.fn in BINARY_FUNCTIONS:
-                gap = evaluate(node.args[0], env) - evaluate(node.args[1], env)
-                if abs(gap) < KINK_TOLERANCE:
-                    raise NonSmoothPointError(
-                        f"arguments of {render(node)} differ by {gap!r} at "
-                        f"{var}={x0!r}; the symbolic rules are invalid at this kink")
+                kinks.append(node)
+                args.extend((node.args[0], node.args[1]))
+    values = evaluate_each(args, {var: x0})
+    for node in kinks:
+        if node.fn in ("abs", "sign"):
+            u = next(values)
+            if abs(u) < KINK_TOLERANCE:
+                raise NonSmoothPointError(
+                    f"argument of {render(node)} is {u!r} at {var}={x0!r}; "
+                    "the symbolic rules are invalid at this kink")
+        else:
+            gap = next(values) - next(values)
+            if abs(gap) < KINK_TOLERANCE:
+                raise NonSmoothPointError(
+                    f"arguments of {render(node)} differ by {gap!r} at "
+                    f"{var}={x0!r}; the symbolic rules are invalid at this kink")
 
 
 def symbolic_derivative_value(e: Expr, var: str, x0: float) -> OracleValue:

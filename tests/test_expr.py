@@ -10,7 +10,7 @@ from filterderiv import (Binary, Call, Constant, DomainError, ParseError,
                          Unary, UnboundVariableError, Variable, as_function,
                          evaluate, free_vars, parse, render, symbolic_derivative_value)
 from filterderiv import expr as expr_module
-from filterderiv.expr import _MAX_DEPTH, BINARY_FUNCTIONS, UNARY_FUNCTIONS
+from filterderiv.expr import _MAX_DEPTH, BINARY_FUNCTIONS, UNARY_FUNCTIONS, evaluate_each
 
 
 class TestParse:
@@ -545,6 +545,13 @@ def _ref_compound(children):
 _ref_trees = st.recursive(_ref_leaf, _ref_compound, max_leaves=12)
 
 
+def _subtrees(e):
+    """e and every subtree of it, a node before its children, right child first."""
+    children = (e.child,) if isinstance(e, Unary) else (
+        (e.left, e.right) if isinstance(e, Binary) else getattr(e, "args", ()))
+    return [e] + [s for c in reversed(children) for s in _subtrees(c)]
+
+
 class TestGeneratedCodeAgainstReference:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(tree=_ref_trees, t=st.one_of(st.sampled_from(EDGE_DOUBLES + [0.5, -2.0, 1.0]),
@@ -553,6 +560,22 @@ class TestGeneratedCodeAgainstReference:
         expected = _outcome(lambda: _reference(tree, {"x": t}))
         assert _outcome(lambda: evaluate(tree, {"x": t})) == expected
         assert _outcome(lambda: as_function(tree, "x")(t)) == expected
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tree=_ref_trees, t=st.one_of(st.sampled_from(EDGE_DOUBLES + [0.5, -2.0, 1.0]),
+                                        st.floats(allow_nan=False, allow_infinity=False)))
+    def test_each_subtree_in_turn(self, tree, t):
+        # the tree's subtrees share their nodes as one object: each yields its
+        # own outcome, until the first error, also where a later tree holds
+        # an earlier one (leaves first) or a sibling of it (root first)
+        subs = _subtrees(tree)
+        for order in (subs, subs[::-1]):
+            values = evaluate_each(order, {"x": t})
+            for sub in order:
+                outcome = _outcome(lambda: next(values))
+                assert outcome == _outcome(lambda: _reference(sub, {"x": t}))
+                if not isinstance(outcome, str):
+                    break
 
     @pytest.mark.parametrize("t", NON_FINITE, ids=repr)
     def test_non_finite_argument_is_checked_first(self, t):
@@ -603,3 +626,37 @@ class TestNoTreeTextIsCompiled:
         assert evaluate(tree, {"x": 0.5}) == 12345678901.5
         assert as_function(tree)(0.5) == 12345678901.5
         assert len(sources) == 4 and not any(str(value) in s for s in sources)
+
+
+class TestEvaluateEach:
+    def test_values_in_turn_from_one_function(self, monkeypatch):
+        trees = [parse(text) for text in ("x", "x^2", "sin(x)+1", "min(x,2)")]
+        expected = [evaluate(tree, {"x": 3.0}) for tree in trees]
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        assert list(evaluate_each(trees, {"x": 3.0})) == expected
+        assert len(sources) == 1
+        assert list(evaluate_each([], {})) == []
+
+    def test_a_shared_node_is_evaluated_once(self):
+        reads = []
+
+        class Bindings(dict):
+            def __getitem__(self, name):
+                reads.append(name)
+                return super().__getitem__(name)
+        inner = Call("sin", (Variable("x"),))
+        outer = Binary("mul", inner, Constant(2.0))
+        assert list(evaluate_each([outer, inner], Bindings(x=0.5))) == [
+            2 * math.sin(0.5), math.sin(0.5)]
+        assert reads == ["x"]
+
+    def test_a_later_tree_raises_only_when_reached(self):
+        values = evaluate_each([parse("x"), parse("log(x)")], {"x": 0.0})
+        assert next(values) == 0.0
+        with pytest.raises(DomainError, match="log applied outside its domain"):
+            next(values)

@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from filterderiv import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, LimitConfig,
-                         SequenceSpec, estimate_limit, format_trace_csv,
-                         punctured_base, right_base, sequence_base)
+from filterderiv import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED, DomainError,
+                         LimitConfig, LimitEstimate, SequenceSpec, TraceRow,
+                         estimate_limit, format_trace_csv, punctured_base, right_base,
+                         sequence_base)
+from filterderiv import flimit
 from corpus import SMOOTH_CASES, SMOOTH_CFG
 
 import filterderiv as fd
@@ -177,3 +181,160 @@ class TestTraceCsv:
         assert lines[0] == "k,scale,min,max,mean,osc"
         assert len(lines) == LimitConfig().stable_levels + 1
         assert lines[1] == "0,1.0,5.0,5.0,5.0,0.0"
+
+
+def _window_descend(level_values, b, cfg):
+    """The convergence test as a re-scan of the last stable_levels trace rows
+    at every level: the reference that _descend's running streak must match."""
+    if cfg.max_level > b.max_level:
+        raise ValueError(
+            f"cfg.max_level={cfg.max_level} exceeds chain max_level={b.max_level}")
+    rows: list[TraceRow] = []
+    s = cfg.stable_levels
+    status, detail = UNDECIDED, "stability criterion not met within the level budget"
+    for k in range(cfg.max_level + 1):
+        try:
+            vals = level_values(k)
+        except DomainError as err:
+            status, detail = DOMAIN_ERROR, f"domain error at level {k}: {err}"
+            break
+        lo, hi = min(vals), max(vals)
+        try:
+            mean = math.fsum(vals) / len(vals)
+        except OverflowError:  # the sum overflows, the mean does not: take it exactly
+            from fractions import Fraction  # imported here: it slows every CLI start
+            mean = float(sum(map(Fraction, vals)) / len(vals))
+        rows.append(TraceRow(scale=b.scale(k), sample_min=lo, sample_max=hi,
+                             sample_mean=mean, oscillation=hi - lo))
+        if k + 1 >= s:
+            window = rows[k - s + 1:]
+            osc_ok = all(r.oscillation <= cfg.tol_osc for r in window)
+            steps_ok = all(
+                abs(cur.sample_mean - prev.sample_mean)
+                <= cfg.tol_step * (1.0 + abs(cur.sample_mean))
+                for prev, cur in zip(window, window[1:]))
+            if osc_ok and steps_ok:
+                status, detail = CONVERGED, None
+                break
+    else:
+        tail = rows[-s:]
+        if all(r.oscillation >= cfg.no_limit_floor for r in tail):
+            status, detail = NO_LIMIT, (
+                f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
+                f"{s} levels (last = {tail[-1].oscillation!r})")
+    value = rows[-1].sample_mean if status == CONVERGED else None
+    return LimitEstimate(status=status, value=value, trace=tuple(rows),
+                         failure_detail=detail)
+
+
+# Dyadic tolerances and offsets: the levels below are built so that every
+# oscillation and every step between means is exact in floating point, so
+# "on the boundary" means exactly on it.
+_TOL_OSC, _TOL_STEP, _TINY = 2.0 ** -3, 2.0 ** -2, 2.0 ** -32
+# An oscillation, or a step's excess over its bound: on the boundary, a tiny
+# amount either side of it, nothing, or far beyond it.
+_OFFSETS = (0.0, -_TINY, _TINY, "none", 0.5)
+
+
+def _levels(last_mean, kinds):
+    """Per-level value lists [mean - osc/2, mean + osc/2]. kinds[k] is
+    (osc offset, step offset, step sign, domain error); the means are built
+    from the last one backwards, so that the step into level k is exactly
+    tol_step * (1 + |mean_k|) plus its offset. "none" is oscillation 0 or
+    step 0."""
+    means = [last_mean]
+    for _, step, sign, _ in reversed(kinds[1:]):
+        m = means[-1]
+        bound = _TOL_STEP * (1.0 + abs(m))
+        gap = 0.0 if step == "none" else bound + step
+        prev = m - sign * gap
+        assert abs(m - prev) == gap  # exact, so the boundary is hit as built
+        means.append(prev)
+    means.reverse()
+    levels = []
+    for m, (osc, _, _, fails) in zip(means, kinds):
+        half = 0.0 if osc == "none" else (_TOL_OSC + osc) / 2
+        vals = [m - half, m + half]
+        assert vals[1] - vals[0] == 2 * half and math.fsum(vals) / 2 == m
+        levels.append(None if fails else vals)
+    return levels
+
+
+@st.composite
+def _descents(draw):
+    s = draw(st.integers(1, 4))
+    cfg = LimitConfig(max_level=draw(st.integers(s, s + 3)), stable_levels=s,
+                      tol_osc=_TOL_OSC, tol_step=_TOL_STEP,
+                      no_limit_floor=draw(st.sampled_from([_TOL_OSC, 1.0])))
+    kind = st.tuples(st.sampled_from(_OFFSETS), st.sampled_from(_OFFSETS),
+                     st.sampled_from([1.0, -1.0]), st.sampled_from([False] * 9 + [True]))
+    kinds = draw(st.lists(kind, min_size=cfg.max_level + 1, max_size=cfg.max_level + 1))
+    return cfg, _levels(draw(st.sampled_from([0.0, 0.5, -1.25, 3.0])), kinds)
+
+
+def _from_lists(levels):
+    def level_values(k):
+        if levels[k] is None:
+            raise DomainError("undefined here", argument=float(k))
+        return list(levels[k])
+    return level_values
+
+
+class TestStreakMatchesWindow:
+    """_descend's verdict, value, trace and detail equal the window re-scan's
+    on the same per-level values, with oscillations and steps placed on the
+    tolerances and just either side of them."""
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(_descents())
+    def test_same_estimate(self, case):
+        cfg, levels = case
+        b = punctured_base(1.0, 0.5, max_level=16)
+        assert (flimit._descend(_from_lists(levels), b, cfg)
+                == _window_descend(_from_lists(levels), b, cfg))
+
+
+def _const(mean, osc=0.0):
+    return [mean - osc / 2, mean + osc / 2]
+
+
+_NEAR = math.nextafter(_TOL_OSC, math.inf)
+
+
+class TestDescendBoundaries:
+    """Explicit per-level inputs with their verdict and level count."""
+
+    @pytest.mark.parametrize("s,max_level,levels,status,count", [
+        # stable_levels=1 converges at level 0
+        (1, 3, [_const(2.0)] * 4, CONVERGED, 1),
+        # an oscillation equal to tol_osc is ok; one just above it is not
+        (2, 3, [_const(0.0, _TOL_OSC)] * 4, CONVERGED, 2),
+        (2, 3, [_const(0.0, _NEAR)] * 4, UNDECIDED, 4),
+        # a step equal to tol_step * (1 + |mean|) passes: 1.5 -> 1.0 is 0.5
+        (2, 3, [_const(1.5), _const(1.0)] * 2, CONVERGED, 2),
+        (2, 3, [_const(math.nextafter(1.5, 2.0)), _const(1.0), _const(2.0),
+                _const(4.0)], UNDECIDED, 4),
+        # a failed step inside an oscillation-ok run restarts the count at
+        # that level (run 1, 2, 1, 2, 3), not at 0
+        (3, 6, [_const(0.0), _const(0.0), _const(10.0), _const(10.0),
+                _const(10.0), _const(10.0), _const(10.0)], CONVERGED, 5),
+        # a failed oscillation does restart it at 0 (run 1, 2, 0, 1, 2, 3)
+        (3, 6, [_const(0.0), _const(0.0), _const(0.0, 1.0), _const(0.0),
+                _const(0.0), _const(0.0), _const(0.0)], CONVERGED, 6),
+        # convergence exactly at level s - 1
+        (3, 5, [_const(7.0)] * 6, CONVERGED, 3),
+        (4, 5, [_const(7.0)] * 6, CONVERGED, 4),
+        # the budget runs out: no-limit when the last s levels oscillate by
+        # at least the floor, undecided otherwise
+        (2, 3, [_const(0.0, 2.0)] * 4, NO_LIMIT, 4),
+        (2, 3, [_const(0.0, 2.0)] * 3 + [_const(0.0, 0.5)], UNDECIDED, 4),
+        (2, 3, [_const(0.0, 0.5)] * 3 + [_const(0.0, 2.0)], UNDECIDED, 4),
+        # convergence at the very last level
+        (2, 3, [_const(0.0, 2.0)] * 2 + [_const(1.0)] * 2, CONVERGED, 4),
+    ])
+    def test_verdict_and_level_count(self, s, max_level, levels, status, count):
+        cfg = LimitConfig(max_level=max_level, stable_levels=s, tol_osc=_TOL_OSC,
+                          tol_step=_TOL_STEP, no_limit_floor=1.0)
+        est = flimit._descend(_from_lists(levels), punctured_base(1.0, 0.5), cfg)
+        assert (est.status, len(est.trace)) == (status, count)
+        assert est.value == (est.trace[-1].sample_mean if status == CONVERGED else None)

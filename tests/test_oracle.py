@@ -3,10 +3,12 @@ import time
 
 import pytest
 
-from filterderiv import (Call, DomainError, NonSmoothPointError, Variable, as_function,
-                         evaluate, parse, render, richardson_one_sided,
-                         symbolic_derivative, symbolic_derivative_value)
-from filterderiv import oracle
+from filterderiv import (Call, DomainError, NonSmoothPointError, UnboundVariableError,
+                         Variable, as_function, evaluate, parse, render,
+                         richardson_one_sided, symbolic_derivative,
+                         symbolic_derivative_value)
+from filterderiv import cli, oracle
+from filterderiv import expr as expr_module
 from filterderiv.expr import UNARY_FUNCTIONS
 from corpus import SMOOTH_CASES
 
@@ -106,6 +108,96 @@ class TestKinkRefusal:
         assert ov.value == 1.0
         assert ov.method == "symbolic"
         assert ov.estimated_error == 0.0
+
+
+def _nested_min(depth):
+    text = "x"
+    for _ in range(depth):
+        text = f"min({text},1)"
+    return text
+
+
+_NESTED = _nested_min(45)
+_KINK = "the symbolic rules are invalid at this kink"
+_ABS_AT_0 = f"argument of abs(x) is 0.0 at x=0.0; {_KINK}"
+_LOG_AT_0 = "log applied outside its domain in log(x) (argument 0.0)"
+_RECIP_AT_0 = "division by zero in 1.0/x (argument 0.0)"
+_SQRT_AT_HALF = "sqrt applied outside its domain in sqrt(x-1.0) (argument -0.5)"
+
+
+class TestKinkCheckOutcomes:
+    """Kinks, domain errors and both together: the kink check walks e
+    depth-first, a node before its children and the right child first, and
+    the first kink or failing argument on that walk decides. Parts of e
+    outside the kink arguments are not evaluated by the check."""
+
+    @pytest.mark.parametrize("text,x0,expected", [
+        ("abs(x)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
+        ("abs(x)", 2.0, 1.0),
+        ("abs(x)", math.inf, ("DomainError",
+                              "variable is not bound to a finite real in x (argument inf)")),
+        ("abs(x)", math.nan, ("DomainError",
+                              "variable is not bound to a finite real in x (argument nan)")),
+        ("abs(y)", 1.0, ("UnboundVariableError", "unbound variable 'y'")),
+        ("sin(x)", 0.3, 0.955336489125606),
+        # the failing sqrt is outside every kink argument: the check passes
+        # and the derivative's own evaluation fails
+        ("sqrt(x-1)+abs(x)", 0.5, ("DomainError", _SQRT_AT_HALF)),
+        ("abs(sqrt(x-1))", 0.5, ("DomainError", _SQRT_AT_HALF)),
+        ("log(x)+abs(x)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
+        ("abs(x)+log(x)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
+        # right operand first: whichever of the kink and the failure it holds wins
+        ("abs(x)+abs(log(x))", 0.0, ("DomainError", _LOG_AT_0)),
+        ("abs(log(x))+abs(x)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
+        ("abs(x)*abs(1/x)", 0.0, ("DomainError", _RECIP_AT_0)),
+        ("abs(1/x)*abs(x)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
+        ("min(x,log(x))", 0.0, ("DomainError", _LOG_AT_0)),
+        ("min(log(x),x)", 0.0, ("DomainError", _LOG_AT_0)),
+        ("max(x,1/x)", 0.0, ("DomainError", _RECIP_AT_0)),
+        # a call before its arguments
+        ("min(abs(x),1)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
+        ("max(abs(x),log(x))", 0.0, ("DomainError", _LOG_AT_0)),
+        ("min(abs(x-1),log(x))", 1.0, (
+            "NonSmoothPointError",
+            f"arguments of min(abs(x-1.0),log(x)) differ by 0.0 at x=1.0; {_KINK}")),
+        ("max(sign(x),abs(log(x)))", 1.0, (
+            "NonSmoothPointError", f"argument of abs(log(x)) is 0.0 at x=1.0; {_KINK}")),
+        ("max(x,2-x)", 1.0, (
+            "NonSmoothPointError", f"arguments of max(x,2.0-x) differ by 0.0 at x=1.0; {_KINK}")),
+        ("min(x,1)+abs(x-2)", 1.0, (
+            "NonSmoothPointError", f"arguments of min(x,1.0) differ by 0.0 at x=1.0; {_KINK}")),
+        ("abs(x-2)+min(x,1)", 1.0, (
+            "NonSmoothPointError", f"arguments of min(x,1.0) differ by 0.0 at x=1.0; {_KINK}")),
+        ("sign(x-1)*log(x-2)", 1.0, (
+            "NonSmoothPointError", f"argument of sign(x-1.0) is 0.0 at x=1.0; {_KINK}")),
+        ("-abs(x^0.5)", -1.0, (
+            "DomainError", "negative base with non-integer exponent in x^0.5 (argument -1.0)")),
+        (_NESTED, 0.5, 1.0),
+        (_NESTED, 1.0, (
+            "NonSmoothPointError",
+            f"arguments of {render(parse(_NESTED))} differ by 0.0 at x=1.0; {_KINK}")),
+    ])
+    def test_outcome(self, text, x0, expected):
+        try:
+            outcome = symbolic_derivative_value(parse(text), "x", x0).value
+        except (NonSmoothPointError, DomainError, UnboundVariableError) as exc:
+            outcome = type(exc).__name__, str(exc)
+        assert outcome == expected
+
+    def test_nested_min_compiles_kink_arguments_once(self, capsys, monkeypatch):
+        # one function for the CLI's f, one for all kink arguments and one for
+        # the derivative; one per kink argument made 92
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        assert cli.main(["derive", "--expr", _NESTED, "--x0", "0.5",
+                         "--base", "punctured:", "--oracle"]) == 0
+        assert '"symbolic": {\n      "estimated_error": 0.0,\n      "value": 1.0\n    }' \
+            in capsys.readouterr().out
+        assert len(sources) <= 3
 
 
 class TestRichardson:
