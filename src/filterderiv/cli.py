@@ -194,9 +194,11 @@ def _oracle_payload(e, var: str, x0: float, f, base: FilterBaseChain) -> dict:
         out["symbolic_note"] = str(exc)
     except DomainError as exc:
         out["symbolic_note"] = f"domain error: {exc}"
-    kind = base.params.get("kind")
-    sides = {"right": ("right",), "left": ("left",)}.get(kind, ("right", "left"))
-    for side in sides:
+    # the sides the base approaches x0 from, as its first points show: one
+    # per span of a geometric base, the first two terms of a sequence
+    hs = base.sample(0, 2, 0)
+    for side in [side for side, sign in (("right", 1.0), ("left", -1.0))
+                 if any(sign * h > 0.0 for h in hs)]:
         try:
             rv = richardson_one_sided(f, x0, side)
             out[f"richardson_{side}"] = {"value": rv.value,

@@ -240,17 +240,25 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _nodes(e: Expr) -> Iterator[Expr]:
+    """Every node of e, iteratively: each node before its children, the right
+    child (the last argument) first. A subtree that occurs several times is
+    visited each time."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack.extend((node.left, node.right))
+        elif isinstance(node, Call):
+            stack.extend(node.args)
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     """The set of variable names occurring in ``e``."""
-    if isinstance(e, Variable):
-        return frozenset((e.name,))
-    if isinstance(e, Constant):
-        return frozenset()
-    if isinstance(e, Unary):
-        return free_vars(e.child)
-    if isinstance(e, Binary):
-        return free_vars(e.left) | free_vars(e.right)
-    return frozenset().union(*(free_vars(a) for a in e.args))
+    return frozenset(node.name for node in _nodes(e) if isinstance(node, Variable))
 
 
 def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:

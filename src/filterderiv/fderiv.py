@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
-from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, LimitConfig,
+from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED, LimitConfig,
                      LimitEstimate, _descend, _finite_values, estimate_limit)
 
 __all__ = [
@@ -128,12 +128,34 @@ def _require_punctured(b: FilterBaseChain) -> None:
             "contain h = 0 where the difference quotient is undefined")
 
 
+def _unmoved(est: LimitEstimate, x0: float, still: float, b: FilterBaseChain,
+             cfg: LimitConfig,
+             points: Callable[[int], Sequence[float]] | None = None) -> LimitEstimate:
+    """est, or undecided if one of the last stable_levels levels it converged
+    on samples a point x0 + h == x0. There a quotient is 0 and a value is
+    f(x0), whatever f does, so such levels can pass the streak test on their
+    own. That value, still, is then among the level's values, so only levels
+    whose range holds it are searched; points(k) gives level k's points
+    x0 + h, by default from b."""
+    if est.converged:
+        m, seed, n = cfg.samples_per_level, cfg.seed, len(est.trace)
+        for k in range(n - cfg.stable_levels, n):
+            row = est.trace[k]
+            if row.sample_min <= still <= row.sample_max and x0 in (
+                    points(k) if points else [x0 + h for h in b.sample(k, m, seed)]):
+                return replace(est, status=UNDECIDED, value=None, failure_detail=(
+                    f"converged on level {k}, which samples an h with {x0!r} + h == "
+                    f"{x0!r}, where every function gives {still!r}"))
+    return est
+
+
 def derivative(f: Callable[[float], float], x0: float, b: FilterBaseChain,
                cfg: LimitConfig) -> DerivativeResult:
     """Limit of the difference quotient of f at x0 along b. The chain must
-    be flagged punctured_at_zero, since h is a divisor."""
+    be flagged punctured_at_zero, since h is a divisor. An estimate that
+    converged on a level with a sample x0 + h == x0 is undecided."""
     _require_punctured(b)
-    est = estimate_limit(difference_quotient(f, x0), b, cfg)
+    est = _unmoved(estimate_limit(difference_quotient(f, x0), b, cfg), x0, 0.0, b, cfg)
     return DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
 
 
@@ -156,9 +178,11 @@ def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
 def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                  cfg: LimitConfig) -> FContinuityReport:
     """Check lim f(a+h) along b against f(a). f(a) must be a finite real: a
-    DomainError is raised otherwise, before any sampled point is evaluated."""
-    return _continuity(_finite_values(f, (a,))[0], a, b, cfg,
-                       estimate_limit(lambda h: f(a + h), b, cfg))
+    DomainError is raised otherwise, before any sampled point is evaluated.
+    A limit that converged on a level with a sample a + h == a is undecided."""
+    target = _finite_values(f, (a,))[0]
+    est = estimate_limit(lambda h: f(a + h), b, cfg)
+    return _continuity(target, a, b, cfg, _unmoved(est, a, target, b, cfg))
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
@@ -173,7 +197,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     g's) and the derivative of c, in that order; compare it with rhs_of(f',
     g'). c is x -> combine(f(x), g(x)) unless given; at_x0 is (f(x0), g(x0))
     if the caller has them. Estimates read one table of f and g at level k's
-    points x0 + h, and redo a level it falls short on with f's, g's or c's closure."""
+    points x0 + h, and redo a level it falls short on with f's, g's or c's closure;
+    as in derivative, one that converged on a point x0 + h == x0 is undecided."""
     _require_punctured(b)
     if not 0.0 <= check_tol <= sys.float_info.max:
         raise ValueError("check_tol must be a finite real >= 0")
@@ -212,7 +237,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
             fn = fns[name]  # the table fell short: as derivative or f_continuity does
             return _finite_values(difference_quotient(fn, x0) if quotient
                                   else lambda h: fn(x0 + h), hs)
-        return _descend(level_values, b, cfg)
+        return _unmoved(_descend(level_values, b, cfg), x0,
+                        0.0 if quotient else row(name, None)[0], b, cfg, lambda k: level(k)[1])
 
     def derived(name: str) -> DerivativeResult:
         return DerivativeResult(x0=x0, base_id=b.id, estimate=estimate(name, True), cfg=cfg)
@@ -259,7 +285,11 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
                     cfg: LimitConfig, check_tol: float) -> RuleCheckReport:
     """Check d(alpha*f + beta*g) = alpha*df + beta*dg along b at x0; alpha and
     beta must be finite reals and check_tol a finite real >= 0 (ValueError
-    otherwise, before any sampled point is evaluated)."""
+    otherwise, before any sampled point is evaluated). The rule needs no
+    value at x0 beyond the quotients', so, as in derivative, f or g
+    undefined at x0 is that ingredient's domain-error estimate and an
+    inconclusive verdict, not the DomainError the product and quotient
+    checks raise."""
     if not all(-sys.float_info.max <= c <= sys.float_info.max for c in (alpha, beta)):
         raise ValueError("alpha and beta must be finite reals")
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,

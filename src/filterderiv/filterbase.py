@@ -378,7 +378,8 @@ class SequenceSpec:
     - geo:      h_n = c * q**n,    0 < |q| < 1
     - piovern:  h_n = c / (pi * n)
 
-    with c != 0 and n >= 1.
+    with c != 0 and n >= 1. p is given for powinv only and q for geo only;
+    a parameter the kind does not use is a ValueError.
     """
 
     kind: str
@@ -398,6 +399,9 @@ class SequenceSpec:
         if self.kind == "geo":
             if self.q is None or not (math.isfinite(self.q) and 0.0 < abs(self.q) < 1.0):
                 raise ValueError("geo requires 0 < |q| < 1")
+        for name, used_by in (("p", "powinv"), ("q", "geo")):
+            if getattr(self, name) is not None and self.kind != used_by:
+                raise ValueError(f"{self.kind} takes no {name}; only {used_by} does")
 
     def describe(self) -> str:
         if self.kind == "powinv":

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import DomainError, NonSmoothPointError
 from .expr import (BINARY_FUNCTIONS, Binary, Call, Constant, Expr, Unary,
-                   Variable, evaluate, evaluate_each, render)
+                   Variable, _nodes, evaluate, evaluate_each, render)
 
 __all__ = [
     "OracleValue", "symbolic_derivative",
@@ -28,6 +28,7 @@ __all__ = [
 # |u(x0)| below this makes an abs/sign/min/max argument "at a kink": the
 # symbolic rules are invalid there and the oracle refuses the point.
 KINK_TOLERANCE = 1e-12
+_KINKS = ("abs", "sign", *BINARY_FUNCTIONS)
 
 # First step and tableau depth of richardson_one_sided: steps h0 * 2**-j
 # for j < depth.
@@ -161,42 +162,22 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
 
 
 def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:
-    """Refuse x0 at the first kink in a depth-first walk of e (a node before
+    """Refuse x0 at the first kink on expr._nodes's walk of e (a node before
     its children, the right child first). The kink arguments are evaluated
     in that order, all from one compiled function, and only up to that
     kink: an argument that raises raises only if no earlier kink was found,
     and no other part of e is evaluated."""
-    kinks: list[Call] = []
-    args: list[Expr] = []
-    stack: list[Expr] = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unary):
-            stack.append(node.child)
-        elif isinstance(node, Binary):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-            if node.fn in ("abs", "sign"):
-                kinks.append(node)
-                args.append(node.args[0])
-            elif node.fn in BINARY_FUNCTIONS:
-                kinks.append(node)
-                args.extend((node.args[0], node.args[1]))
-    values = evaluate_each(args, {var: x0})
+    kinks = [node for node in _nodes(e) if isinstance(node, Call) and node.fn in _KINKS]
+    values = evaluate_each([arg for node in kinks for arg in node.args], {var: x0})
     for node in kinks:
-        if node.fn in ("abs", "sign"):
-            u = next(values)
-            if abs(u) < KINK_TOLERANCE:
-                raise NonSmoothPointError(
-                    f"argument of {render(node)} is {u!r} at {var}={x0!r}; "
-                    "the symbolic rules are invalid at this kink")
-        else:
-            gap = next(values) - next(values)
-            if abs(gap) < KINK_TOLERANCE:
-                raise NonSmoothPointError(
-                    f"arguments of {render(node)} differ by {gap!r} at "
-                    f"{var}={x0!r}; the symbolic rules are invalid at this kink")
+        u = [next(values) for _ in node.args]
+        pair = node.fn in BINARY_FUNCTIONS
+        gap = u[0] - u[1] if pair else u[0]
+        if abs(gap) < KINK_TOLERANCE:
+            what = "arguments of {} differ by" if pair else "argument of {} is"
+            raise NonSmoothPointError(
+                f"{what.format(render(node))} {gap!r} at {var}={x0!r}; "
+                "the symbolic rules are invalid at this kink")
 
 
 def symbolic_derivative_value(e: Expr, var: str, x0: float) -> OracleValue:
@@ -217,19 +198,16 @@ def richardson_one_sided(f: Callable[[float], float], x0: float,
         raise ValueError("side must be 'right' or 'left'")
     sigma = 1.0 if side == "right" else -1.0
     fx0 = f(x0)
-    depth = _RICHARDSON_DEPTH
-    tableau = [[0.0] * depth for _ in range(depth)]
-    for j in range(depth):
+    row: list[float] = []  # row j of the tableau; prev is row j - 1
+    for j in range(_RICHARDSON_DEPTH):
         h = sigma * _RICHARDSON_H0 * 2.0 ** -j
-        tableau[j][0] = (f(x0 + h) - fx0) / h
-    # one-sided quotients expand in powers h^1, h^2, ...: column i kills h^i
-    for i in range(1, depth):
-        factor = 2.0 ** i
-        for j in range(i, depth):
-            tableau[j][i] = (factor * tableau[j][i - 1] - tableau[j - 1][i - 1]) \
-                / (factor - 1.0)
-    value = tableau[depth - 1][depth - 1]
-    err = abs(value - tableau[depth - 2][depth - 2])
+        prev, row = row, [(f(x0 + h) - fx0) / h]
+        # one-sided quotients expand in powers h^1, h^2, ...: column i kills h^i
+        for i in range(1, j + 1):
+            factor = 2.0 ** i
+            row.append((factor * row[i - 1] - prev[i - 1]) / (factor - 1.0))
+    value = row[-1]
+    err = abs(value - prev[-1])
     if not math.isfinite(err):  # also when value is not finite
         raise DomainError("Richardson tableau left the float range", argument=x0)
     return OracleValue(value=value, method=f"richardson-{side}", estimated_error=err)

@@ -238,6 +238,57 @@ class TestOracleFlag:
         assert abs(payload["value"] - 3.0) <= 1e-5
         assert abs(oracle["richardson_right"]["value"] - 3.0) <= 1e-8
 
+    @pytest.mark.parametrize("base,sides", [
+        ("seq:kind=powinv,c=1", {"right"}),
+        ("seq:kind=piovern,c=-2", {"left"}),
+        ("seq:kind=geo,c=1,q=-0.5", {"right", "left"}),
+    ])
+    def test_richardson_sides_are_the_sides_the_base_approaches_from(
+            self, capsys, base, sides):
+        _, payload = main_json(capsys, "derive", "--expr", "abs(x)", "--x0", "0",
+                               "--base", base, "--oracle")
+        oracle = payload["oracle"]
+        got = {side for side in ("right", "left") if oracle[f"richardson_{side}"]}
+        assert got == sides
+        for side in sides:
+            assert oracle[f"richardson_{side}"]["value"] == (1.0 if side == "right" else -1.0)
+
+
+class TestUnmovedSamples:
+    """Levels whose samples leave x0 where it is cannot make an estimate
+    converge: each of these converged on them at an earlier version."""
+
+    @pytest.mark.parametrize("argv,status", [
+        (["derive", "--expr", "x^2", "--x0", "1000", "--base", "punctured:"], "undecided"),
+        (["derive", "--expr", "x^2", "--x0", "1000", "--base", "punctured:",
+          "--tol-osc", "1e-4", "--tol-step", "3e-7", "--oracle"], "undecided"),
+        (["check", "product", "--f", "x", "--g", "x", "--x0", "1000", "--base", "punctured:",
+          "--tol-osc", "1e-4", "--tol-step", "1e-7"], "inconclusive"),
+        (["continuity", "--expr", "sign(x-1e16)", "--a", "1e16", "--base", "punctured:"],
+         "undecided"),
+    ])
+    def test_exits_3(self, capsys, argv, status):
+        code, payload = main_json(capsys, *argv)
+        assert (code, payload["status"], payload["value"]) == (3, status, None)
+
+
+class TestRuleChecksAtAnUndefinedX0:
+    """check_linearity needs no value at x0 beyond the quotients': f undefined
+    there is f's domain-error estimate. check_product_rule needs f(x0) for
+    its right-hand side and raises a DomainError before any estimate."""
+
+    def test_linearity_is_inconclusive(self, capsys):
+        code, payload = main_json(capsys, "check", "linearity", "--f", "log(x)", "--g", "x",
+                                  "--x0", "0", "--base", "punctured:")
+        assert (code, payload["status"]) == (3, "inconclusive")
+        assert "derivative of f did not converge (status: domain-error)" in payload["notes"]
+
+    def test_product_is_an_input_error(self, capsys):
+        code, payload = main_json(capsys, "check", "product", "--f", "log(x)", "--g", "x",
+                                  "--x0", "0", "--base", "punctured:")
+        assert (code, payload["status"]) == (4, "input-error")
+        assert payload["notes"] == ["log applied outside its domain in log(x) (argument 0.0)"]
+
 
 class TestParamsEcho:
     def test_defaults_echoed(self):

@@ -236,6 +236,26 @@ class TestFreeVars:
     def test_examples(self, text, names):
         assert free_vars(parse(text)) == names
 
+    def test_tree_deeper_than_the_recursion_limit(self):
+        e = Variable("x")
+        for i in range(3 * sys.getrecursionlimit()):
+            e = Unary("neg", e) if i % 2 else Binary("add", Constant(1.0), e)
+        assert free_vars(Call("min", (e, Variable("y")))) == {"x", "y"}
+
+
+class TestNodes:
+    def test_preorder_right_child_first(self):
+        e = parse("min(a,-b)+sin(c)*d")
+        order = [render(node) for node in expr_module._nodes(e)]
+        assert order == ["min(a,-b)+sin(c)*d", "sin(c)*d", "d", "sin(c)", "c",
+                         "min(a,-b)", "-b", "b", "a"]
+
+    def test_a_shared_subtree_is_visited_each_time(self):
+        x = Variable("x")
+        shared = Binary("mul", x, x)
+        nodes = list(expr_module._nodes(Binary("add", shared, shared)))
+        assert len(nodes) == 7 and sum(node is shared for node in nodes) == 2
+
 
 class TestAsFunction:
     def test_single_variable(self):

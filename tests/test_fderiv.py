@@ -569,3 +569,61 @@ class TestSharedEvaluation:
         reached = max(len(e.trace) for e in estimates)
         bound = C.samples_per_level * reached + 1   # every point reached, and x0
         assert 0 < calls["f"] <= bound and 0 < calls["g"] <= bound
+
+
+GRID_TEXTS = ["x", "x^2", "sin(x)", "exp(x/1e6)", "x^3", "1/x", "log(x)", "sqrt(x)",
+              "cos(x)*x"]
+GRID_POINTS = [1e3, -1e3, 1e2, 3e2, 3e3, 1e4, 1e6, 1e9, -1e9, 1e12, 1e15]
+
+
+class TestUnmovedSamples:
+    """For |x0| large against a level's scale, a sampled h can give
+    x0 + h == x0: the quotient there is exactly 0 and the shifted value
+    exactly f(x0), whatever f does, so such levels pass the streak test on
+    their own. An estimate that converged on one is undecided."""
+
+    @pytest.mark.parametrize("cfg", [CFG, SMOOTH_CFG, PQ_CFG],
+                             ids=["default", "smooth", "pq"])
+    def test_converged_values_agree_with_the_oracle(self, cfg):
+        checked = wrong = 0
+        for text in GRID_TEXTS:
+            e = parse(text)
+            f = as_function(e)
+            for x0 in GRID_POINTS:
+                try:
+                    want = symbolic_derivative_value(e, "x", x0).value
+                except DomainError:
+                    continue
+                for b in (punctured_base(1, 0.5), right_base(1, 0.5),
+                          punctured_base(0.7, 0.6)):
+                    res = derivative(f, x0, b, cfg)
+                    checked += 1
+                    if res.converged and abs(res.value - want) > 1e-6 * max(1.0, abs(want)):
+                        wrong += 1
+        assert checked == 282 and wrong == 0
+
+    def test_derivative_names_the_level(self):
+        res = derivative(as_function(parse("x^2")), 1000.0, punctured_base(1, 0.5), CFG)
+        assert res.status == "undecided" and res.value is None
+        assert res.estimate.failure_detail == (
+            "converged on level 44, which samples an h with 1000.0 + h == 1000.0, "
+            "where every function gives 0.0")
+
+    def test_continuity(self):
+        rep = f_continuity(as_function(parse("sign(x-1e16)")), 1e16,
+                           punctured_base(1, 0.5), CFG)
+        assert rep.limit.status == "undecided" and not rep.is_continuous
+        assert rep.limit.failure_detail.startswith("converged on level 0, ")
+
+    def test_rule_check(self):
+        rep = check_product_rule(IDENT, IDENT, 1000.0, punctured_base(1, 0.5), PQ_CFG, 1e-5)
+        assert rep.verdict == "inconclusive"
+        assert rep.lhs.status == "undecided"
+        assert rep.failure_detail == "combined-function derivative was undecided"
+
+    def test_a_streak_of_levels_that_move_x0_stands(self):
+        # the first sample with 1000 + h == 1000 is on level 39; this streak
+        # ends on level 10
+        res = derivative(as_function(parse("x^2")), 1000.0, punctured_base(1, 0.5),
+                         LimitConfig(tol_osc=1e-2, tol_step=1e-6))
+        assert res.converged and len(res.estimate.trace) == 11

@@ -134,6 +134,10 @@ class TestSequenceBase:
         dict(kind="geo", c=1.0),              # missing q
         dict(kind="piovern", c=0.0),          # all terms zero
         dict(kind="alternating", c=1.0),      # outside the closed family
+        dict(kind="geo", c=1.0, q=0.5, p=7.0),  # a parameter the kind does not use
+        dict(kind="piovern", c=1.0, p=1.0),
+        dict(kind="powinv", c=1.0, p=1.0, q=0.5),
+        dict(kind="piovern", c=1.0, q=0.5),
     ])
     def test_specs_outside_family_rejected(self, spec_kwargs):
         with pytest.raises(ValueError):

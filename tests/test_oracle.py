@@ -200,7 +200,39 @@ class TestKinkCheckOutcomes:
         assert len(sources) <= 3
 
 
+def _full_tableau(f, x0, side):
+    """Reference: the whole 8x8 Richardson tableau, filled column by column
+    after every quotient; returns the last diagonal entry and its gap to the
+    one before."""
+    sigma = 1.0 if side == "right" else -1.0
+    fx0 = f(x0)
+    t = [[0.0] * 8 for _ in range(8)]
+    for j in range(8):
+        h = sigma * 0.5 * 2.0 ** -j
+        t[j][0] = (f(x0 + h) - fx0) / h
+    for i in range(1, 8):
+        factor = 2.0 ** i
+        for j in range(i, 8):
+            t[j][i] = (factor * t[j][i - 1] - t[j - 1][i - 1]) / (factor - 1.0)
+    return t[7][7], abs(t[7][7] - t[6][6])
+
+
 class TestRichardson:
+    @pytest.mark.parametrize("text,pts", SMOOTH_CASES + [
+        ("abs(x)", [0.0, 0.3]), ("min(x,2*x)", [0.0]), ("1/x", [0.3, -2.0]),
+        ("exp(x)", [700.0]), ("1e308*x", [1.0])])
+    def test_bit_identical_to_the_full_tableau(self, text, pts):
+        f = as_function(parse(text))
+        for x0 in pts:
+            for side in ("right", "left"):
+                value, err = _full_tableau(f, x0, side)
+                if math.isfinite(err):
+                    got = richardson_one_sided(f, x0, side)
+                    assert (got.value.hex(), got.estimated_error.hex()) == (value.hex(), err.hex())
+                else:
+                    with pytest.raises(DomainError, match="left the float range"):
+                        richardson_one_sided(f, x0, side)
+
     def test_abs_right_left_exact(self):
         right = richardson_one_sided(abs, 0.0, "right")
         left = richardson_one_sided(abs, 0.0, "left")
