@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
-from .flimit import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED, LimitConfig,
+from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig,
                      LimitEstimate, _descend, _finite_values, estimate_limit)
 
 __all__ = [
@@ -268,12 +268,9 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
         verdict = VIOLATED
         detail = ("combined function has no derivative along the base "
                   "although every hypothesis held")
-    elif lhs.status == DOMAIN_ERROR:
+    else:  # undecided or domain-error: the detail says why
         verdict = INCONCLUSIVE
-        detail = ("combined-function estimate hit a domain error: "
-                  f"{lhs.estimate.failure_detail}")
-    else:
-        verdict, detail = INCONCLUSIVE, "combined-function derivative was undecided"
+        detail = f"combined-function estimate was {lhs.status}: {lhs.estimate.failure_detail}"
     return RuleCheckReport(
         rule=rule, lhs=lhs, rhs_value=rhs, f_prime=df, g_prime=dg,
         continuity_reports=continuity, verdict=verdict, abs_error=abs_err,

@@ -3,7 +3,7 @@
 Two routes that share no code with the limit estimator:
 
 - symbolic differentiation over the expression AST (exact, valid wherever
-  no abs/sign argument vanishes), and
+  f is defined and no abs/sign/min/max node is at a kink), and
 - Richardson-extrapolated one-sided difference quotients.
 
 A disagreement between the two localizes a bug to one of symbolic rules,
@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import DomainError, NonSmoothPointError
 from .expr import (BINARY_FUNCTIONS, Binary, Call, Constant, Expr, Unary,
-                   Variable, _nodes, evaluate, evaluate_each, render)
+                   Variable, _nodes, evaluate_each, render)
 
 __all__ = [
     "OracleValue", "symbolic_derivative",
@@ -86,8 +86,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return _const(0.0)
-    if _is_const(b, 1.0):
-        return a
     return Binary("div", a, b)
 
 
@@ -161,14 +159,18 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
     return _CHAIN_RULES[e.fn](e.args[0], e, symbolic_derivative(e.args[0], var))
 
 
-def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:
-    """Refuse x0 at the first kink on expr._nodes's walk of e (a node before
-    its children, the right child first). The kink arguments are evaluated
-    in that order, all from one compiled function, and only up to that
-    kink: an argument that raises raises only if no earlier kink was found,
-    and no other part of e is evaluated."""
+def symbolic_derivative_value(e: Expr, var: str, x0: float) -> OracleValue:
+    """Evaluate the symbolic derivative at x0. One compiled function yields,
+    in turn, the argument(s) of each abs/sign/min/max node on expr._nodes's
+    walk of e (a node before its children, the right child first), f(x0) and
+    f'(x0). The first kink on that walk refuses x0 (NonSmoothPointError) and
+    nothing after it is evaluated: an argument that raises raises only if no
+    earlier kink was found, and f and f' are evaluated only after every kink
+    argument. An x0 where f is undefined is a DomainError, whatever f' gives
+    there. Symbolic results carry estimated_error 0."""
+    d = symbolic_derivative(e, var)
     kinks = [node for node in _nodes(e) if isinstance(node, Call) and node.fn in _KINKS]
-    values = evaluate_each([arg for node in kinks for arg in node.args], {var: x0})
+    values = evaluate_each([*(arg for node in kinks for arg in node.args), e, d], {var: x0})
     for node in kinks:
         u = [next(values) for _ in node.args]
         pair = node.fn in BINARY_FUNCTIONS
@@ -178,15 +180,8 @@ def _assert_smooth_at(e: Expr, var: str, x0: float) -> None:
             raise NonSmoothPointError(
                 f"{what.format(render(node))} {gap!r} at {var}={x0!r}; "
                 "the symbolic rules are invalid at this kink")
-
-
-def symbolic_derivative_value(e: Expr, var: str, x0: float) -> OracleValue:
-    """Evaluate the symbolic derivative at x0, refusing kink points
-    (NonSmoothPointError). Symbolic results carry estimated_error 0."""
-    _assert_smooth_at(e, var, x0)
-    d = symbolic_derivative(e, var)
-    return OracleValue(value=evaluate(d, {var: x0}), method="symbolic",
-                       estimated_error=0.0)
+    next(values)  # f(x0)
+    return OracleValue(value=next(values), method="symbolic", estimated_error=0.0)
 
 
 def richardson_one_sided(f: Callable[[float], float], x0: float,

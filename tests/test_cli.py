@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterderiv import LimitConfig
+from filterderiv import filterbase as fb
 
 GOLDEN = Path(__file__).parent / "golden"
 TOP_KEYS = {"command", "params", "status", "value", "trace_file", "oracle", "notes"}
@@ -228,6 +229,13 @@ class TestOracleFlag:
         assert oracle["symbolic_note"] == (
             "domain error: division by zero in 1.0/(2.0*sqrt(x)) (argument 0.0)")
 
+    def test_symbolic_where_f_is_undefined_is_a_note(self, capsys):
+        code, payload = main_json(capsys, "derive", "--expr", "log(x)", "--x0", "-1000",
+                                  "--base", "punctured:", "--oracle")
+        oracle = payload["oracle"]
+        assert (code, payload["status"], oracle["symbolic"]) == (4, "domain-error", None)
+        assert oracle["symbolic_note"].startswith("domain error:")
+
     def test_smooth_point_symbolic_agrees(self):
         res = run_cli("derive", "--expr", "x^2", "--x0", "1.5",
                       "--base", "punctured:delta0=1,ratio=0.5",
@@ -271,6 +279,14 @@ class TestUnmovedSamples:
         code, payload = main_json(capsys, *argv)
         assert (code, payload["status"], payload["value"]) == (3, status, None)
 
+    def test_rule_check_names_the_unmoved_level(self, capsys):
+        _, payload = main_json(capsys, "check", "product", "--f", "x", "--g", "x",
+                               "--x0", "1000", "--base", "punctured:",
+                               "--tol-osc", "1e-4", "--tol-step", "1e-7")
+        assert [n for n in payload["notes"] if "1000.0 + h == 1000.0" in n] == [
+            "combined-function estimate was undecided: converged on level 44, which "
+            "samples an h with 1000.0 + h == 1000.0, where every function gives 0.0"]
+
 
 class TestRuleChecksAtAnUndefinedX0:
     """check_linearity needs no value at x0 beyond the quotients': f undefined
@@ -312,6 +328,28 @@ class TestParamsEcho:
         _, payload = main_json(capsys, "limit", "--expr", "h",
                                "--base", "seq:kind=geo", "--levels", "8")
         assert payload["params"]["base_params"]["tail_points"] == 256
+
+
+class TestBaseSpecs:
+    """A chain's id is the base spec that builds it again."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: fb.punctured_base(1.0, 0.5, max_level=48),
+        lambda: fb.right_base(1e-05, 0.25, max_level=40),
+        lambda: fb.left_base(3.0, 0.9, max_level=12),
+        lambda: fb.sequence_base(fb.SequenceSpec("powinv", c=1.0, p=1.0), max_level=48),
+        lambda: fb.sequence_base(fb.SequenceSpec("powinv", c=-2.5, p=0.5), max_level=8),
+        lambda: fb.sequence_base(fb.SequenceSpec("geo", c=1.0, q=0.5), max_level=48),
+        lambda: fb.sequence_base(fb.SequenceSpec("geo", c=-1.0, q=-0.5), max_level=20),
+        lambda: fb.sequence_base(fb.SequenceSpec("piovern", c=1.0), max_level=48),
+        lambda: fb.sequence_base(fb.SequenceSpec("piovern", c=-2.0), max_level=8),
+    ], ids=["punctured", "right-delta0-1e-05", "left", "powinv", "powinv-c<0", "geo",
+            "geo-c<0-q<0", "piovern", "piovern-c<0"])
+    def test_id_parses_back(self, make):
+        from filterderiv.cli import parse_base_spec
+        b = make()
+        again = parse_base_spec(b.id, max_level=b.max_level)
+        assert (again.id, again.params) == (b.id, b.params)
 
 
 class TestSamplesAndStable:

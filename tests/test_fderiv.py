@@ -385,9 +385,10 @@ class TestRuleVerdictBranches:
                      "although every hypothesis held", True, False),
         (lambda: check_linearity(math.sin, lambda x: x, 1e12, 1.0, 0.3, P,
                                  C_NO_FLOOR, 1e-5),
-         "inconclusive", "combined-function derivative was undecided", True, False),
+         "inconclusive", "combined-function estimate was undecided: stability "
+                         "criterion not met within the level budget", True, False),
         (lambda: check_quotient_rule(IDENT, lambda x: x - HIT, 0.0, P, C, 1e-5),
-         "inconclusive", "combined-function estimate hit a domain error: domain "
+         "inconclusive", "combined-function estimate was domain-error: domain "
                          "error at level 0: g vanishes at a sampled point "
                          "(argument -0.9831046155365686)", True, False),
         (lambda: check_linearity(ABS, IDENT, 1.0, 1.0, 0.0, P, C, 1e-5),
@@ -600,7 +601,8 @@ class TestUnmovedSamples:
                     checked += 1
                     if res.converged and abs(res.value - want) > 1e-6 * max(1.0, abs(want)):
                         wrong += 1
-        assert checked == 282 and wrong == 0
+        # log(x) at -1e3 and -1e9 has no oracle value: f is undefined there
+        assert checked == 276 and wrong == 0
 
     def test_derivative_names_the_level(self):
         res = derivative(as_function(parse("x^2")), 1000.0, punctured_base(1, 0.5), CFG)
@@ -619,7 +621,9 @@ class TestUnmovedSamples:
         rep = check_product_rule(IDENT, IDENT, 1000.0, punctured_base(1, 0.5), PQ_CFG, 1e-5)
         assert rep.verdict == "inconclusive"
         assert rep.lhs.status == "undecided"
-        assert rep.failure_detail == "combined-function derivative was undecided"
+        assert rep.failure_detail == (
+            "combined-function estimate was undecided: converged on level 44, which "
+            "samples an h with 1000.0 + h == 1000.0, where every function gives 0.0")
 
     def test_a_streak_of_levels_that_move_x0_stands(self):
         # the first sample with 1000 + h == 1000 is on level 39; this streak

@@ -129,7 +129,7 @@ class TestKinkCheckOutcomes:
     """Kinks, domain errors and both together: the kink check walks e
     depth-first, a node before its children and the right child first, and
     the first kink or failing argument on that walk decides. Parts of e
-    outside the kink arguments are not evaluated by the check."""
+    outside the kink arguments are evaluated only after every kink argument."""
 
     @pytest.mark.parametrize("text,x0,expected", [
         ("abs(x)", 0.0, ("NonSmoothPointError", _ABS_AT_0)),
@@ -185,8 +185,8 @@ class TestKinkCheckOutcomes:
         assert outcome == expected
 
     def test_nested_min_compiles_kink_arguments_once(self, capsys, monkeypatch):
-        # one function for the CLI's f, one for all kink arguments and one for
-        # the derivative; one per kink argument made 92
+        # one function for the CLI's f and one for the oracle's kink
+        # arguments, f and the derivative; one per kink argument made 92
         sources = []
 
         def spy(source, *args):
@@ -197,7 +197,25 @@ class TestKinkCheckOutcomes:
                          "--base", "punctured:", "--oracle"]) == 0
         assert '"symbolic": {\n      "estimated_error": 0.0,\n      "value": 1.0\n    }' \
             in capsys.readouterr().out
-        assert len(sources) <= 3
+        assert len(sources) <= 2
+
+
+class TestUndefinedF:
+    """The derivative is a limit of (f(x0+h) - f(x0))/h, so there is no
+    oracle answer where f(x0) is undefined, even where the symbolic
+    derivative's own tree could be evaluated there."""
+
+    @pytest.mark.parametrize("text,x0,message", [
+        ("log(x)", -1000.0, "log applied outside its domain in log(x) (argument -1000.0)"),
+        ("log(x)", -1e9, "log applied outside its domain in log(x) (argument -1000000000.0)"),
+        ("0*log(x)", -1.0, "log applied outside its domain in log(x) (argument -1.0)"),
+        ("log(x)*0+x", -1.0, "log applied outside its domain in log(x) (argument -1.0)"),
+        ("2/(x-x)", 1.0, "division by zero in 2.0/(x-x) (argument 0.0)"),
+    ])
+    def test_is_a_domain_error(self, text, x0, message):
+        with pytest.raises(DomainError) as exc:
+            symbolic_derivative_value(parse(text), "x", x0)
+        assert str(exc.value) == message
 
 
 def _full_tableau(f, x0, side):
