@@ -2,23 +2,25 @@
 
 A base is represented as a nested, indexed chain of set descriptors with a
 deterministic sampler. Each descriptor is a finite union of open intervals
-plus a finite point set, minus a finite excluded set; descriptors are
-canonicalized into maximal connected components so that emptiness,
+plus a finite point set, minus a finite excluded set; it is canonicalized
+once, when built, into maximal connected components so that emptiness,
 membership and containment are decided exactly (float comparisons only,
-no tolerances); the two shapes the constructors build, points only and
-open intervals only, are canonical in closed form. The generated filter is
+no tolerances); the two simple shapes, points only and open intervals
+only, are canonical in closed form. The generated filter is
 never materialized: membership of a candidate set in it is answered by
 searching for a contained base element.
 The geometric bases sample their closed-form intervals without building a
-descriptor, and every sample set drawn from intervals is memoized.
+descriptor, and every sample set drawn from intervals is memoized. A
+sequence base's elements are tails of its one term tuple: two of them nest
+by their start indices alone, and membership is a bisect on magnitude.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -70,7 +72,9 @@ class SetDescriptor:
 
     ``intervals`` must be pairwise disjoint, each with lo < hi, and sorted by
     lo. The described set may be empty; emptiness is a *reported* axiom
-    failure (see verify_base_axioms), not a construction error.
+    failure (see verify_base_axioms), not a construction error. The
+    canonical form, ``pieces`` and ``isolated_points``, is computed on
+    construction.
     """
 
     intervals: tuple[tuple[float, float], ...] = ()
@@ -79,8 +83,8 @@ class SetDescriptor:
 
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-        pts = tuple(float(p) for p in self.points)
-        exc = tuple(float(x) for x in self.excluded)
+        pts = tuple(map(float, self.points))
+        exc = tuple(map(float, self.excluded))
         for lo, hi in ivs:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("interval endpoints must be finite")
@@ -89,27 +93,32 @@ class SetDescriptor:
         for a, b in zip(ivs, ivs[1:]):
             if b[0] < a[1]:
                 raise ValueError("intervals must be pairwise disjoint and sorted by lo")
-        for v in pts + exc:
-            if not math.isfinite(v):
-                raise ValueError("points must be finite")
+        if not all(map(math.isfinite, pts + exc)):
+            raise ValueError("points must be finite")
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "excluded", exc)
-
-    @cached_property
-    def _canonical(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
-        if not self.intervals:
+        if not ivs:
             # Points only: every point that is not excluded stands alone.
-            return (), tuple(sorted(set(self.points) - set(self.excluded)))
-        if not self.points and not self.excluded:
+            self._set_canonical((), tuple(sorted(set(pts) - set(exc))))
+        elif not pts and not exc:
             # Sorted, disjoint open intervals are already the components.
-            return tuple(Piece(lo, hi, False, False) for lo, hi in self.intervals), ()
-        return self._merge()
+            self._set_canonical(tuple(Piece(lo, hi, False, False) for lo, hi in ivs), ())
+        else:
+            self._set_canonical(*self._merge())
+
+    def _set_canonical(self, pieces: tuple[Piece, ...], isolated: tuple[float, ...]) -> None:
+        """Store the canonical form: the maximal components, sorted, and the
+        lookups that contains and issubset read."""
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "isolated_points", isolated)
+        object.__setattr__(self, "_piece_los", [p.lo for p in pieces])
+        object.__setattr__(self, "_isolated_set", frozenset(isolated))
 
     def _merge(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
         """The canonical form of any mix of intervals, points and excluded
         points, by a direct merge; the reference that the two closed forms
-        in _canonical are tested against. Each interval is split at the
+        in __post_init__ are tested against. Each interval is split at the
         excluded points inside it; each kept point outside every interval
         is a closed piece [x, x]. In sorted order a piece joins the one
         before it when they meet at a point that one of them holds, so a
@@ -132,22 +141,6 @@ class SetDescriptor:
         return (tuple(Piece(*r) for r in merged if r[0] != r[1]),
                 tuple(r[0] for r in merged if r[0] == r[1]))
 
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        return self._canonical[0]
-
-    @property
-    def isolated_points(self) -> tuple[float, ...]:
-        return self._canonical[1]
-
-    @cached_property
-    def _piece_los(self) -> list[float]:
-        return [p.lo for p in self.pieces]
-
-    @cached_property
-    def _isolated_set(self) -> frozenset[float]:
-        return frozenset(self._canonical[1])
-
     def is_empty(self) -> bool:
         return not self.pieces and not self.isolated_points
 
@@ -164,10 +157,12 @@ class SetDescriptor:
             j = bisect_right(other._piece_los, p.lo) - 1
             if j < 0 or not other.pieces[j].covers(p):
                 return False
-        return all(other.contains(x) for x in self.isolated_points)
+        # A point that other holds alone needs no search of its pieces.
+        return all(map(other.contains, self._isolated_set - other._isolated_set))
 
     def same_set(self, other: "SetDescriptor") -> bool:
-        return self._canonical == other._canonical
+        return (self.pieces == other.pieces
+                and self.isolated_points == other.isolated_points)
 
 
 def _splitmix64(x: int) -> int:
@@ -432,15 +427,65 @@ def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _magnitude_order(v: float) -> float:
+    """The bisect key under which terms strictly decreasing in magnitude
+    ascend."""
+    return -abs(v)
+
+
+class _Tail(SetDescriptor):
+    """terms[start:] of a term tuple as _sequence_terms returns it (finite,
+    non-zero, strictly decreasing in magnitude): the set that
+    SetDescriptor(points=terms[start:]) describes, and equal to it, with
+    the same points, hash and repr. A tail is built in O(1): two tails of
+    one tuple nest by their starts alone, membership is a bisect on
+    magnitude, and the sorted canonical form is built on its first read."""
+
+    def __init__(self, terms: tuple[float, ...], start: int):
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_start", start)
+
+    @property
+    def points(self) -> tuple[float, ...]:
+        return self._terms[self._start:]
+
+    def __getattr__(self, name: str):
+        # Reached only while the canonical form is not yet stored.
+        if name not in ("pieces", "isolated_points", "_piece_los", "_isolated_set"):
+            raise AttributeError(name)
+        self._set_canonical((), tuple(sorted(self.points)))
+        return vars(self)[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, SetDescriptor):
+            return NotImplemented
+        return ((self.intervals, self.points, self.excluded)
+                == (other.intervals, other.points, other.excluded))
+
+    __hash__ = SetDescriptor.__hash__
+
+    def __repr__(self) -> str:
+        return repr(SetDescriptor(points=self.points))
+
+    def is_empty(self) -> bool:
+        return self._start == len(self._terms)
+
+    def contains(self, x: float) -> bool:
+        i = bisect_left(self._terms, -abs(x), self._start, key=_magnitude_order)
+        return i < len(self._terms) and self._terms[i] == x
+
+    def issubset(self, other: SetDescriptor) -> bool:
+        if isinstance(other, _Tail) and other._terms is self._terms:
+            return self._start >= other._start
+        return all(map(other.contains, self.points))
+
+
 def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain:
     """Tails-of-a-sequence base: element(k) = {h_n : n >= k+1}, truncated at a
     single global index max_level + _TAIL_POINTS so that the truncated tails
     nest exactly. sample() returns the first m members of the tail."""
     cutoff = max_level + _TAIL_POINTS
     values = _sequence_terms(spec, cutoff)
-
-    def element(k: int) -> SetDescriptor:
-        return SetDescriptor(points=values[k:])
 
     def sample_fn(k: int, m: int, seed: int) -> list[float]:
         if m > cutoff - k:
@@ -460,7 +505,7 @@ def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain
         max_level=max_level,
         punctured_at_zero=True,
         params=params,
-        element_fn=element,
+        element_fn=lambda k: _Tail(values, k),
         scale_fn=lambda k: float(k + 1),
         sample_fn=sample_fn,
     )

@@ -67,6 +67,10 @@ GOLDEN_CASES = [
       "--tol-osc", "1e-4", "--tol-step", "1e-7"]),
     ("limit_two_vars.json", 4,
      ["limit", "--expr", "h*y", "--base", "right:delta0=1,ratio=0.5"]),
+    ("verify_base_seq_geo_alternating.json", 0,
+     ["verify-base", "--base", "seq:kind=geo,c=-1,q=-0.5", "--levels", "20"]),
+    ("verify_base_seq_piovern_2000.json", 0,
+     ["verify-base", "--base", "seq:kind=piovern", "--levels", "2000"]),
 ]
 
 

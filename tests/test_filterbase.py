@@ -211,10 +211,16 @@ def _probes(d):
     return sorted(out)
 
 
+def _flat(d):
+    """d as a plain descriptor of its own stored shape."""
+    return SetDescriptor(intervals=d.intervals, points=d.points, excluded=d.excluded)
+
+
 def _swept(d):
-    """An equal descriptor canonicalized by the general merge, whatever its shape."""
-    c = SetDescriptor(intervals=d.intervals, points=d.points, excluded=d.excluded)
-    object.__setattr__(c, "_canonical", d._merge())
+    """An equal descriptor whose whole canonical form, lookups included,
+    comes from the general merge, whatever its shape."""
+    c = _flat(d)
+    c._set_canonical(*d._merge())
     return c
 
 
@@ -365,6 +371,77 @@ class TestFastNesting:
         assert rep.empty_levels == (5,)
         assert rep.nesting_failures == (
             (0, 3), (1, 2), (1, 3), (1, 6), (2, 3), (4, 6), (5, 6))
+
+
+# Sequences of every kind: c of both signs, geo also with q < 0 (signs
+# alternate), and geo with c = 1, q = 0.5, whose terms sit on _GRID.
+SEQUENCE_SPECS = [SequenceSpec("powinv", c=1.0, p=1.0), SequenceSpec("powinv", c=-0.5, p=2.0),
+                  SequenceSpec("geo", c=1.0, q=0.5), SequenceSpec("geo", c=-1.0, q=-0.5),
+                  SequenceSpec("geo", c=2.0, q=-0.9), SequenceSpec("piovern", c=1.0),
+                  SequenceSpec("piovern", c=-3.0)]
+
+
+class TestSequenceTails:
+    """A sequence base's element(k) against SetDescriptor(points=values[k:])."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(SEQUENCE_SPECS), st.integers(min_value=0, max_value=40),
+           st.data())
+    def test_tail_agrees_with_its_points(self, spec, n, data):
+        b, twin = sequence_base(spec, max_level=n), sequence_base(spec, max_level=n)
+        values = b.element(0).points
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        tail, flat = b.element(k), SetDescriptor(points=values[k:])
+        # the twin holds equal terms in another tuple, so no start is compared
+        assert twin.element(0).points == values
+        assert twin.element(0).points is not values
+
+        probes = [0.0, -0.0, math.nan]
+        for v in values:
+            probes += [v, -v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        for x in probes:
+            assert tail.contains(x) == flat.contains(x)
+
+        levels = data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=3))
+        i = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+        hi = data.draw(st.sampled_from([abs(values[i]), math.nextafter(abs(values[i]), 1.0)]))
+        others = ([b.element(j) for j in {0, k, min(k + 1, n), n, *levels}]
+                  + [twin.element(j) for j in {k, *levels}]
+                  + [data.draw(descriptors()), S((0.0, hi)), S((-hi, 0.0))])
+        for other in others:
+            assert tail.issubset(other) == flat.issubset(_flat(other))
+            assert other.issubset(tail) == _flat(other).issubset(flat)
+            assert tail.same_set(other) == flat.same_set(_flat(other))
+            assert (tail == other) == (flat == _flat(other))
+
+        assert tail.points == flat.points and type(tail.points) is tuple
+        assert tail == flat and flat == tail and not tail != flat
+        assert hash(tail) == hash(flat)
+        assert repr(tail) == repr(flat)
+        assert tail.is_empty() == flat.is_empty()
+        assert repr(tail.isolated_points) == repr(flat.isolated_points)
+
+    def test_deep_verify_builds_no_sorted_tail(self, monkeypatch):
+        """Nesting of 4001 tails is decided from their starts: no tail is
+        canonicalized, so the check is linear in the levels."""
+        def no_sort(*args, **kwargs):
+            raise AssertionError("verify_base_axioms sorted a tail")
+
+        monkeypatch.setattr(filterbase, "sorted", no_sort, raising=False)
+        b = sequence_base(SequenceSpec("piovern"), max_level=4000)
+        assert verify_base_axioms(b, 4000).passed
+
+    @pytest.mark.parametrize("spec", SEQUENCE_SPECS, ids=SequenceSpec.describe)
+    def test_report_matches_materialized_tails(self, spec):
+        b = sequence_base(spec, max_level=64)
+        flat = chain_from_elements(b.id, [_flat(b.element(k)) for k in range(65)],
+                                   punctured_at_zero=True)
+        assert verify_base_axioms(b, 64) == verify_base_axioms(flat, 64)
+        assert verify_base_axioms(b.subchain(3), 21) == verify_base_axioms(flat.subchain(3), 21)
+        for v in b.sample(0, 40, seed=0)[::3]:
+            for cover in (S((0.0, abs(v))), S((-abs(v), 0.0)), S((-abs(v), abs(v)))):
+                assert (generated_filter_witness(b, cover, 64)
+                        == generated_filter_witness(flat, cover, 64))
 
 
 class TestGeneratedFilter:
