@@ -272,10 +272,11 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     oracle's derivative trees share their parts) is one temporary. Without
     ``var`` the argument is a mapping that _binding reads each variable
     from; with it, the argument is var's value, which the first lines reject
-    unless it is a finite real and then take as a float. Only temporary
-    names, the repr of float constants and the symbols of _BINARY_OPS are
-    written into the code: every other object (readers, nodes, messages,
-    functions, other constants) reaches it through the function's namespace."""
+    unless it is a finite real and then take as a float, and the function has
+    the level form f.quotients (see as_function). Only temporary names, the
+    repr of float constants and the symbols of _BINARY_OPS are written into
+    the code: every other object (readers, nodes, messages, functions, other
+    constants) reaches it through the function's namespace."""
     ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
           "pow": math.pow, "Raised": (ValueError, OverflowError)}
     lines: list[str] = []
@@ -311,9 +312,12 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
         elif isinstance(node, Binary):
             left, right = emit(node.left), emit(node.right)
             if node.op == "pow":
-                lines.extend([f"if {left} < 0.0 and {right} != floor({right}): "
-                              + fail("negative base with non-integer exponent", left),
-                              "try:", f"    {t} = pow({left}, {right})", "except Raised:",
+                exponent = node.right.value if isinstance(node.right, Constant) else None
+                if not (type(exponent) is float and exponent.is_integer()):
+                    # an integral finite float exponent never fails this test
+                    lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
+                                 + fail("negative base with non-integer exponent", left))
+                lines.extend(["try:", f"    {t} = pow({left}, {right})", "except Raised:",
                               f"    {fail('power is not a finite real', left)} from None"])
             else:
                 if node.op == "div":
@@ -335,14 +339,32 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
             lines.append(f"yield {emit(root)}")
         tail = ""
     else:
-        tail = f"    return {emit(e)}\n"
+        root = emit(e)
+        tail = f"    return {root}\n"
     if var is not None:
         unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
         lines[:0] = [f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)",
                      f"arg = {ref(float)}(arg)"]
     body = "".join(f"    {line}\n" for line in lines)
     exec(compile(f"def f(arg):\n{body}{tail}", "<expression>", "exec"), ns)
-    return ns["f"]
+    f = ns["f"]
+    if var is None or isinstance(e, list):
+        return f
+
+    def quotients(x0: float, y0: float, hs: Sequence[float]) -> list[float]:
+        # The level form, compiled on first use and bound in this one's place:
+        # f's lines once more, inside one loop over hs. h == 0 raises
+        # ZeroDivisionError in the division.
+        not_finite = partial(DomainError, "difference quotient is not a finite real")
+        loop = "".join(f"        {line}\n" for line in lines)
+        exec(compile(f"def quotients(x0, y0, hs):\n    out = []\n    for h in hs:\n"
+                     f"        arg = x0 + h\n{loop}        q = ({root} - y0) / h\n"
+                     f"        if not isfinite(q): raise {ref(not_finite)}(argument=h)\n"
+                     f"        out.append(q)\n    return out\n", "<expression>", "exec"), ns)
+        f.quotients = ns["quotients"]
+        return f.quotients(x0, y0, hs)
+    f.quotients = quotients
+    return f
 
 
 def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
@@ -414,7 +436,15 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     """Compile an expression with at most one free variable, once, into
     ``f: float -> float``. For finite t, f(t) equals evaluate(e, {var: t})
     bit for bit; a non-finite t raises DomainError, so f never returns a
-    non-finite value."""
+    non-finite value.
+
+    f also has a level form, ``f.quotients(x0, y0, hs)``: the list of
+    (f(x0 + h) - y0) / h for each h of hs, bit for bit, from one loop around
+    f's own code, so a point costs no Python call. It raises what f raises
+    at a point x0 + h, ZeroDivisionError at h == 0 and DomainError where a
+    quotient is not finite. It is compiled on its first call, which binds
+    it on f in place of itself, so an f that never takes a difference
+    quotient never compiles it."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:

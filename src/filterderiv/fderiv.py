@@ -107,7 +107,13 @@ class RuleCheckReport:
 
 def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[float], float]:
     """The map h -> (f(x0+h) - f(x0)) / h. Undefined at h = 0. f(x0) is
-    evaluated once, on first use."""
+    evaluated once, on first use.
+
+    For an f from as_function, the map also has finite_values(hs), which
+    flimit._finite_values tries first: the quotients at all of hs from f's
+    level form (f.quotients), one loop in f's generated code, sharing the
+    map's f(x0). It raises where any quotient is undefined or not finite,
+    but not always the error the map raises there."""
     cache: list[float] = []
 
     def quotient(h: float) -> float:
@@ -118,6 +124,12 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
             cache.append(f(x0))
         return (f(x0 + h) - cache[0]) / h
 
+    if hasattr(f, "quotients"):
+        def finite_values(hs: Sequence[float]) -> list[float]:
+            if not cache:
+                cache.append(f(x0))
+            return f.quotients(x0, cache[0], hs)
+        quotient.finite_values = finite_values
     return quotient
 
 

@@ -92,7 +92,15 @@ class LimitEstimate:
 
 def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[float]:
     """g at each of pts, as finite reals, or a DomainError at the first failure
-    (a stdlib domain error or a non-finite value): the one check of a value."""
+    (a stdlib domain error or a non-finite value): the one check of a value.
+    A g with its own finite_values(pts) (fderiv.difference_quotient's, over
+    a compiled f) is tried that way first; on any exception the points are
+    redone one at a time, so a failure raises what it raises without it."""
+    if hasattr(g, "finite_values"):
+        try:
+            return g.finite_values(pts)
+        except Exception:
+            pass
     vals = []
     for x in pts:
         try:

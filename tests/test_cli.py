@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filterderiv
 from filterderiv import LimitConfig
 from filterderiv import filterbase as fb
 
@@ -16,8 +18,10 @@ GOLDEN = Path(__file__).parent / "golden"
 TOP_KEYS = {"command", "params", "status", "value", "trace_file", "oracle", "notes"}
 
 
-def run_cli(*argv):
-    return subprocess.run([sys.executable, "-m", "filterderiv", *argv],
+def run_cli(*argv, cwd=None):
+    """python -m filterderiv; in cwd if given, importing this test run's package."""
+    env = cwd and {**os.environ, "PYTHONPATH": str(Path(filterderiv.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "filterderiv", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -28,6 +32,11 @@ GOLDEN_CASES = [
     ("derive_abs_punctured.json", 2,
      ["derive", "--expr", "abs(x)", "--x0", "0",
       "--base", "punctured:delta0=1,ratio=0.5"]),
+    ("derive_x2cos_converged.json", 0,
+     ["derive", "--expr", "x^2*cos(x)", "--x0", "1.5", "--base", "punctured:",
+      "--tol-osc", "1e-4", "--tol-step", "3e-7", "--trace", "derive_x2cos_converged.csv"]),
+    ("derive_sqrt_cos_domain_error.json", 4,
+     ["derive", "--expr", "sqrt(cos(x*1000)+0.999)", "--x0", "0", "--base", "punctured:"]),
     ("check_quotient_right.json", 0,
      ["check", "quotient", "--f", "x", "--g", "1+abs(x)", "--x0", "0",
       "--base", "right:delta0=1,ratio=0.5",
@@ -77,10 +86,13 @@ GOLDEN_CASES = [
 class TestGoldenFiles:
     @pytest.mark.parametrize("golden,code,argv",
                              GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-    def test_output_matches_golden(self, golden, code, argv):
-        res = run_cli(*argv)
+    def test_output_matches_golden(self, golden, code, argv, tmp_path):
+        res = run_cli(*argv, cwd=tmp_path)
         assert res.returncode == code
         assert res.stdout == (GOLDEN / golden).read_text()
+        if "--trace" in argv:  # a trace file is golden too, under the name given
+            trace = argv[argv.index("--trace") + 1]
+            assert (tmp_path / trace).read_bytes() == (GOLDEN / trace).read_bytes()
 
     @pytest.mark.parametrize("golden,code,argv",
                              GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from filterderiv import (CONVERGED, NO_LIMIT, BaseNotPuncturedError,
                          derivative, difference_quotient, f_continuity,
                          left_base, parse, punctured_base, right_base,
                          symbolic_derivative_value)
+from filterderiv.flimit import _finite_values
 from corpus import (KINK_TEXTS, POSITIVE_TEXTS, PQ_CFG, SMOOTH_CFG, SMOOTH_TEXTS,
                     named_functions, one_sided_bases, pick_rule_instance,
                     two_sided_bases)
+from test_expr import _ref_trees
 
 ABS = as_function(parse("abs(x)"))
 IDENT = as_function(parse("x"))
@@ -47,6 +50,71 @@ class TestDifferenceQuotient:
     def test_zero_increment_rejected(self):
         with pytest.raises(DomainError):
             difference_quotient(ABS, 0.0)(0.0)
+
+
+def _values_or_error(call):
+    """A list of values as reprs, or an error as (type, str, repr of its argument)."""
+    try:
+        return [repr(v) for v in call()]
+    except Exception as exc:
+        return type(exc), str(exc), repr(getattr(exc, "argument", None))
+
+
+_EDGE_HS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 0.5, -0.25, 1e300,
+            -sys.float_info.max]
+
+# derivative along punctured_base(1.0, 0.5) under the default config, written
+# before a compiled f had a level form: (text, x0, status, value, levels, detail)
+LEVEL_FORM_TABLE = [
+    ("log(x)", 0.25, "domain-error", None, 0, "domain error at level 0: log applied "
+     "outside its domain in log(x) (argument -0.7331046155365686)"),
+    ("log(x)", 10**400, "domain-error", None, 0, "domain error at level 0: int too large "
+     "to convert to float (argument -0.9831046155365686)"),
+    ("sqrt(cos(x*1000)+0.999)", 0.0, "domain-error", None, 2, "domain error at level 2: "
+     "sqrt applied outside its domain in sqrt(cos(x*1000.0)+0.999) "
+     "(argument -0.00019832292921195815)"),
+    ("exp(x)", 709.0, "domain-error", None, 0, "domain error at level 0: exp applied "
+     "outside its domain in exp(x) (argument 709.8124949892294)"),
+    ("sign(x)*1.7e308", 0.0, "domain-error", None, 0, "domain error at level 0: function "
+     "value is not a finite real (argument -0.8797037023811691)"),
+    ("x", 0.5, "converged", 1.0, 3, None),
+    ("x^2", 3, "no-limit", None, 49, "oscillation stayed >= 1e-06 on the last 3 levels "
+     "(last = 9.917878441786366)"),
+]
+
+
+class TestLevelForm:
+    """The quotient of an f from as_function computes a level in one loop of
+    f's generated code; a plain callable's computes it one point at a time.
+    Both give the same values, and where a point fails, the same error."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tree=_ref_trees,
+           x0=st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                        st.sampled_from([10**400, -10**400, 2**1024])),
+           hs=st.lists(st.one_of(st.sampled_from(_EDGE_HS),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=6))
+    def test_same_values_or_same_error(self, tree, x0, hs):
+        f = as_function(tree, "x")
+        expected = _values_or_error(
+            lambda: _finite_values(difference_quotient(lambda t: f(t), x0), hs))
+        assert _values_or_error(
+            lambda: _finite_values(difference_quotient(f, x0), hs)) == expected
+        # the level form fails only where a point fails, so it is not skipped
+        level = _values_or_error(lambda: difference_quotient(f, x0).finite_values(hs))
+        assert (level == expected) if isinstance(expected, list) else type(level) is tuple
+
+    @pytest.mark.parametrize("text,x0,status,value,levels,detail", LEVEL_FORM_TABLE,
+                             ids=[f"{r[0]}@{repr(r[1])[:8]}" for r in LEVEL_FORM_TABLE])
+    def test_pinned_derivative(self, text, x0, status, value, levels, detail):
+        res = derivative(as_function(parse(text)), x0, punctured_base(1.0, 0.5), CFG)
+        est = res.estimate
+        assert (est.status, est.value, len(est.trace), est.failure_detail) == (
+            status, value, levels, detail)
+
+    def test_plain_callable_has_no_level_form(self):
+        assert not hasattr(difference_quotient(lambda t: t, 0.0), "finite_values")
 
 
 class TestDerivative:
