@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, FilterDerivError, NonSmoothPointError
 from .expr import as_function, free_vars, parse

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import partial
-from typing import Callable, Iterator, Mapping, Sequence, Union
 
+from ._record import record
 from .errors import DomainError, ParseError, UnboundVariableError
 
 __all__ = [
@@ -51,36 +51,36 @@ _BY_SYMBOL = {symbol: (name, level) for name, (symbol, level) in _BINARY_OPS.ite
 _TOP_LEVEL = max(level for _, level in _BINARY_OPS.values())
 
 
-@dataclass(frozen=True)
+@record
 class Constant:
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class Variable:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Unary:
     op: str  # only "neg"
     child: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Binary:
     op: str  # "add" | "sub" | "mul" | "div" | "pow"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     fn: str
     args: tuple["Expr", ...]
 
 
-Expr = Union[Constant, Variable, Unary, Binary, Call]
+Expr = Constant | Variable | Unary | Binary | Call
 
 # One token per match: whitespace, a number, a name, a punctuation mark, or
 # any other single character, which is an error. The alternatives cover

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import record
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig,
@@ -50,7 +50,7 @@ QUOTIENT_RULE_NOTE = (
     "dimensionally inconsistent with the rule's derivation and is not used")
 
 
-@dataclass(frozen=True)
+@record
 class DerivativeResult:
     x0: float
     base_id: str
@@ -70,7 +70,7 @@ class DerivativeResult:
         return self.estimate.converged
 
 
-@dataclass(frozen=True)
+@record
 class FContinuityReport:
     """Is lim f(a+h) along the base equal to f(a)?"""
 
@@ -81,7 +81,7 @@ class FContinuityReport:
     is_continuous: bool
 
 
-@dataclass(frozen=True)
+@record
 class RuleCheckReport:
     """Two-sided numerical check of one differentiation rule.
 
@@ -155,7 +155,7 @@ def _unmoved(est: LimitEstimate, x0: float, still: float, b: FilterBaseChain,
             row = est.trace[k]
             if row.sample_min <= still <= row.sample_max and x0 in (
                     points(k) if points else [x0 + h for h in b.sample(k, m, seed)]):
-                return replace(est, status=UNDECIDED, value=None, failure_detail=(
+                return LimitEstimate(UNDECIDED, None, est.trace, failure_detail=(
                     f"converged on level {k}, which samples an h with {x0!r} + h == "
                     f"{x0!r}, where every function gives {still!r}"))
     return est

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+
+from ._record import record
 
 __all__ = [
     "Piece", "SetDescriptor", "FilterBaseChain", "SequenceSpec", "AxiomReport",
@@ -39,7 +40,7 @@ _MIN_SCALE = 1e-300
 _TAIL_POINTS = 256
 
 
-@dataclass(frozen=True)
+@record
 class Piece:
     """One maximal connected component of a canonicalized set: an interval
     with independently open or closed endpoints."""
@@ -66,7 +67,7 @@ class Piece:
         return lower_ok and upper_ok
 
 
-@dataclass(frozen=True)
+@record
 class SetDescriptor:
     """(union of open intervals  ∪  points) \\ excluded.
 
@@ -365,7 +366,7 @@ def left_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBase
                             lambda d: ((-d, 0.0),))
 
 
-@dataclass(frozen=True)
+@record
 class SequenceSpec:
     """A strictly |.|-decreasing null sequence from the closed family
 
@@ -528,7 +529,7 @@ def chain_from_elements(chain_id: str, elements: Sequence[SetDescriptor], *,
     )
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     """Verdicts of the two base axioms over levels 0..levels_checked.
 

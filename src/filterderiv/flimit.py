@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import record
 from .errors import DomainError
 from .filterbase import FilterBaseChain
 
@@ -41,7 +41,7 @@ UNDECIDED = "undecided"
 DOMAIN_ERROR = "domain-error"
 
 
-@dataclass(frozen=True)
+@record
 class LimitConfig:
     max_level: int = 48
     samples_per_level: int = 32
@@ -69,7 +69,7 @@ class LimitConfig:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
+@record
 class TraceRow:
     scale: float
     sample_min: float
@@ -78,7 +78,7 @@ class TraceRow:
     oscillation: float
 
 
-@dataclass(frozen=True)
+@record
 class LimitEstimate:
     status: str
     value: float | None

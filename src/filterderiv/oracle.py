@@ -13,9 +13,9 @@ extrapolation, or the filter engine itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._record import record
 from .errors import DomainError, NonSmoothPointError
 from .expr import (BINARY_FUNCTIONS, Binary, Call, Constant, Expr, Unary,
                    Variable, _nodes, evaluate_each, render)
@@ -36,7 +36,7 @@ _RICHARDSON_H0 = 0.5
 _RICHARDSON_DEPTH = 8
 
 
-@dataclass(frozen=True)
+@record
 class OracleValue:
     value: float
     method: str  # "symbolic" | "richardson-right" | "richardson-left"

@@ -412,6 +412,19 @@ class TestHelp:
         assert res.stderr == ""
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Start-up cost: a fresh interpreter importing the CLI loads none of
+    these heavy stdlib modules. -S keeps site-packages' .pth files, which
+    may import typing themselves, out of the measurement."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import filterderiv, filterderiv.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-S", "-c", code,
+                          str(Path(filterderiv.__file__).parents[1])],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def strict_json(text):
     """Parse stdout as strict JSON: Infinity, -Infinity and NaN are errors."""
     def reject(constant):
