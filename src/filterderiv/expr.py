@@ -273,7 +273,7 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     ``var`` the argument is a mapping that _binding reads each variable
     from; with it, the argument is var's value, which the first lines reject
     unless it is a finite real and then take as a float, and the function has
-    the level form f.quotients (see as_function). Only temporary names, the
+    the level forms (see as_function). Only temporary names, the
     repr of float constants and the symbols of _BINARY_OPS are written into
     the code: every other object (readers, nodes, messages, functions, other
     constants) reaches it through the function's namespace."""
@@ -343,27 +343,31 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
         tail = f"    return {root}\n"
     if var is not None:
         unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
-        lines[:0] = [f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)",
-                     f"arg = {ref(float)}(arg)"]
-    body = "".join(f"    {line}\n" for line in lines)
+        finite = f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)"
+    head = [] if var is None else [finite, f"arg = {ref(float)}(arg)"]
+    body = "".join(f"    {line}\n" for line in head + lines)
     exec(compile(f"def f(arg):\n{body}{tail}", "<expression>", "exec"), ns)
     f = ns["f"]
     if var is None or isinstance(e, list):
         return f
 
-    def quotients(x0: float, y0: float, hs: Sequence[float]) -> list[float]:
-        # The level form, compiled on first use and bound in this one's place:
-        # f's lines once more, inside one loop over hs. h == 0 raises
-        # ZeroDivisionError in the division.
-        not_finite = partial(DomainError, "difference quotient is not a finite real")
-        loop = "".join(f"        {line}\n" for line in lines)
-        exec(compile(f"def quotients(x0, y0, hs):\n    out = []\n    for h in hs:\n"
-                     f"        arg = x0 + h\n{loop}        q = ({root} - y0) / h\n"
-                     f"        if not isfinite(q): raise {ref(not_finite)}(argument=h)\n"
-                     f"        out.append(q)\n    return out\n", "<expression>", "exec"), ns)
-        f.quotients = ns["quotients"]
-        return f.quotients(x0, y0, hs)
-    f.quotients = quotients
+    def level_form(name: str, params: str, q: str, *checks: str) -> None:
+        # f's lines once more in one loop over hs, x0 taken as a float once (x0 - 0.0
+        # fails as x0 + h does); compiled on first use, bound on f in the stub's place.
+        def stub(*args):
+            loop = "".join(f"        {line}\n" for line in
+                           [finite, *lines, f"q = {q}", *checks, "out.append(q)"])
+            exec(compile(f"def {name}({params}):\n    x0 = {ref(float)}(x0 - 0.0)\n    out = []\n"
+                         f"    for h in hs:\n        arg = x0 + h\n{loop}    return out\n",
+                         "<expression>", "exec"), ns)
+            setattr(f, name, ns[name])
+            return ns[name](*args)
+        setattr(f, name, stub)
+
+    not_finite = partial(DomainError, "difference quotient is not a finite real")
+    level_form("quotients", "x0, y0, hs", f"({root} - y0) / h",  # h == 0 divides by zero
+               f"if not isfinite(q): raise {ref(not_finite)}(argument=h)")
+    level_form("values", "x0, hs", root)
     return f
 
 
@@ -438,13 +442,15 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     bit for bit; a non-finite t raises DomainError, so f never returns a
     non-finite value.
 
-    f also has a level form, ``f.quotients(x0, y0, hs)``: the list of
-    (f(x0 + h) - y0) / h for each h of hs, bit for bit, from one loop around
-    f's own code, so a point costs no Python call. It raises what f raises
-    at a point x0 + h, ZeroDivisionError at h == 0 and DomainError where a
-    quotient is not finite. It is compiled on its first call, which binds
-    it on f in place of itself, so an f that never takes a difference
-    quotient never compiles it."""
+    f also has two level forms, each a loop around f's own code over hs,
+    so a point costs no Python call, and each compiled on its first call,
+    which binds it on f in place of itself, so an f that never uses one
+    never compiles it. ``f.quotients(x0, y0, hs)`` is the list of
+    (f(x0 + h) - y0) / h for each h of hs, bit for bit; it raises what f
+    raises at a point x0 + h, ZeroDivisionError at h == 0 and DomainError
+    where a quotient is not finite. ``f.values(x0, hs)`` is the list of
+    f(x0 + h), bit for bit, and raises what f raises at a point. Both
+    take x0 as float(x0 - 0.0) once, before the loop."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:

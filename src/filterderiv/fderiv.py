@@ -6,13 +6,13 @@ punctured two-sided base recovers the classical derivative; the one-sided
 bases recover right and left derivatives.
 
 The linearity, product and quotient rules are checked by one skeleton,
-`_check_rule`, which evaluates f and g once per sampled point for all of
-its estimates; each rule supplies how it combines the values of f and g,
-its right-hand side in f'(x0) and g'(x0), and the functions whose
-F-continuity it needs. A level where that falls short is redone by the
-closures derivative and f_continuity use. It reports holds / violated /
-inconclusive; a failed hypothesis (an ingredient derivative that does not
-converge, or a missing F-continuity of g) gives inconclusive, never violated.
+`_check_rule`, which runs its estimates in lockstep, so f and g are
+evaluated once per sampled level for all of them; each rule supplies how
+it combines the values of f and g, its right-hand side in f'(x0) and
+g'(x0), and the functions whose F-continuity it needs. It reports holds /
+violated / inconclusive; a failed hypothesis (an ingredient derivative that
+does not converge, or a missing F-continuity of g) gives inconclusive,
+never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -23,14 +23,15 @@ rule's derivation and is not used (see QUOTIENT_RULE_NOTE).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Callable, Sequence
 
 from ._record import record
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
-from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig,
-                     LimitEstimate, _descend, _finite_values, estimate_limit)
+from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig, LimitEstimate,
+                     _descent, _finite_values, _or_error, estimate_limit)
 
 __all__ = [
     "DerivativeResult", "FContinuityReport", "RuleCheckReport",
@@ -141,20 +142,18 @@ def _require_punctured(b: FilterBaseChain) -> None:
 
 
 def _unmoved(est: LimitEstimate, x0: float, still: float, b: FilterBaseChain,
-             cfg: LimitConfig,
-             points: Callable[[int], Sequence[float]] | None = None) -> LimitEstimate:
+             cfg: LimitConfig) -> LimitEstimate:
     """est, or undecided if one of the last stable_levels levels it converged
     on samples a point x0 + h == x0. There a quotient is 0 and a value is
     f(x0), whatever f does, so such levels can pass the streak test on their
     own. That value, still, is then among the level's values, so only levels
-    whose range holds it are searched; points(k) gives level k's points
-    x0 + h, by default from b."""
+    whose range holds it are searched."""
     if est.converged:
         m, seed, n = cfg.samples_per_level, cfg.seed, len(est.trace)
         for k in range(n - cfg.stable_levels, n):
             row = est.trace[k]
-            if row.sample_min <= still <= row.sample_max and x0 in (
-                    points(k) if points else [x0 + h for h in b.sample(k, m, seed)]):
+            if row.sample_min <= still <= row.sample_max and x0 in [
+                    x0 + h for h in b.sample(k, m, seed)]:
                 return LimitEstimate(UNDECIDED, None, est.trace, failure_detail=(
                     f"converged on level {k}, which samples an h with {x0!r} + h == "
                     f"{x0!r}, where every function gives {still!r}"))
@@ -199,7 +198,7 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
                 x0: float, b: FilterBaseChain, cfg: LimitConfig, check_tol: float,
-                combine: Callable[[float, float], float],
+                combine: Callable[[list[float], list[float]], list[float]],
                 rhs_of: Callable[[float, float], float],
                 continuous: tuple[str, ...], notes: tuple[str, ...] = (),
                 at_x0: tuple[float, float] | None = None,
@@ -207,59 +206,70 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     """The check shared by the three rules: estimate f', g', the F-continuity
     of each function named in `continuous` (g last; the verdict needs only
     g's) and the derivative of c, in that order; compare it with rhs_of(f',
-    g'). c is x -> combine(f(x), g(x)) unless given; at_x0 is (f(x0), g(x0))
-    if the caller has them. Estimates read one table of f and g at level k's
-    points x0 + h, and redo a level it falls short on with f's, g's or c's closure;
-    as in derivative, one that converged on a point x0 + h == x0 is undecided."""
+    g'). combine(fv, gv) gives c's values on a level from f's and g's; c is
+    x -> combine([f(x)], [g(x)])[0] unless given; at_x0 is (f(x0), g(x0)) if
+    the caller has them. The estimates run in lockstep: each level is sampled
+    once and f and g are evaluated on it once (in one call where they have a
+    values form). An estimate redoes a level where that raises or sums to a
+    non-finite value with the closure derivative or f_continuity uses; of
+    several that raise, the first in the order above is raised. As in
+    derivative, one that converged on a point x0 + h == x0 is undecided."""
     _require_punctured(b)
     if not 0.0 <= check_tol <= sys.float_info.max:
         raise ValueError("check_tol must be a finite real >= 0")
-    m, seed = cfg.samples_per_level, cfg.seed
-    fns = {"f": f, "g": g, "c": c or (lambda x: combine(f(x), g(x)))}
-    table: dict = {None: ((), (x0,))}  # level None is x0 itself
-    if at_x0 is not None:
-        table["f", None], table["g", None] = [at_x0[0]], [at_x0[1]]
+    fns = {"f": f, "g": g, "c": c or (lambda x: combine([f(x)], [g(x)])[0])}
+    plan = [("f", True), ("g", True), *((name, False) for name in continuous), ("c", True)]
+    steps = [_descent(b, cfg).send for _ in plan]
+    ests = [step(None) for step in steps]  # primed; each stays None until it ends
+    live, error = list(range(len(plan))), None
+    y0: dict = {}  # f, g and c at x0: an estimate without its value redoes every level
+    try:
+        y0.update(zip("fg", at_x0 or (f(x0), g(x0))))
+        y0["c"] = combine([y0["f"]], [y0["g"]])[0]
+    except Exception:
+        pass
 
-    def level(k):
-        if k not in table:
-            hs = b.sample(k, m, seed)
-            table[k] = hs, [x0 + h for h in hs]
-        return table[k]
+    def values(fn, hs):  # fn at each x0 + h, in one call of fn's values form if it has one
+        return fn.values(x0, hs) if hasattr(fn, "values") else list(map(fn, [x0 + h for h in hs]))
 
-    def row(name: str, k) -> list[float]:  # f or g on level k, stored unless it raises
-        if (name, k) not in table:
-            table[name, k] = list(map(fns[name], level(k)[1]))
-        return table[name, k]
-
-    def values(name: str, k) -> list[float]:  # as row, for f, g or c (no self-calls: no cycles)
-        return list(map(combine, row("f", k), row("g", k))) if name == "c" else row(name, k)
-
-    def estimate(name: str, quotient: bool) -> LimitEstimate:  # of name or name'
-        def level_values(k: int) -> list[float]:
-            hs = level(k)[0]
-            try:  # from the table, all at once
-                vals = values(name, k)
+    for k in range(cfg.max_level + 1):
+        hs, row = b.sample(k, cfg.samples_per_level, cfg.seed), {}
+        read = {plan[i][0] for i in live}  # the rows open estimates read; c's reads f's and g's
+        for name in "fgc":
+            if name in read or "c" in read:
+                try:
+                    row[name] = combine(row["f"], row["g"]) if name == "c" else values(fns[name], hs)
+                except Exception:  # None sends each estimate that reads it to its closure
+                    row[name] = None
+        for i in live[:]:
+            name, quotient = plan[i]
+            try:
+                vals, at = row[name], y0[name]
                 if quotient:
-                    y0 = values(name, None)[0]
-                    vals = [(y - y0) / h for y, h in zip(vals, hs)]
-                if math.isfinite(sum(vals)):
-                    return vals
-            except Exception:  # redone below, where it is raised or wrapped again
-                pass
-            fn = fns[name]  # the table fell short: as derivative or f_continuity does
-            return _finite_values(difference_quotient(fn, x0) if quotient
-                                  else lambda h: fn(x0 + h), hs)
-        return _unmoved(_descend(level_values, b, cfg), x0,
-                        0.0 if quotient else row(name, None)[0], b, cfg, lambda k: level(k)[1])
-
-    def derived(name: str) -> DerivativeResult:
-        return DerivativeResult(x0=x0, base_id=b.id, estimate=estimate(name, True), cfg=cfg)
-
-    df, dg = derived("f"), derived("g")
-    continuity = tuple(_continuity(row(name, None)[0], x0, b, cfg,
-                                   estimate(name, False))
-                       for name in continuous)
-    lhs = derived("c")
+                    vals = [(v - at) / h for v, h in zip(vals, hs)]
+                if not math.isfinite(sum(vals)):  # a value, or the sum, is not finite
+                    raise OverflowError
+            except Exception:  # as derivative or f_continuity computes the level
+                fn = fns[name]
+                try:
+                    vals = _or_error(_finite_values, difference_quotient(fn, x0) if quotient
+                                     else lambda h: fn(x0 + h), hs)
+                except Exception as exc:  # raised once the estimates before it end
+                    live, error = [j for j in live if j < i], exc
+                    break
+            ests[i] = steps[i](vals)
+            if ests[i] is not None:
+                live.remove(i)
+        if not live:
+            break
+    if error is not None:
+        raise error
+    df, dg, *held, lhs = [_unmoved(est, x0, 0.0 if quotient else y0[name], b, cfg)
+                          for est, (name, quotient) in zip(ests, plan)]
+    continuity = tuple(_continuity(y0[name], x0, b, cfg, est)
+                       for name, est in zip(continuous, held))
+    df, dg, lhs = (DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
+                   for est in (df, dg, lhs))
     failures = [f"derivative of {name} did not converge (status: {d.status})"
                 for name, d in (("f", df), ("g", dg)) if not d.converged]
     if continuity and not continuity[-1].is_continuous:
@@ -302,7 +312,7 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
     if not all(-sys.float_info.max <= c <= sys.float_info.max for c in (alpha, beta)):
         raise ValueError("alpha and beta must be finite reals")
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
-                       lambda fv, gv: alpha * fv + beta * gv,
+                       lambda fv, gv: [alpha * p + beta * q for p, q in zip(fv, gv)],
                        lambda df, dg: alpha * df + beta * dg, ())
 
 
@@ -318,7 +328,7 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     """
     f0, g0 = _finite_values(f, (x0,))[0], _finite_values(g, (x0,))[0]
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
-                       lambda fv, gv: fv * gv,
+                       lambda fv, gv: list(map(operator.mul, fv, gv)),
                        lambda df, dg: df * g0 + dg * f0, ("f", "g"), at_x0=(f0, g0))
 
 
@@ -346,6 +356,6 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
         return f(x) / gx
 
     return _check_rule("quotient", f, g, x0, b, cfg, check_tol,
-                       lambda fv, gv: fv / gv,
+                       lambda fv, gv: list(map(operator.truediv, fv, gv)),
                        lambda df, dg: (df * g0 - dg * f0) / (g0 * g0), ("g",),
                        notes=(QUOTIENT_RULE_NOTE,), at_x0=(f0, g0), c=quot)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Generator, Sequence
 
 from ._record import record
 from .errors import DomainError
@@ -113,9 +113,12 @@ def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[fl
     return vals
 
 
-def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
-             cfg: LimitConfig) -> LimitEstimate:
-    """The descent over level_values(k), level k's finite values or a DomainError.
+def _descent(b: FilterBaseChain, cfg: LimitConfig
+             ) -> Generator[LimitEstimate | None, list[float] | DomainError, None]:
+    """The descent, fed one level at a time: once primed with send(None),
+    send takes level k's finite values, or the DomainError that level raised,
+    for k = 0, 1, ... in turn, and returns None until the descent ends and
+    then its LimitEstimate. Priming raises ValueError if b has too few levels.
 
     run is the length of the trailing streak: a level whose oscillation
     exceeds tol_osc ends it (run 0); an oscillation-ok level extends it when
@@ -131,10 +134,9 @@ def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
     run, prev = 0, 0.0
     status, detail = UNDECIDED, "stability criterion not met within the level budget"
     for k in range(cfg.max_level + 1):
-        try:
-            vals = level_values(k)
-        except DomainError as err:
-            status, detail = DOMAIN_ERROR, f"domain error at level {k}: {err}"
+        vals = yield None
+        if isinstance(vals, DomainError):
+            status, detail = DOMAIN_ERROR, f"domain error at level {k}: {vals}"
             break
         lo, hi = min(vals), max(vals)
         try:
@@ -162,8 +164,24 @@ def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
                 f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
                 f"{s} levels (last = {tail[-1].oscillation!r})")
     value = rows[-1].sample_mean if status == CONVERGED else None
-    return LimitEstimate(status=status, value=value, trace=tuple(rows),
-                         failure_detail=detail)
+    yield LimitEstimate(status=status, value=value, trace=tuple(rows), failure_detail=detail)
+
+
+def _or_error(values: Callable[..., list[float]], *args) -> list[float] | DomainError:
+    """values(*args), a level's values, or the DomainError it raised: what _descent takes."""
+    try:
+        return values(*args)
+    except DomainError as err:
+        return err
+
+
+def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
+             cfg: LimitConfig) -> LimitEstimate:
+    """The descent over level_values(k), level k's finite values or a DomainError."""
+    step = _descent(b, cfg).send
+    step(None)
+    levels = (step(_or_error(level_values, k)) for k in range(cfg.max_level + 1))
+    return next(est for est in levels if est is not None)
 
 
 def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,32 @@ class TestLevelForm:
         est = res.estimate
         assert (est.status, est.value, len(est.trace), est.failure_detail) == (
             status, value, levels, detail)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tree=_ref_trees,
+           x0=st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                        st.sampled_from([10**400, -10**400, 2**1024]),
+                        st.fractions(), st.decimals()),
+           hs=st.lists(st.one_of(st.sampled_from(_EDGE_HS),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=6))
+    def test_values_form_matches_points(self, tree, x0, hs):
+        f = as_function(tree, "x")
+        expected = _values_or_error(lambda: [f(x0 + h) for h in hs])
+        level = _values_or_error(lambda: f.values(x0, hs))
+        # the same values, or the same error where a point fails; a Decimal x0
+        # fails in x0 - 0.0 rather than in x0 + h, so only the type is the same
+        if isinstance(x0, Decimal):
+            assert type(level) is tuple and level[0] is expected[0] is TypeError
+        else:
+            assert level == expected
+
+    def test_decimal_x0_raises_as_points_do(self):
+        f, x0 = as_function(parse("x^2")), Decimal("0.5")
+        for check in (lambda: derivative(f, x0, P, C), lambda: f_continuity(f, x0, P, C),
+                      lambda: check_product_rule(f, f, x0, P, C, 1e-5)):
+            with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+                check()
 
     def test_plain_callable_has_no_level_form(self):
         assert not hasattr(difference_quotient(lambda t: t, 0.0), "finite_values")
@@ -564,6 +591,10 @@ R = right_base(1.0, 0.5)
 VANISH = lambda x: x - HIT            # noqa: E731  g vanishes at a sampled point
 POLE_AT_HIT = lambda x: 1.0 / (x - HIT)  # noqa: E731  f fails at that point too
 NONE_LEFT = lambda x: None if x < -0.6 else x  # noqa: E731  raises TypeError downstream
+# f's quotients raise TypeError on level 2, the first with a sample below
+# 1e-3; g's raise KeyError on level 0: the sequential reference raises f's
+NONE_NEAR = lambda x: None if 0.0 < abs(x) < 1e-3 else x * x  # noqa: E731
+KEY_OFF_X0 = lambda x: 1.0 if x == 0.0 else {}[x]  # noqa: E731
 
 EQUIVALENCE_CASES = [
     ("log-sqrt-at-0", LOG, SQRT, 0.0, R, C),
@@ -576,11 +607,26 @@ EQUIVALENCE_CASES = [
     ("overflowing-product", HUGE, HUGE, 1.0, P, C),
     ("stdlib-errors", math.log, lambda x: 1.0 / x, 0.0, P, C),
     ("uncaught-type-error", NONE_LEFT, IDENT, 0.0, P, C),
+    ("f-raises-after-g", NONE_NEAR, KEY_OFF_X0, 0.0, P, C),
     ("finite-values-whose-sum-overflows", as_function(parse("1e308+x")),
      as_function(parse("1+x")), 0.0, P, C),
     ("smooth", math.sin, math.exp, 0.3, P, C),
     ("kinks", ABS, SIGN, 0.0, R, PQ_CFG),
 ]
+
+
+class CountingChain:
+    """A chain that records the level of each sample call."""
+
+    def __init__(self, chain):
+        self._chain, self.calls = chain, []
+
+    def sample(self, k, m, seed):
+        self.calls.append(k)
+        return self._chain.sample(k, m, seed)
+
+    def __getattr__(self, name):
+        return getattr(self._chain, name)
 
 
 class TestSharedEvaluation:
@@ -619,6 +665,47 @@ class TestSharedEvaluation:
             partners = [fn for _, fn in named_functions(POSITIVE_TEXTS)]
         assert_matches_reference(rule, rng.choice(pool), rng.choice(partners), x0, b,
                                  PQ_CFG, rng.uniform(-10, 10), rng.uniform(-10, 10))
+
+    @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
+    def test_each_level_sampled_once(self, rule):
+        b = CountingChain(P)
+        rep = {"linearity": lambda: check_linearity(math.sin, math.exp, 2.0, -3.0, 0.3, b,
+                                                    C, 1e-5),
+               "product": lambda: check_product_rule(math.sin, math.exp, 0.3, b, C, 1e-5),
+               "quotient": lambda: check_quotient_rule(math.sin, math.exp, 0.3, b, C,
+                                                       1e-5)}[rule]()
+        ends = [len(e.trace) for e in (rep.f_prime.estimate, rep.g_prime.estimate,
+                                       rep.lhs.estimate)]
+        rescans = set()   # _unmoved re-reads a continuity estimate's last levels
+        for c in rep.continuity_reports:
+            assert c.limit.converged
+            rescans |= set(range(len(c.limit.trace) - C.stable_levels, len(c.limit.trace)))
+            ends.append(len(c.limit.trace))
+        reached = max(ends)
+        assert b.calls[:reached] == list(range(reached))
+        assert set(b.calls[reached:]) <= rescans
+
+    @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
+    def test_functions_run_only_where_the_reference_runs_them(self, rule):
+        # f' converges within a few levels, g' takes more, and the quotient's
+        # combined estimate fails on level 0, where g vanishes: the sequential
+        # reference evaluates f on no level past f's own and c's estimates
+        def counted(points, fn):
+            def wrapped(x):
+                points.add(x)
+                return fn(x)
+            return wrapped
+
+        checks = {"linearity": lambda f, g: check_linearity(f, g, 2.0, -3.0, 0.0, P, C, 1e-5),
+                  "product": lambda f, g: check_product_rule(f, g, 0.0, P, C, 1e-5),
+                  "quotient": lambda f, g: check_quotient_rule(f, g, 0.0, P, C, 1e-5)}
+        ran = []
+        for run in (checks[rule], lambda f, g: _reference(rule, f, g, 0.0, P, C, 2.0, -3.0)):
+            ran.append((set(), set()))
+            run(counted(ran[-1][0], lambda x: 2.0 * x),
+                counted(ran[-1][1], lambda x: (x - HIT) * math.exp(x)))
+        (check_f, check_g), (reference_f, reference_g) = ran
+        assert check_f <= reference_f and check_g <= reference_g
 
     @pytest.mark.parametrize("x0", [0.3, 0.0])
     def test_product_evaluates_f_and_g_once_per_point(self, x0):
