@@ -31,7 +31,7 @@ from ._record import record
 from .errors import BaseNotPuncturedError, DomainError
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig, LimitEstimate,
-                     _descent, _finite_values, _or_error, estimate_limit)
+                     _descend, _finite_values, _require_depth, estimate_limit)
 
 __all__ = [
     "DerivativeResult", "FContinuityReport", "RuleCheckReport",
@@ -208,20 +208,19 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     g's) and the derivative of c, in that order; compare it with rhs_of(f',
     g'). combine(fv, gv) gives c's values on a level from f's and g's; c is
     x -> combine([f(x)], [g(x)])[0] unless given; at_x0 is (f(x0), g(x0)) if
-    the caller has them. The estimates run in lockstep: each level is sampled
-    once and f and g are evaluated on it once (in one call where they have a
-    values form). An estimate redoes a level where that raises or sums to a
-    non-finite value with the closure derivative or f_continuity uses; of
-    several that raise, the first in the order above is raised. As in
-    derivative, one that converged on a point x0 + h == x0 is undecided."""
+    the caller has them. The estimates run in lockstep in flimit._descend,
+    which samples each level once; level_values evaluates f and g on it at
+    the first read (in one call where they have a values form). An estimate
+    redoes a level where that raises or sums to a non-finite value with the
+    closure derivative or f_continuity uses; of several that raise, the
+    first in the order above is raised. As in derivative, one that
+    converged on a point x0 + h == x0 is undecided."""
     _require_punctured(b)
     if not 0.0 <= check_tol <= sys.float_info.max:
         raise ValueError("check_tol must be a finite real >= 0")
+    _require_depth(b, cfg)  # before f(x0) or g(x0) is read
     fns = {"f": f, "g": g, "c": c or (lambda x: combine([f(x)], [g(x)])[0])}
     plan = [("f", True), ("g", True), *((name, False) for name in continuous), ("c", True)]
-    steps = [_descent(b, cfg).send for _ in plan]
-    ests = [step(None) for step in steps]  # primed; each stays None until it ends
-    live, error = list(range(len(plan))), None
     y0: dict = {}  # f, g and c at x0: an estimate without its value redoes every level
     try:
         y0.update(zip("fg", at_x0 or (f(x0), g(x0))))
@@ -232,38 +231,27 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     def values(fn, hs):  # fn at each x0 + h, in one call of fn's values form if it has one
         return fn.values(x0, hs) if hasattr(fn, "values") else list(map(fn, [x0 + h for h in hs]))
 
-    for k in range(cfg.max_level + 1):
-        hs, row = b.sample(k, cfg.samples_per_level, cfg.seed), {}
-        read = {plan[i][0] for i in live}  # the rows open estimates read; c's reads f's and g's
-        for name in "fgc":
-            if name in read or "c" in read:
+    def level_values(hs, row, i):  # estimate i's values on the level sampled at hs
+        name, quotient = plan[i]
+        for key in "fgc" if name == "c" else name:  # rows at first read; c's needs f's, g's
+            if key not in row:
                 try:
-                    row[name] = combine(row["f"], row["g"]) if name == "c" else values(fns[name], hs)
+                    row[key] = combine(row["f"], row["g"]) if key == "c" else values(fns[key], hs)
                 except Exception:  # None sends each estimate that reads it to its closure
-                    row[name] = None
-        for i in live[:]:
-            name, quotient = plan[i]
-            try:
-                vals, at = row[name], y0[name]
-                if quotient:
-                    vals = [(v - at) / h for v, h in zip(vals, hs)]
-                if not math.isfinite(sum(vals)):  # a value, or the sum, is not finite
-                    raise OverflowError
-            except Exception:  # as derivative or f_continuity computes the level
-                fn = fns[name]
-                try:
-                    vals = _or_error(_finite_values, difference_quotient(fn, x0) if quotient
-                                     else lambda h: fn(x0 + h), hs)
-                except Exception as exc:  # raised once the estimates before it end
-                    live, error = [j for j in live if j < i], exc
-                    break
-            ests[i] = steps[i](vals)
-            if ests[i] is not None:
-                live.remove(i)
-        if not live:
-            break
-    if error is not None:
-        raise error
+                    row[key] = None
+        try:
+            vals, at = row[name], y0[name]
+            if quotient:
+                vals = [(v - at) / h for v, h in zip(vals, hs)]
+            if not math.isfinite(sum(vals)):  # a value, or the sum, is not finite
+                raise OverflowError
+            return vals
+        except Exception:  # as derivative or f_continuity computes the level
+            fn = fns[name]
+            return _finite_values(difference_quotient(fn, x0) if quotient
+                                  else lambda h: fn(x0 + h), hs)
+
+    ests = _descend(level_values, len(plan), b, cfg)
     df, dg, *held, lhs = [_unmoved(est, x0, 0.0 if quotient else y0[name], b, cfg)
                           for est, (name, quotient) in zip(ests, plan)]
     continuity = tuple(_continuity(y0[name], x0, b, cfg, est)

@@ -17,13 +17,16 @@ min/max/mean, and issues one of four verdicts:
 
 A numerical procedure cannot decide limit existence, so the verdict comes
 with the full per-level trace as falsifiable evidence.
+
+One level loop, `_descend`, runs every estimate: n of them in lockstep on
+one sample and one scale per level. `estimate_limit` is its n = 1 case.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Callable, Sequence
 
 from ._record import record
 from .errors import DomainError
@@ -113,87 +116,89 @@ def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[fl
     return vals
 
 
-def _descent(b: FilterBaseChain, cfg: LimitConfig
-             ) -> Generator[LimitEstimate | None, list[float] | DomainError, None]:
-    """The descent, fed one level at a time: once primed with send(None),
-    send takes level k's finite values, or the DomainError that level raised,
-    for k = 0, 1, ... in turn, and returns None until the descent ends and
-    then its LimitEstimate. Priming raises ValueError if b has too few levels.
-
-    run is the length of the trailing streak: a level whose oscillation
-    exceeds tol_osc ends it (run 0); an oscillation-ok level extends it when
-    its mean passes the step test against the level before, and otherwise
-    starts a new one (run 1). The descent converges at the first level with
-    run >= stable_levels, which is the first level whose last stable_levels
-    rows all pass both tests."""
+def _require_depth(b: FilterBaseChain, cfg: LimitConfig) -> None:
     if cfg.max_level > b.max_level:
         raise ValueError(
             f"cfg.max_level={cfg.max_level} exceeds chain max_level={b.max_level}")
-    rows: list[TraceRow] = []
-    s, tol_osc, tol_step = cfg.stable_levels, cfg.tol_osc, cfg.tol_step
-    run, prev = 0, 0.0
-    status, detail = UNDECIDED, "stability criterion not met within the level budget"
+
+
+def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], n: int,
+             b: FilterBaseChain, cfg: LimitConfig) -> list[LimitEstimate]:
+    """n estimates in lockstep: level k is sampled once, at hs, and its scale
+    read once; then each estimate i still open, in order, takes its finite
+    values there from level_values(hs, row, i), where row is a dict fresh on
+    each level that the level's reads may share. A DomainError ends estimate
+    i alone; any other exception leaves only the open estimates before i
+    running, and is raised once they end. ValueError first if b has too few
+    levels.
+
+    runs[i] is the length of estimate i's trailing streak: a level whose
+    oscillation exceeds tol_osc ends it (run 0); an oscillation-ok level
+    extends it when its mean passes the step test against the level before,
+    and otherwise starts a new one (run 1). An estimate converges at the
+    first level with run >= stable_levels, which is the first level whose
+    last stable_levels rows all pass both tests."""
+    _require_depth(b, cfg)
+    m, s, tol_osc, tol_step = cfg.samples_per_level, cfg.stable_levels, cfg.tol_osc, cfg.tol_step
+    rows: list[list[TraceRow]] = [[] for _ in range(n)]
+    runs, prevs, ends = [0] * n, [0.0] * n, [None] * n
+    live, error = range(n), None
     for k in range(cfg.max_level + 1):
-        vals = yield None
-        if isinstance(vals, DomainError):
-            status, detail = DOMAIN_ERROR, f"domain error at level {k}: {vals}"
+        hs, row, scale, still = b.sample(k, m, cfg.seed), {}, b.scale(k), []
+        for i in live:
+            try:
+                vals = level_values(hs, row, i)
+            except DomainError as err:
+                ends[i] = (DOMAIN_ERROR, None, f"domain error at level {k}: {err}")
+                continue
+            except Exception as exc:  # raised once the estimates before i end
+                error = exc
+                break
+            lo, hi = min(vals), max(vals)
+            try:
+                mean = math.fsum(vals) / len(vals)
+            except OverflowError:  # the sum overflows, the mean does not: take it exactly
+                from fractions import Fraction  # imported here: it slows every CLI start
+                mean = float(sum(map(Fraction, vals)) / len(vals))
+            osc = hi - lo
+            rows[i].append(TraceRow(scale=scale, sample_min=lo, sample_max=hi,
+                                    sample_mean=mean, oscillation=osc))
+            run = runs[i]
+            if not osc <= tol_osc:
+                run = 0
+            elif run and abs(mean - prevs[i]) <= tol_step * (1.0 + abs(mean)):
+                run += 1
+            else:
+                run = 1
+            runs[i], prevs[i] = run, mean
+            if run >= s:
+                ends[i] = (CONVERGED, mean, None)
+            else:
+                still.append(i)
+        live = still
+        if not live:
             break
-        lo, hi = min(vals), max(vals)
-        try:
-            mean = math.fsum(vals) / len(vals)
-        except OverflowError:  # the sum overflows, the mean does not: take it exactly
-            from fractions import Fraction  # imported here: it slows every CLI start
-            mean = float(sum(map(Fraction, vals)) / len(vals))
-        osc = hi - lo
-        rows.append(TraceRow(scale=b.scale(k), sample_min=lo, sample_max=hi,
-                             sample_mean=mean, oscillation=osc))
-        if not osc <= tol_osc:
-            run = 0
-        elif run and abs(mean - prev) <= tol_step * (1.0 + abs(mean)):
-            run += 1
-        else:
-            run = 1
-        prev = mean
-        if run >= s:
-            status, detail = CONVERGED, None
-            break
-    else:
-        tail = rows[-s:]
+    for i in live:  # the level budget is exhausted
+        tail = rows[i][-s:]
+        ends[i] = (UNDECIDED, None, "stability criterion not met within the level budget")
         if all(r.oscillation >= cfg.no_limit_floor for r in tail):
-            status, detail = NO_LIMIT, (
-                f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
-                f"{s} levels (last = {tail[-1].oscillation!r})")
-    value = rows[-1].sample_mean if status == CONVERGED else None
-    yield LimitEstimate(status=status, value=value, trace=tuple(rows), failure_detail=detail)
-
-
-def _or_error(values: Callable[..., list[float]], *args) -> list[float] | DomainError:
-    """values(*args), a level's values, or the DomainError it raised: what _descent takes."""
-    try:
-        return values(*args)
-    except DomainError as err:
-        return err
-
-
-def _descend(level_values: Callable[[int], list[float]], b: FilterBaseChain,
-             cfg: LimitConfig) -> LimitEstimate:
-    """The descent over level_values(k), level k's finite values or a DomainError."""
-    step = _descent(b, cfg).send
-    step(None)
-    levels = (step(_or_error(level_values, k)) for k in range(cfg.max_level + 1))
-    return next(est for est in levels if est is not None)
+            ends[i] = (NO_LIMIT, None, f"oscillation stayed >= {cfg.no_limit_floor!r} on the "
+                       f"last {s} levels (last = {tail[-1].oscillation!r})")
+    if error is not None:
+        raise error
+    return [LimitEstimate(status=status, value=value, trace=tuple(trace), failure_detail=detail)
+            for (status, value, detail), trace in zip(ends, rows)]
 
 
 def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
                    cfg: LimitConfig) -> LimitEstimate:
-    """Estimate lim g along the filter generated by b.
+    """Estimate lim g along the filter generated by b: _descend with n = 1.
 
     Precondition (not re-verified here; the built-in constructors guarantee
     it): b satisfies the base axioms up to cfg.max_level, which must not
     exceed b.max_level.
     """
-    m, seed = cfg.samples_per_level, cfg.seed
-    return _descend(lambda k: _finite_values(g, b.sample(k, m, seed)), b, cfg)
+    return _descend(lambda hs, row, i: _finite_values(g, hs), 1, b, cfg)[0]
 
 
 def format_trace_csv(est: LimitEstimate) -> str:

@@ -414,6 +414,16 @@ class TestInputErrors:
         assert str(exc.value) == "alpha and beta must be finite reals"
         assert calls == []
 
+    def test_chain_shallower_than_cfg(self):
+        # the level budget is checked before f(x0) or g(x0) is read
+        calls = []
+        square = lambda x: calls.append(x) or x * x
+        with pytest.raises(ValueError) as exc:
+            check_linearity(square, IDENT, 1.0, 1.0, 1.0, punctured_base(1, 0.5, max_level=8),
+                            PQ_CFG, 1e-5)
+        assert str(exc.value) == f"cfg.max_level={PQ_CFG.max_level} exceeds chain max_level=8"
+        assert calls == []
+
 
 class TestOneEstimatePerDerivative:
     """derivative and classical_derivative each make exactly one call of
@@ -616,14 +626,19 @@ EQUIVALENCE_CASES = [
 
 
 class CountingChain:
-    """A chain that records the level of each sample call."""
+    """A chain that records the level of each sample call, and of each
+    scale call."""
 
     def __init__(self, chain):
-        self._chain, self.calls = chain, []
+        self._chain, self.calls, self.scales = chain, [], []
 
     def sample(self, k, m, seed):
         self.calls.append(k)
         return self._chain.sample(k, m, seed)
+
+    def scale(self, k):
+        self.scales.append(k)
+        return self._chain.scale(k)
 
     def __getattr__(self, name):
         return getattr(self._chain, name)
@@ -684,6 +699,7 @@ class TestSharedEvaluation:
         reached = max(ends)
         assert b.calls[:reached] == list(range(reached))
         assert set(b.calls[reached:]) <= rescans
+        assert b.scales == list(range(reached))   # one scale per level, for every estimate
 
     @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
     def test_functions_run_only_where_the_reference_runs_them(self, rule):

@@ -280,6 +280,13 @@ def _from_lists(levels):
     return level_values
 
 
+def _one_estimate(levels):
+    """_from_lists(levels) as the level_values of _descend's one estimate:
+    its k-th call returns level k's list."""
+    level_values, ks = _from_lists(levels), iter(range(len(levels)))
+    return lambda hs, row, i: level_values(next(ks))
+
+
 class TestStreakMatchesWindow:
     """_descend's verdict, value, trace and detail equal the window re-scan's
     on the same per-level values, with oscillations and steps placed on the
@@ -290,8 +297,8 @@ class TestStreakMatchesWindow:
     def test_same_estimate(self, case):
         cfg, levels = case
         b = punctured_base(1.0, 0.5, max_level=16)
-        assert (flimit._descend(_from_lists(levels), b, cfg)
-                == _window_descend(_from_lists(levels), b, cfg))
+        assert (flimit._descend(_one_estimate(levels), 1, b, cfg)
+                == [_window_descend(_from_lists(levels), b, cfg)])
 
 
 def _const(mean, osc=0.0):
@@ -335,6 +342,63 @@ class TestDescendBoundaries:
     def test_verdict_and_level_count(self, s, max_level, levels, status, count):
         cfg = LimitConfig(max_level=max_level, stable_levels=s, tol_osc=_TOL_OSC,
                           tol_step=_TOL_STEP, no_limit_floor=1.0)
-        est = flimit._descend(_from_lists(levels), punctured_base(1.0, 0.5), cfg)
+        [est] = flimit._descend(_one_estimate(levels), 1, punctured_base(1.0, 0.5), cfg)
         assert (est.status, len(est.trace)) == (status, count)
         assert est.value == (est.trace[-1].sample_mean if status == CONVERGED else None)
+
+
+class TestLockstep:
+    """_descend with n = 3 estimates that end on different levels."""
+
+    CFG = LimitConfig(max_level=6, stable_levels=2, tol_osc=_TOL_OSC, tol_step=_TOL_STEP,
+                      no_limit_floor=1.0)
+
+    def _run(self, outcomes):
+        """Drive one estimate per list in outcomes, whose k-th entry is that
+        estimate's values on level k, None for a DomainError, or an exception
+        to raise. Each call is recorded in self.calls as (k, i, the keys row
+        held), and then writes row[i]; k counts the distinct rows seen, each
+        of which must be new and empty when first seen."""
+        b, rows, calls = punctured_base(1.0, 0.5), [], []
+        self.calls = calls
+
+        def level_values(hs, row, i):
+            if not rows or row is not rows[-1]:
+                assert row == {} and all(row is not r for r in rows)
+                rows.append(row)
+            k = len(rows) - 1
+            assert hs == b.sample(k, self.CFG.samples_per_level, self.CFG.seed)
+            calls.append((k, i, sorted(row)))
+            row[i] = k
+            out = outcomes[i][k]
+            if isinstance(out, Exception):
+                raise out
+            if out is None:
+                raise DomainError("undefined here", argument=float(k))
+            return out
+        return flimit._descend(level_values, len(outcomes), b, self.CFG)
+
+    def test_estimates_end_on_their_own_levels(self):
+        ests = self._run([[_const(1.0)] * 7,            # converges on level 1
+                                 [_const(0.0, 2.0)] * 3 + [None] * 4,  # fails on level 3
+                                 [_const(0.0, 2.0)] * 7])      # runs out of levels
+        assert [(e.status, len(e.trace)) for e in ests] == [
+            (CONVERGED, 2), (DOMAIN_ERROR, 3), (NO_LIMIT, 7)]
+        assert ests[1].failure_detail.startswith("domain error at level 3: undefined here")
+        # the DomainError ended estimate 1 alone; on each level, each open
+        # estimate saw what the ones before it left in that level's row
+        assert self.calls == ([(k, i, list(range(i))) for k in (0, 1) for i in range(3)]
+                              + [(2, 1, []), (2, 2, [1]), (3, 1, []), (3, 2, [1])]
+                              + [(k, 2, []) for k in (4, 5, 6)])
+        b = punctured_base(1.0, 0.5)
+        assert [r.scale for r in ests[2].trace] == [b.scale(k) for k in range(7)]
+
+    def test_error_waits_for_the_estimates_before_it(self):
+        with pytest.raises(TypeError, match="not a number"):
+            self._run([[_const(0.0, 2.0)] * 3 + [_const(1.0)] * 4,  # converges on level 4
+                       [_const(0.0, 2.0)] * 2 + [TypeError("not a number")] * 5,
+                       [_const(0.0, 2.0)] * 7])
+        # estimate 1's error on level 2 stops estimate 2 at once, and is
+        # raised once estimate 0 has ended, on level 4
+        assert self.calls == ([(k, i, list(range(i))) for k in (0, 1) for i in range(3)]
+                              + [(2, 0, []), (2, 1, [0]), (3, 0, []), (4, 0, [])])
