@@ -262,21 +262,21 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
-    """Compile e, once, into one Python function of one argument; given a
-    list of trees, into a generator function that yields each tree's value
-    before the code of the next tree's unshared nodes runs. Its code
-    gives each node one temporary, in tree order (left before right,
-    arguments before the call), followed by the node's own check, which
-    raises the node's DomainError through a callable that renders the node
-    only then. A subtree that occurs in e several times as one object (the
-    oracle's derivative trees share their parts) is one temporary. Without
-    ``var`` the argument is a mapping that _binding reads each variable
-    from; with it, the argument is var's value, which the first lines reject
-    unless it is a finite real and then take as a float, and the function has
-    the level forms (see as_function). Only temporary names, the
-    repr of float constants and the symbols of _BINARY_OPS are written into
-    the code: every other object (readers, nodes, messages, functions, other
-    constants) reaches it through the function's namespace."""
+    """Compile e, once, in one of two modes that var alone chooses. Without
+    var, e is a list of trees and the result a generator function of a
+    mapping, which _binding reads each variable from; it yields each tree's
+    value before the code of the next tree's unshared nodes runs. With var,
+    e is one tree and the result a function of var's value, which its first
+    lines reject unless it is a finite real and then take as a float; it has
+    the level forms (see as_function). The code gives each node one
+    temporary, in tree order (left before right, arguments before the
+    call), followed by the node's own check, which raises the node's
+    DomainError through a callable that renders the node only then. A
+    subtree that occurs in e several times as one object (the oracle's
+    derivative trees share their parts) is one temporary. Only temporary
+    names, the repr of float constants and the symbols of _BINARY_OPS are
+    written into the code: every other object (readers, nodes, messages,
+    functions, other constants) reaches it through the function's namespace."""
     ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
           "pow": math.pow, "Raised": (ValueError, OverflowError)}
     lines: list[str] = []
@@ -334,21 +334,19 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
                           f"    {fail(node.fn + ' applied outside its domain', args[0])} from None"])
         return t
 
-    if isinstance(e, list):
+    if var is None:
         for root in e:
             lines.append(f"yield {emit(root)}")
-        tail = ""
+        head = tail = []
     else:
         root = emit(e)
-        tail = f"    return {root}\n"
-    if var is not None:
         unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
         finite = f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)"
-    head = [] if var is None else [finite, f"arg = {ref(float)}(arg)"]
-    body = "".join(f"    {line}\n" for line in head + lines)
-    exec(compile(f"def f(arg):\n{body}{tail}", "<expression>", "exec"), ns)
+        head, tail = [finite, f"arg = {ref(float)}(arg)"], [f"return {root}"]
+    body = "".join(f"    {line}\n" for line in head + lines + tail)
+    exec(compile(f"def f(arg):\n{body}", "<expression>", "exec"), ns)
     f = ns["f"]
-    if var is None or isinstance(e, list):
+    if var is None:
         return f
 
     def level_form(name: str, params: str, q: str, *checks: str) -> None:
@@ -387,10 +385,10 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE-double evaluation. Out-of-domain conditions (division by zero,
     log/sqrt of negatives, non-real powers, overflow, a non-finite constant
     or binding) raise DomainError, so the result is always a finite float.
-    Each call generates and compiles one function for e (about 0.2 ms for a
-    short expression), so use as_function to evaluate one expression at many
-    points, and evaluate_each for many expressions at one point."""
-    return _generate(e)(bindings)
+    It is evaluate_each's one-tree case: each call compiles one function
+    for e (about 0.2 ms for a short expression), so use as_function for one
+    expression at many points, and evaluate_each for many at one point."""
+    return next(_generate([e])(bindings))
 
 
 def evaluate_each(exprs: Sequence[Expr], bindings: Mapping[str, float]) -> Iterator[float]:

@@ -211,10 +211,11 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     the caller has them. The estimates run in lockstep in flimit._descend,
     which samples each level once; level_values evaluates f and g on it at
     the first read (in one call where they have a values form). An estimate
-    redoes a level where that raises or sums to a non-finite value with the
-    closure derivative or f_continuity uses; of several that raise, the
-    first in the order above is raised. As in derivative, one that
-    converged on a point x0 + h == x0 is undecided."""
+    redoes a level where that raises or sums to a non-finite value point by
+    point, as derivative or f_continuity would without a level form; of
+    several that raise, the first in the order above is raised. As in
+    derivative, one that converged on a point x0 + h == x0 is undecided. A
+    right-hand side that is not finite is a failed computation: inconclusive."""
     _require_punctured(b)
     if not 0.0 <= check_tol <= sys.float_info.max:
         raise ValueError("check_tol must be a finite real >= 0")
@@ -246,9 +247,9 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
             if not math.isfinite(sum(vals)):  # a value, or the sum, is not finite
                 raise OverflowError
             return vals
-        except Exception:  # as derivative or f_continuity computes the level
+        except Exception:  # point by point, on a plain view of fn: no level form reruns it
             fn = fns[name]
-            return _finite_values(difference_quotient(fn, x0) if quotient
+            return _finite_values(difference_quotient(lambda x: fn(x), x0) if quotient
                                   else lambda h: fn(x0 + h), hs)
 
     ests = _descend(level_values, len(plan), b, cfg)
@@ -263,6 +264,9 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     if continuity and not continuity[-1].is_continuous:
         failures.append("g is not F-continuous at x0 along the base")
     rhs = rhs_of(df.value, dg.value) if df.converged and dg.converged else None
+    if rhs is not None and not math.isfinite(rhs):  # it overflowed, e.g. in g(x0)^2
+        failures.append(f"right-hand side is not a finite real (rhs={rhs!r})")
+        rhs = None
     abs_err = rel_err = None
     if failures:
         verdict, detail = INCONCLUSIVE, "; ".join(failures)

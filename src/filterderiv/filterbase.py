@@ -18,6 +18,7 @@ by their start indices alone, and membership is a bisect on magnitude.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
@@ -83,9 +84,14 @@ class SetDescriptor:
     excluded: tuple[float, ...] = ()
 
     def __post_init__(self):
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-        pts = tuple(map(float, self.points))
-        exc = tuple(map(float, self.excluded))
+        ivs = None
+        try:
+            ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+            pts = tuple(map(float, self.points))
+            exc = tuple(map(float, self.excluded))
+        except OverflowError:  # an int too large for a double is not finite either
+            raise ValueError("interval endpoints must be finite" if ivs is None
+                             else "points must be finite") from None
         for lo, hi in ivs:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("interval endpoints must be finite")
@@ -322,8 +328,12 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
     without building the descriptor. Each scale is checked against
     _MIN_SCALE as it is computed, so a chain too deep is rejected at its
     first level below it."""
-    delta0 = float(delta0)
-    ratio = float(ratio)
+    try:
+        delta0 = float(delta0)
+        ratio = float(ratio)
+    except OverflowError:  # an int too large for a double; delta0 is a float once converted
+        raise ValueError("delta0 must be a positive real" if type(delta0) is not float
+                         else "ratio must lie strictly inside (0, 1)") from None
     if not (math.isfinite(delta0) and delta0 > 0.0):
         raise ValueError("delta0 must be a positive real")
     if not (math.isfinite(ratio) and 0.0 < ratio < 1.0):
@@ -387,13 +397,14 @@ class SequenceSpec:
         if self.kind not in ("powinv", "geo", "piovern"):
             raise ValueError(f"unknown sequence kind {self.kind!r} "
                              "(expected powinv, geo, or piovern)")
-        if not (math.isfinite(self.c) and self.c != 0.0):
+        # comparisons, not math.isfinite, which raises OverflowError for a huge int
+        if not (-sys.float_info.max <= self.c <= sys.float_info.max and self.c != 0.0):
             raise ValueError("c must be a nonzero real")
         if self.kind == "powinv":
-            if self.p is None or not (math.isfinite(self.p) and self.p > 0.0):
+            if self.p is None or not 0.0 < self.p <= sys.float_info.max:
                 raise ValueError("powinv requires p > 0")
         if self.kind == "geo":
-            if self.q is None or not (math.isfinite(self.q) and 0.0 < abs(self.q) < 1.0):
+            if self.q is None or not (-1.0 < self.q < 1.0 and self.q != 0.0):
                 raise ValueError("geo requires 0 < |q| < 1")
         for name, used_by in (("p", "powinv"), ("q", "geo")):
             if getattr(self, name) is not None and self.kind != used_by:

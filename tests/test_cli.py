@@ -144,6 +144,16 @@ class TestExitCodes:
         assert payload["status"] == "input-error"
         assert payload["notes"] == ["check_tol must be a finite real >= 0"]
 
+    def test_non_finite_rhs_is_inconclusive_3(self, capsys):
+        # f' and g' converge near 1e155, but g(x0)^2 = 4e310 overflows
+        code, payload = main_json(capsys, "check", "quotient", "--f", "1e155*x",
+                                  "--g", "1e155*(1+x)", "--x0", "1", "--base", "punctured:",
+                                  "--tol-osc", "1e150", "--tol-step", "1e-6")
+        assert code == 3
+        assert payload["status"] == "inconclusive"
+        assert payload["notes"][:3] == ["rhs_value=None", "abs_error=None", "rel_error=None"]
+        assert "right-hand side is not a finite real (rhs=nan)" in payload["notes"]
+
     def test_unknown_flag_is_4(self):
         res = run_cli("derive", "--expr", "abs(x)", "--x0", "0",
                       "--base", "right:delta0=1,ratio=0.5", "--frobnicate")

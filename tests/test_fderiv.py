@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filterderiv import expr as expr_module
 from filterderiv import fderiv
 from filterderiv import (CONVERGED, NO_LIMIT, BaseNotPuncturedError,
                          DomainError, LimitConfig, QUOTIENT_RULE_NOTE,
@@ -139,6 +140,22 @@ class TestLevelForm:
                       lambda: check_product_rule(f, f, x0, P, C, 1e-5)):
             with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
                 check()
+
+    def test_short_level_redone_point_by_point(self, monkeypatch):
+        # f's values form raises on level 2, which f's estimates then redo one
+        # point at a time: no quotients form is compiled for it
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        rep = check_product_rule(as_function(parse("sqrt(cos(x*1000)+0.999)")),
+                                 as_function(parse("x+1")), 0.0, right_base(1.0, 0.5),
+                                 LimitConfig(), 1e-5)
+        assert rep.verdict == "inconclusive"
+        assert [s.split("(")[0] for s in sources] == [
+            "def f", "def f", "def values", "def values"]
 
     def test_plain_callable_has_no_level_form(self):
         assert not hasattr(difference_quotient(lambda t: t, 0.0), "finite_values")
@@ -508,9 +525,14 @@ class TestRuleVerdictBranches:
         (lambda: check_quotient_rule(math.sin, _half_exp, -1.5,
                                      punctured_base(0.7, 0.6), SEED_13, 1e-5),
          "inconclusive", "g is not F-continuous at x0 along the base", True, False),
+        # f' and g' near 1e155 converge, but f'*g(x0) and g(x0)^2 overflow
+        (lambda: check_quotient_rule(as_function(parse("1e155*x")),
+                                     as_function(parse("1e155*(1+x)")), 1.0, P,
+                                     LimitConfig(tol_osc=1e150, tol_step=1e-6), 1e-5),
+         "inconclusive", "right-hand side is not a finite real (rhs=nan)", False, False),
     ], ids=["holds", "sides-disagree", "no-derivative", "undecided", "domain-error",
             "ingredient", "ingredient-and-continuity", "product-continuity",
-            "quotient-continuity"])
+            "quotient-continuity", "non-finite-rhs"])
     def test_branch(self, check, verdict, detail, has_rhs, has_errors):
         rep = check()
         assert rep.verdict == verdict

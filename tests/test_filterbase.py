@@ -998,9 +998,21 @@ class TestInputErrors:
         (lambda: chain_from_elements("e", []), "need at least one element"),
         (lambda: generated_filter_witness(punctured_base(1, 0.5, max_level=8),
                                           S((-1.0, 1.0)), 9), "K must lie in 0..8"),
+        # an int too large for a double is not finite: a ValueError, not an OverflowError
+        (lambda: SequenceSpec("piovern", c=10**400), "c must be a nonzero real"),
+        (lambda: SequenceSpec("powinv", p=10**400), "powinv requires p > 0"),
+        (lambda: SequenceSpec("geo", q=10**400), "geo requires 0 < |q| < 1"),
+        (lambda: punctured_base(10**400, 0.5), "delta0 must be a positive real"),
+        (lambda: right_base(1, 10**400), "ratio must lie strictly inside (0, 1)"),
+        (lambda: left_base(1, 10**400), "ratio must lie strictly inside (0, 1)"),
+        (lambda: SetDescriptor(intervals=((0, 10**400),)), "interval endpoints must be finite"),
+        (lambda: SetDescriptor(points=(10**400,)), "points must be finite"),
+        (lambda: SetDescriptor(excluded=(-10**400,)), "points must be finite"),
     ], ids=["non-finite-point", "negative-max-level", "level-past-max",
             "punctured-flag-lies-element", "punctured-flag-lies-sample", "stride-0",
-            "stride-1.5", "stride-2.0", "non-decreasing-sequence", "no-elements", "witness-past-max"])
+            "stride-1.5", "stride-2.0", "non-decreasing-sequence", "no-elements", "witness-past-max",
+            "huge-c", "huge-p", "huge-q", "huge-delta0", "huge-right-ratio", "huge-left-ratio",
+            "huge-endpoint", "huge-point", "huge-excluded"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
