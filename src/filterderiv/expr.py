@@ -34,6 +34,14 @@ def _sign(x: float) -> float:
     return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
 
 
+def _finite(x: float) -> bool:
+    """math.isfinite(x), but False, not OverflowError, for an int too large for a double."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 # The functions: name -> (operation, arity). An operation's ValueError or
 # OverflowError is a DomainError; for the finite arguments they receive, the
 # math functions raise instead of returning inf or nan, and min and max never raise.
@@ -299,7 +307,7 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
 
         if isinstance(node, Constant):
             value = node.value
-            if not math.isfinite(value):
+            if not _finite(value):
                 error = partial(DomainError, "constant is not a finite real", argument=value)
                 lines.append(f"raise {ref(error)}()")
             else:
@@ -341,8 +349,13 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     else:
         root = emit(e)
         unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
-        finite = f"if not isfinite(arg): raise {ref(unbound)}(argument=arg)"
-        head, tail = [finite, f"arg = {ref(float)}(arg)"], [f"return {root}"]
+        raise_unbound = f"raise {ref(unbound)}(argument=arg)"
+        finite = f"if not isfinite(arg): {raise_unbound}"
+        # _finite inlined, free for a float argument; a level's x0 + h is a float, so its
+        # loop keeps the bare test
+        head = ["try:", f"    {finite}", f"except {ref(OverflowError)}:",
+                f"    {raise_unbound} from None", f"arg = {ref(float)}(arg)"]
+        tail = [f"return {root}"]
     body = "".join(f"    {line}\n" for line in head + lines + tail)
     exec(compile(f"def f(arg):\n{body}", "<expression>", "exec"), ns)
     f = ns["f"]
@@ -373,11 +386,14 @@ def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
     def variable(bindings: Mapping[str, float]) -> float:
         if name not in bindings:
             raise UnboundVariableError(name)
-        v = float(bindings[name])
+        value = bindings[name]
+        try:
+            v = float(value)
+        except OverflowError:  # an int too large for a double
+            v = math.inf
         if math.isfinite(v):
             return v
-        raise DomainError("variable is not bound to a finite real", subject=name,
-                          argument=v)
+        raise DomainError("variable is not bound to a finite real", subject=name, argument=value)
     return variable
 
 
@@ -406,7 +422,7 @@ def render(e: Expr) -> str:
     """Canonical printer. For every tree produced by parse(),
     parse(render(e)) == e structurally."""
     if isinstance(e, Constant):
-        if not math.isfinite(e.value):
+        if not _finite(e.value):
             raise ValueError("cannot render a non-finite constant")
         return repr(e.value)
     if isinstance(e, Variable):

@@ -108,7 +108,7 @@ class RuleCheckReport:
 
 def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[float], float]:
     """The map h -> (f(x0+h) - f(x0)) / h. Undefined at h = 0. f(x0) is
-    evaluated once, on first use.
+    read once, on first use, through flimit._finite_values, so a failure there names x0.
 
     For an f from as_function, the map also has finite_values(hs), which
     flimit._finite_values tries first: the quotients at all of hs from f's
@@ -122,13 +122,13 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
             raise DomainError("difference quotient is undefined at h = 0",
                               argument=0.0)
         if not cache:
-            cache.append(f(x0))
+            cache.append(_finite_values(f, (x0,))[0])
         return (f(x0 + h) - cache[0]) / h
 
     if hasattr(f, "quotients"):
         def finite_values(hs: Sequence[float]) -> list[float]:
             if not cache:
-                cache.append(f(x0))
+                cache.append(_finite_values(f, (x0,))[0])
             return f.quotients(x0, cache[0], hs)
         quotient.finite_values = finite_values
     return quotient

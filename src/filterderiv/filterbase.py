@@ -328,16 +328,12 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
     without building the descriptor. Each scale is checked against
     _MIN_SCALE as it is computed, so a chain too deep is rejected at its
     first level below it."""
-    try:
-        delta0 = float(delta0)
-        ratio = float(ratio)
-    except OverflowError:  # an int too large for a double; delta0 is a float once converted
-        raise ValueError("delta0 must be a positive real" if type(delta0) is not float
-                         else "ratio must lie strictly inside (0, 1)") from None
-    if not (math.isfinite(delta0) and delta0 > 0.0):
+    # compared before float(), which overflows for a huge int, and after, which may round
+    if not (0.0 < delta0 <= sys.float_info.max and float(delta0) > 0.0):
         raise ValueError("delta0 must be a positive real")
-    if not (math.isfinite(ratio) and 0.0 < ratio < 1.0):
+    if not (0.0 < ratio < 1.0 and 0.0 < float(ratio) < 1.0):
         raise ValueError("ratio must lie strictly inside (0, 1)")
+    delta0, ratio = float(delta0), float(ratio)
     scales: list[float] = []
     scale = delta0
     for k in range(max_level + 1):
@@ -410,12 +406,13 @@ class SequenceSpec:
             if getattr(self, name) is not None and self.kind != used_by:
                 raise ValueError(f"{self.kind} takes no {name}; only {used_by} does")
 
+    def _set_params(self) -> dict[str, float]:
+        """c, then p or q, whichever is set."""
+        return {n: getattr(self, n) for n in ("c", "p", "q") if getattr(self, n) is not None}
+
     def describe(self) -> str:
-        if self.kind == "powinv":
-            return f"seq:kind=powinv,c={self.c!r},p={self.p!r}"
-        if self.kind == "geo":
-            return f"seq:kind=geo,c={self.c!r},q={self.q!r}"
-        return f"seq:kind=piovern,c={self.c!r}"
+        return f"seq:kind={self.kind}" + "".join(
+            f",{name}={value!r}" for name, value in self._set_params().items())
 
 
 def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
@@ -505,18 +502,12 @@ def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain
                 f"level {k} tail truncation holds {cutoff - k} points, need {m}")
         return list(values[k:k + m])
 
-    params: dict[str, object] = {"kind": "seq", "seq_kind": spec.kind,
-                                 "c": spec.c, "max_level": max_level,
-                                 "tail_points": _TAIL_POINTS}
-    if spec.p is not None:
-        params["p"] = spec.p
-    if spec.q is not None:
-        params["q"] = spec.q
     return FilterBaseChain(
         chain_id=spec.describe(),
         max_level=max_level,
         punctured_at_zero=True,
-        params=params,
+        params={"kind": "seq", "seq_kind": spec.kind, **spec._set_params(),
+                "max_level": max_level, "tail_points": _TAIL_POINTS},
         element_fn=lambda k: _Tail(values, k),
         scale_fn=lambda k: float(k + 1),
         sample_fn=sample_fn,

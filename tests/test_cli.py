@@ -359,22 +359,49 @@ class TestParamsEcho:
 class TestBaseSpecs:
     """A chain's id is the base spec that builds it again."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: fb.punctured_base(1.0, 0.5, max_level=48),
-        lambda: fb.right_base(1e-05, 0.25, max_level=40),
-        lambda: fb.left_base(3.0, 0.9, max_level=12),
-        lambda: fb.sequence_base(fb.SequenceSpec("powinv", c=1.0, p=1.0), max_level=48),
-        lambda: fb.sequence_base(fb.SequenceSpec("powinv", c=-2.5, p=0.5), max_level=8),
-        lambda: fb.sequence_base(fb.SequenceSpec("geo", c=1.0, q=0.5), max_level=48),
-        lambda: fb.sequence_base(fb.SequenceSpec("geo", c=-1.0, q=-0.5), max_level=20),
-        lambda: fb.sequence_base(fb.SequenceSpec("piovern", c=1.0), max_level=48),
-        lambda: fb.sequence_base(fb.SequenceSpec("piovern", c=-2.0), max_level=8),
+    @pytest.mark.parametrize("make,chain_id,params", [
+        (lambda: fb.punctured_base(1.0, 0.5, max_level=48),
+         "punctured:delta0=1.0,ratio=0.5",
+         {"kind": "punctured", "delta0": 1.0, "ratio": 0.5, "max_level": 48}),
+        (lambda: fb.right_base(1e-05, 0.25, max_level=40),
+         "right:delta0=1e-05,ratio=0.25",
+         {"kind": "right", "delta0": 1e-05, "ratio": 0.25, "max_level": 40}),
+        (lambda: fb.left_base(3.0, 0.9, max_level=12),
+         "left:delta0=3.0,ratio=0.9",
+         {"kind": "left", "delta0": 3.0, "ratio": 0.9, "max_level": 12}),
+        (lambda: fb.sequence_base(fb.SequenceSpec("powinv", c=1.0, p=1.0), max_level=48),
+         "seq:kind=powinv,c=1.0,p=1.0",
+         {"kind": "seq", "seq_kind": "powinv", "c": 1.0, "p": 1.0,
+          "max_level": 48, "tail_points": 256}),
+        (lambda: fb.sequence_base(fb.SequenceSpec("powinv", c=-2.5, p=0.5), max_level=8),
+         "seq:kind=powinv,c=-2.5,p=0.5",
+         {"kind": "seq", "seq_kind": "powinv", "c": -2.5, "p": 0.5,
+          "max_level": 8, "tail_points": 256}),
+        (lambda: fb.sequence_base(fb.SequenceSpec("geo", c=1.0, q=0.5), max_level=48),
+         "seq:kind=geo,c=1.0,q=0.5",
+         {"kind": "seq", "seq_kind": "geo", "c": 1.0, "q": 0.5,
+          "max_level": 48, "tail_points": 256}),
+        (lambda: fb.sequence_base(fb.SequenceSpec("geo", c=-1.0, q=-0.5), max_level=20),
+         "seq:kind=geo,c=-1.0,q=-0.5",
+         {"kind": "seq", "seq_kind": "geo", "c": -1.0, "q": -0.5,
+          "max_level": 20, "tail_points": 256}),
+        (lambda: fb.sequence_base(fb.SequenceSpec("piovern", c=1.0), max_level=48),
+         "seq:kind=piovern,c=1.0",
+         {"kind": "seq", "seq_kind": "piovern", "c": 1.0,
+          "max_level": 48, "tail_points": 256}),
+        (lambda: fb.sequence_base(fb.SequenceSpec("piovern", c=-2.0), max_level=8),
+         "seq:kind=piovern,c=-2.0",
+         {"kind": "seq", "seq_kind": "piovern", "c": -2.0,
+          "max_level": 8, "tail_points": 256}),
     ], ids=["punctured", "right-delta0-1e-05", "left", "powinv", "powinv-c<0", "geo",
             "geo-c<0-q<0", "piovern", "piovern-c<0"])
-    def test_id_parses_back(self, make):
+    def test_id_parses_back(self, make, chain_id, params):
+        """The id and params of each kind of chain, pinned, so that a change
+        to both sides of the round trip is still seen."""
         from filterderiv.cli import parse_base_spec
         b = make()
         again = parse_base_spec(b.id, max_level=b.max_level)
+        assert (b.id, b.params) == (chain_id, params)
         assert (again.id, again.params) == (b.id, b.params)
 
 

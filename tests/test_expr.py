@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal
 from functools import partial
 
 import pytest
@@ -292,8 +293,9 @@ def _pow_source(exponent: str, tested: bool) -> str:
     from k5 in the order they are made, the sign test's error first."""
     k = 5 + tested
     return ("def f(arg):\n"
-            f"    if not isfinite(arg): raise k{k + 1}(argument=arg)\n"
-            f"    arg = k{k + 2}(arg)\n"
+            f"    try:\n        if not isfinite(arg): raise k{k + 1}(argument=arg)\n"
+            f"    except k{k + 2}:\n        raise k{k + 1}(argument=arg) from None\n"
+            f"    arg = k{k + 3}(arg)\n"
             "    t1 = arg\n"
             f"    t2 = {exponent}\n"
             + ("    if t1 < 0.0 and t2 != floor(t2): raise k5(t1)\n" if tested else "")
@@ -541,6 +543,7 @@ class TestNonFiniteConstants:
         Call("abs", (Constant(-math.inf),)),
         Call("max", (Constant(math.inf), Constant(0.0))),
         Call("min", (Variable("x"), Constant(math.nan))),
+        Binary("add", Constant(10**400), Variable("x")),
     ])
     def test_hand_built_constant_raises_when_evaluated(self, tree):
         f = as_function(tree, "x")
@@ -550,7 +553,9 @@ class TestNonFiniteConstants:
             f(1.0)
 
 
-NON_FINITE = [math.inf, -math.inf, math.nan]
+NON_FINITE = [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400"),
+              pytest.param(-10**400, id="-10**400"),
+              pytest.param(Decimal("NaN"), id="Decimal-NaN")]
 
 
 class TestNonFiniteBindings:
@@ -634,10 +639,11 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("call,message", [
         (lambda: render(Constant(math.inf)), "cannot render a non-finite constant"),
+        (lambda: render(Constant(10**400)), "cannot render a non-finite constant"),
         (lambda: as_function(parse("x*y"), "x"), "free variables besides 'x'"),
         (lambda: as_function(Call("min", (_A,)), "a"), "min takes 2 argument(s), got 1"),
         (lambda: evaluate(Call("sin", (_A, _A)), {"a": 1.0}), "sin takes 1 argument(s), got 2"),
-    ], ids=["render-non-finite-constant", "as-function-extra-variable",
+    ], ids=["render-non-finite-constant", "render-huge-int-constant", "as-function-extra-variable",
             "call-with-too-few-arguments", "call-with-too-many-arguments"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:

@@ -70,8 +70,8 @@ _EDGE_HS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 0.5, -0.25, 
 LEVEL_FORM_TABLE = [
     ("log(x)", 0.25, "domain-error", None, 0, "domain error at level 0: log applied "
      "outside its domain in log(x) (argument -0.7331046155365686)"),
-    ("log(x)", 10**400, "domain-error", None, 0, "domain error at level 0: int too large "
-     "to convert to float (argument -0.9831046155365686)"),
+    ("log(x)", 10**400, "domain-error", None, 0, "domain error at level 0: variable is not "
+     f"bound to a finite real in x (argument {10**400!r})"),
     ("sqrt(cos(x*1000)+0.999)", 0.0, "domain-error", None, 2, "domain error at level 2: "
      "sqrt applied outside its domain in sqrt(cos(x*1000.0)+0.999) "
      "(argument -0.00019832292921195815)"),
@@ -189,6 +189,18 @@ class TestDerivative:
         assert res.base_id == b.id
         assert res.x0 == 0.0
         assert res.cfg == CFG
+
+    @pytest.mark.parametrize("f,message", [
+        (math.log, "math domain error"),
+        (lambda x: math.inf if x == 0 else x, "function value is not a finite real"),
+    ], ids=["raises", "not-finite"])
+    def test_failure_at_x0_names_x0(self, f, message):
+        """A plain callable that fails at x0 is reported at x0, not at a sampled h."""
+        b = right_base(1.0, 0.5)
+        detail = f"domain error at level 0: {message} (argument 0.0)"
+        assert derivative(f, 0.0, b, CFG).estimate.failure_detail == detail
+        rep = check_linearity(f, f, 1.0, 1.0, 0.0, b, CFG, 1e-6)
+        assert rep.f_prime.estimate.failure_detail == detail
 
 
 class TestClassicalDerivative:
