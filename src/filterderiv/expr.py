@@ -35,10 +35,11 @@ def _sign(x: float) -> float:
 
 
 def _finite(x: float) -> bool:
-    """math.isfinite(x), but False, not OverflowError, for an int too large for a double."""
+    """math.isfinite(x), but False, not OverflowError or ValueError, for an int
+    too large for a double or a signalling NaN."""
     try:
         return math.isfinite(x)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return False
 
 
@@ -353,7 +354,7 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
         finite = f"if not isfinite(arg): {raise_unbound}"
         # _finite inlined, free for a float argument; a level's x0 + h is a float, so its
         # loop keeps the bare test
-        head = ["try:", f"    {finite}", f"except {ref(OverflowError)}:",
+        head = ["try:", f"    {finite}", f"except {ref((OverflowError, ValueError))}:",
                 f"    {raise_unbound} from None", f"arg = {ref(float)}(arg)"]
         tail = [f"return {root}"]
     body = "".join(f"    {line}\n" for line in head + lines + tail)
@@ -391,6 +392,10 @@ def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
             v = float(value)
         except OverflowError:  # an int too large for a double
             v = math.inf
+        except ValueError:
+            if isinstance(value, (str, bytes, bytearray)):  # float("abc"): not a number
+                raise
+            v = math.nan  # a number float() refuses: a signalling NaN
         if math.isfinite(v):
             return v
         raise DomainError("variable is not bound to a finite real", subject=name, argument=value)

@@ -114,7 +114,10 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
     flimit._finite_values tries first: the quotients at all of hs from f's
     level form (f.quotients), one loop in f's generated code, sharing the
     map's f(x0). It raises where any quotient is undefined or not finite,
-    but not always the error the map raises there."""
+    but not always the error the map raises there.
+
+    The map's at_x0 is (x0, the one-slot list that holds f(x0) once read),
+    from which flimit.estimate_limit takes the quotient's rounding radius."""
     cache: list[float] = []
 
     def quotient(h: float) -> float:
@@ -125,6 +128,7 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
             cache.append(_finite_values(f, (x0,))[0])
         return (f(x0 + h) - cache[0]) / h
 
+    quotient.at_x0 = (x0, cache)
     if hasattr(f, "quotients"):
         def finite_values(hs: Sequence[float]) -> list[float]:
             if not cache:
@@ -163,7 +167,9 @@ def _unmoved(est: LimitEstimate, x0: float, still: float, b: FilterBaseChain,
 def derivative(f: Callable[[float], float], x0: float, b: FilterBaseChain,
                cfg: LimitConfig) -> DerivativeResult:
     """Limit of the difference quotient of f at x0 along b. The chain must
-    be flagged punctured_at_zero, since h is a divisor. An estimate that
+    be flagged punctured_at_zero, since h is a divisor. The estimate stops
+    at the quotient's rounding floor (flimit's radius r): a level where r
+    exceeds 1e-5 * (1 + |mean|) ends it undecided. An estimate that
     converged on a level with a sample x0 + h == x0 is undecided."""
     _require_punctured(b)
     est = _unmoved(estimate_limit(difference_quotient(f, x0), b, cfg), x0, 0.0, b, cfg)
@@ -180,8 +186,20 @@ def classical_derivative(f: Callable[[float], float], x0: float,
 
 def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
                 est: LimitEstimate) -> FContinuityReport:
-    """Compare a function's finite value target at a with its limit est."""
-    ok = est.converged and abs(est.value - target) <= cfg.tol_step * (1.0 + abs(target))
+    """Compare a function's finite value target at a with its limit est, to
+    tol_step * (1 + |target|) plus the distance the last step implies is
+    left. A level's mean is still off the limit by about f'(a) * mean(h):
+    where the scales shrink by rho = scale(k) / scale(k-1) < 1, the steps to
+    come add up to about |last step| * rho / (1 - rho), and the slack is
+    |last step| * (1 + rho) / (1 - rho), twice that and the step once more
+    for the sampling noise in a step. Other chains (a sequence base's scale
+    is its tail's start index) have no slack."""
+    ok = est.converged
+    if ok:
+        slack, t = 0.0, est.trace
+        if len(t) > 1 and 0.0 < (rho := t[-1].scale / t[-2].scale) < 1.0:
+            slack = abs(t[-1].sample_mean - t[-2].sample_mean) * (1.0 + rho) / (1.0 - rho)
+        ok = abs(est.value - target) <= cfg.tol_step * (1.0 + abs(target)) + slack
     return FContinuityReport(point=a, base_id=b.id, limit=est, target=target,
                              is_continuous=ok)
 
@@ -214,20 +232,23 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     redoes a level where that raises or sums to a non-finite value point by
     point, as derivative or f_continuity would without a level form; of
     several that raise, the first in the order above is raised. As in
-    derivative, one that converged on a point x0 + h == x0 is undecided. A
-    right-hand side that is not finite is a failed computation: inconclusive."""
+    derivative, the estimates of f', g' and c' stop at their rounding
+    floors, from f(x0), g(x0) and c(x0) where each is defined, and one that
+    converged on a point x0 + h == x0 is undecided. A right-hand side that
+    is not finite is a failed computation: inconclusive."""
     _require_punctured(b)
     if not 0.0 <= check_tol <= sys.float_info.max:
         raise ValueError("check_tol must be a finite real >= 0")
     _require_depth(b, cfg)  # before f(x0) or g(x0) is read
     fns = {"f": f, "g": g, "c": c or (lambda x: combine([f(x)], [g(x)])[0])}
     plan = [("f", True), ("g", True), *((name, False) for name in continuous), ("c", True)]
-    y0: dict = {}  # f, g and c at x0: an estimate without its value redoes every level
-    try:
-        y0.update(zip("fg", at_x0 or (f(x0), g(x0))))
-        y0["c"] = combine([y0["f"]], [y0["g"]])[0]
-    except Exception:
-        pass
+    y0: dict = dict(zip("fg", at_x0 or ()))  # f, g and c at x0, each where it is defined
+    for name in "fgc":
+        try:
+            if name not in y0:
+                y0[name] = combine([y0["f"]], [y0["g"]])[0] if name == "c" else fns[name](x0)
+        except Exception:  # its estimates redo every level point by point
+            pass
 
     def values(fn, hs):  # fn at each x0 + h, in one call of fn's values form if it has one
         return fn.values(x0, hs) if hasattr(fn, "values") else list(map(fn, [x0 + h for h in hs]))
@@ -252,7 +273,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
             return _finite_values(difference_quotient(lambda x: fn(x), x0) if quotient
                                   else lambda h: fn(x0 + h), hs)
 
-    ests = _descend(level_values, len(plan), b, cfg)
+    slots = [[y0[name]] if quotient and name in y0 else None for name, quotient in plan]
+    ests = _descend(level_values, len(plan), b, cfg, x0, slots)
     df, dg, *held, lhs = [_unmoved(est, x0, 0.0 if quotient else y0[name], b, cfg)
                           for est, (name, quotient) in zip(ests, plan)]
     continuity = tuple(_continuity(y0[name], x0, b, cfg, est)

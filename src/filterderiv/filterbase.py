@@ -9,10 +9,11 @@ no tolerances); the two simple shapes, points only and open intervals
 only, are canonical in closed form. The generated filter is
 never materialized: membership of a candidate set in it is answered by
 searching for a contained base element.
-The geometric bases sample their closed-form intervals without building a
-descriptor, and every sample set drawn from intervals is memoized. A
-sequence base's elements are tails of its one term tuple: two of them nest
-by their start indices alone, and membership is a bisect on magnitude.
+A geometric base samples level k from its annulus, element(k) without
+element(k+1), in closed form and without building a descriptor, and every
+sample set drawn from intervals is memoized. A sequence base's elements are
+tails of its one term tuple: two of them nest by their start indices alone,
+and membership is a bisect on magnitude.
 """
 
 from __future__ import annotations
@@ -251,6 +252,10 @@ class FilterBaseChain:
     diagnosis. All operations are pure and deterministic given the seed.
     """
 
+    # Every h that sample(k, ...) returns has |h| > inner_ratio * scale(k):
+    # set to a geometric chain's ratio, which its subchains keep; None on others.
+    inner_ratio: float | None = None
+
     def __init__(self, *, chain_id: str, max_level: int, punctured_at_zero: bool,
                  params: Mapping[str, object],
                  element_fn: Callable[[int], SetDescriptor],
@@ -287,7 +292,8 @@ class FilterBaseChain:
     def scale(self, k: int) -> float:
         """Shrink scale of level k: the interval half-width for geometric
         bases, the tail start index for sequence bases."""
-        self._check_level(k)
+        if not (isinstance(k, int) and 0 <= k <= self.max_level):  # inline: read on every level
+            self._check_level(k)
         return self._scale_fn(k)
 
     def sample(self, k: int, m: int, seed: int) -> list[float]:
@@ -297,7 +303,8 @@ class FilterBaseChain:
             raise ValueError("m and seed must be ints")
         if m < 2:
             raise ValueError("need m >= 2 sample points")
-        self._check_level(k)
+        if not (isinstance(k, int) and 0 <= k <= self.max_level):  # inline: read on every level
+            self._check_level(k)
         if self._sample_fn is not None:
             return self._sample_fn(k, m, seed)
         return _stratified_sample(self.element(k), m, seed, level=k)
@@ -309,7 +316,7 @@ class FilterBaseChain:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         parent = self
-        return FilterBaseChain(
+        sub = FilterBaseChain(
             chain_id=f"{self.id}/stride={stride}",
             max_level=self.max_level // stride,
             punctured_at_zero=self.punctured_at_zero,
@@ -318,14 +325,19 @@ class FilterBaseChain:
             scale_fn=lambda k: parent.scale(stride * k),
             sample_fn=lambda k, m, seed: parent.sample(stride * k, m, seed),
         )
+        sub.inner_ratio = self.inner_ratio
+        return sub
 
 
 def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
-                     spans: Callable[[float], tuple[tuple[float, float], ...]]
+                     spans: Callable[[float], tuple[tuple[float, float], ...]],
+                     annulus: Callable[[float, float], tuple[tuple[float, float], ...]]
                      ) -> FilterBaseChain:
     """A chain whose level k has scale d = delta0*ratio**k and element the
-    union of the open intervals spans(d), sampled straight from spans(d)
-    without building the descriptor. Each scale is checked against
+    union of the open intervals spans(d). Level k is sampled straight from
+    annulus(d, e), e = ratio*d: the open intervals of element(k) that
+    element(k+1) = spans(e) leaves, so every sampled |h| lies in (e, d), and
+    no descriptor is built. Each scale is checked against
     _MIN_SCALE as it is computed, so a chain too deep is rejected at its
     first level below it."""
     # compared before float(), which overflows for a huge int, and after, which may round
@@ -342,34 +354,38 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
                              "reduce max_level")
         scales.append(scale)
         scale *= ratio
-    return FilterBaseChain(
+    chain = FilterBaseChain(
         chain_id=f"{kind}:delta0={delta0!r},ratio={ratio!r}",
         max_level=max_level,
         punctured_at_zero=True,
         params={"kind": kind, "delta0": delta0, "ratio": ratio, "max_level": max_level},
         element_fn=lambda k: SetDescriptor(intervals=spans(scales[k])),
-        scale_fn=lambda k: scales[k],
-        sample_fn=lambda k, m, seed: list(_sample_spans(spans(scales[k]), m, seed, k)),
+        scale_fn=scales.__getitem__,
+        sample_fn=lambda k, m, seed: list(
+            _sample_spans(annulus(scales[k], ratio * scales[k]), m, seed, k)),
     )
+    chain.inner_ratio = ratio
+    return chain
 
 
 def punctured_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Punctured symmetric neighborhoods of 0:
     element(k) = (-delta0*ratio**k, delta0*ratio**k) \\ {0}."""
     return _geometric_chain("punctured", delta0, ratio, max_level,
-                            lambda d: ((-d, 0.0), (0.0, d)))
+                            lambda d: ((-d, 0.0), (0.0, d)),
+                            lambda d, e: ((-d, -e), (e, d)))
 
 
 def right_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Right-sided neighborhoods: element(k) = (0, delta0*ratio**k)."""
     return _geometric_chain("right", delta0, ratio, max_level,
-                            lambda d: ((0.0, d),))
+                            lambda d: ((0.0, d),), lambda d, e: ((e, d),))
 
 
 def left_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Left-sided neighborhoods: element(k) = (-delta0*ratio**k, 0)."""
     return _geometric_chain("left", delta0, ratio, max_level,
-                            lambda d: ((-d, 0.0),))
+                            lambda d: ((-d, 0.0),), lambda d, e: ((-d, -e),))
 
 
 @record

@@ -4,16 +4,31 @@ The estimator samples each level of the chain, tracks the sampled
 min/max/mean, and issues one of four verdicts:
 
 - converged:   a trailing streak of `stable_levels` levels, each with
-               oscillation (max - min) <= tol_osc and each after the first
-               with a mean that agrees with the one before it to
-               tol_step * (1 + |mean|); the value is the final level's mean.
-               The streak is counted as the levels arrive, so each level's
-               test takes constant time.
+               oscillation (max - min) <= max(tol_osc, r) and each after the
+               first with a mean that agrees with the one before it to
+               max(tol_step * (1 + |mean|), r); the value is the final
+               level's mean. The streak is counted as the levels arrive, so
+               each level's test takes constant time.
 - no-limit:    the level budget is exhausted and oscillation stayed >=
-               no_limit_floor on each of the last `stable_levels` levels.
-- undecided:   neither of the above held by the last level.
+               no_limit_floor, and > r, on each of the last `stable_levels`
+               levels.
+- undecided:   neither of the above held by the last level; or a level's r
+               exceeded 1e-5 * (1 + |mean|), where the estimate stops
+               ("resolution exhausted at level k"): it keeps that level's
+               row, and no later level would resolve more. Such a stop is
+               undecided even where the quotient kept oscillating, as at a
+               kink away from the origin (abs(x - 1) at 1, 1 + abs(x) at 0):
+               its no-limit needs the levels past the floor.
 - domain-error: the function was undefined at a sampled point, which
                falsifies the premise that it is defined on the base element.
+
+r is a level's rounding radius. A difference quotient (f(x0+h) - f(x0)) / h
+computed in doubles is off by about eps * (2|f(x0)| + |x0| * |q|) / |h|, so
+its estimate takes r = _KAPPA * that, at the level's largest |q| and at
+|h| the inner radius of a geometric level's annulus (its smallest |h|),
+else the level's median |h|, and stops where r passes _RESOLUTION_CAP *
+(1 + |mean|): the error-growth stop of Ridders' extrapolation (Numerical
+Recipes 5.7). Any other limit has r = 0.
 
 A numerical procedure cannot decide limit existence, so the verdict comes
 with the full per-level trace as falsifiable evidence.
@@ -42,6 +57,11 @@ CONVERGED = "converged"
 NO_LIMIT = "no-limit"
 UNDECIDED = "undecided"
 DOMAIN_ERROR = "domain-error"
+
+# kappa = 4 and 8 let rounding noise pass as a value on random trees; a
+# cap of 1e-6 left corpus points undecided.
+_KAPPA = 16.0
+_RESOLUTION_CAP = 1e-5
 
 
 @record
@@ -99,9 +119,9 @@ def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[fl
     A g with its own finite_values(pts) (fderiv.difference_quotient's, over
     a compiled f) is tried that way first; on any exception the points are
     redone one at a time, so a failure raises what it raises without it."""
-    if hasattr(g, "finite_values"):
+    if (level_form := getattr(g, "finite_values", None)) is not None:
         try:
-            return g.finite_values(pts)
+            return level_form(pts)
         except Exception:
             pass
     vals = []
@@ -123,7 +143,8 @@ def _require_depth(b: FilterBaseChain, cfg: LimitConfig) -> None:
 
 
 def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], n: int,
-             b: FilterBaseChain, cfg: LimitConfig) -> list[LimitEstimate]:
+             b: FilterBaseChain, cfg: LimitConfig, x0: float = 0.0,
+             slots: Sequence[list[float] | None] = ()) -> list[LimitEstimate]:
     """n estimates in lockstep: level k is sampled once, at hs, and its scale
     read once; then each estimate i still open, in order, takes its finite
     values there from level_values(hs, row, i), where row is a dict fresh on
@@ -137,14 +158,36 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
     extends it when its mean passes the step test against the level before,
     and otherwise starts a new one (run 1). An estimate converges at the
     first level with run >= stable_levels, which is the first level whose
-    last stable_levels rows all pass both tests."""
+    last stable_levels rows all pass both tests.
+
+    slots[i], when given and not None, holds y0 = F(x0) for the F whose
+    difference quotient at x0 estimate i takes, once the estimate's first
+    read has filled it; coefs[i] = 2|y0| is taken from it then, once. Such
+    an estimate has the radius r of the module docstring, at |h| =
+    b.inner_ratio * scale(k) where that is known and not 0, else the median
+    |h| sampled: a sequence level's |h| may span orders of magnitude (a geo
+    level's, 2^31), and noise at its smaller |h| beyond r shows as
+    oscillation, which fails the tests rather than passing them. narrow[i]
+    is the last level whose oscillation was within r. Any other estimate
+    has r = 0."""
     _require_depth(b, cfg)
     m, s, tol_osc, tol_step = cfg.samples_per_level, cfg.stable_levels, cfg.tol_osc, cfg.tol_step
+    sample, scale_of, seed, fsum = b.sample, b.scale, cfg.seed, math.fsum
     rows: list[list[TraceRow]] = [[] for _ in range(n)]
-    runs, prevs, ends = [0] * n, [0.0] * n, [None] * n
+    runs, prevs, ends, narrow = [0] * n, [0.0] * n, [None] * n, [-1] * n
     live, error = range(n), None
+    try:
+        ax0 = abs(x0)
+    except Exception:  # x0 is no number: the values fail on their own, as without a radius
+        slots = ()
+    slots = slots or [None] * n
+    radii, inner = slots.count(None) < n, b.inner_ratio or 0.0
+    coefs = [None] * n  # 2|F(x0)| of estimate i, once its slot holds F(x0)
+    unit, cap = _KAPPA * sys.float_info.epsilon, _RESOLUTION_CAP
     for k in range(cfg.max_level + 1):
-        hs, row, scale, still = b.sample(k, m, cfg.seed), {}, b.scale(k), []
+        hs, row, scale, still = sample(k, m, seed), {}, scale_of(k), []
+        if radii:  # the radii's common factor on this level: kappa*eps / |h|
+            step = unit / (inner * scale or sorted(map(abs, hs))[len(hs) // 2])
         for i in live:
             try:
                 vals = level_values(hs, row, i)
@@ -156,17 +199,27 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
                 break
             lo, hi = min(vals), max(vals)
             try:
-                mean = math.fsum(vals) / len(vals)
+                mean = fsum(vals) / len(vals)
             except OverflowError:  # the sum overflows, the mean does not: take it exactly
                 from fractions import Fraction  # imported here: it slows every CLI start
                 mean = float(sum(map(Fraction, vals)) / len(vals))
-            osc = hi - lo
-            rows[i].append(TraceRow(scale=scale, sample_min=lo, sample_max=hi,
-                                    sample_mean=mean, oscillation=osc))
+            osc, size = hi - lo, 1.0 + abs(mean)
+            rows[i].append(TraceRow(scale, lo, hi, mean, osc))
+            if (c := coefs[i]) is None and (slot := slots[i]):
+                c = coefs[i] = 2.0 * abs(slot[0])
+            r = 0.0
+            if c is not None:
+                r = step * (c + ax0 * (hi if hi > -lo else -lo))
+                if r > cap * size:
+                    ends[i] = (UNDECIDED, None, f"resolution exhausted at level {k}: rounding "
+                               f"radius {r!r} > {_RESOLUTION_CAP!r} * (1 + |mean|)")
+                    continue
+                if osc <= r:
+                    narrow[i] = k
             run = runs[i]
-            if not osc <= tol_osc:
+            if not (osc <= tol_osc or osc <= r):
                 run = 0
-            elif run and abs(mean - prevs[i]) <= tol_step * (1.0 + abs(mean)):
+            elif run and ((d := abs(mean - prevs[i])) <= tol_step * size or d <= r):
                 run += 1
             else:
                 run = 1
@@ -181,7 +234,8 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
     for i in live:  # the level budget is exhausted
         tail = rows[i][-s:]
         ends[i] = (UNDECIDED, None, "stability criterion not met within the level budget")
-        if all(r.oscillation >= cfg.no_limit_floor for r in tail):
+        if narrow[i] < len(rows[i]) - s and all(
+                r.oscillation >= cfg.no_limit_floor for r in tail):
             ends[i] = (NO_LIMIT, None, f"oscillation stayed >= {cfg.no_limit_floor!r} on the "
                        f"last {s} levels (last = {tail[-1].oscillation!r})")
     if error is not None:
@@ -194,11 +248,17 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
                    cfg: LimitConfig) -> LimitEstimate:
     """Estimate lim g along the filter generated by b: _descend with n = 1.
 
+    A g from fderiv.difference_quotient carries its x0 and the slot that
+    holds f(x0) once read, as g.at_x0 = (x0, slot), so the estimate stops at
+    the quotient's rounding floor (see _descend); any other g is a black
+    box with no radius.
+
     Precondition (not re-verified here; the built-in constructors guarantee
     it): b satisfies the base axioms up to cfg.max_level, which must not
     exceed b.max_level.
     """
-    return _descend(lambda hs, row, i: _finite_values(g, hs), 1, b, cfg)[0]
+    x0, slot = getattr(g, "at_x0", (0.0, None))
+    return _descend(lambda hs, row, i: _finite_values(g, hs), 1, b, cfg, x0, (slot,))[0]
 
 
 def format_trace_csv(est: LimitEstimate) -> str:

@@ -5,8 +5,10 @@ away from 0 for quotient checks, and the LimitConfigs the suites run under.
 
 The suite configs back off tol_osc/tol_step from the library defaults: a
 difference quotient computed in doubles carries rounding noise of order
-eps * |f(x0)| / h, so oscillation below ~1e-4 cannot be certified at every
-level once h shrinks toward the noise floor. The acceptance tolerances
+eps * |f(x0)| / h, which these tolerances stay above. The estimator now
+widens its tests to that noise itself (its rounding radius), so the
+defaults certify these derivatives too; the suites keep their configs
+until they move to the defaults together. The acceptance tolerances
 themselves (1e-6 classical agreement, 1e-5 rule tolerance, ...) are
 unchanged.
 """

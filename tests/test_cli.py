@@ -36,7 +36,7 @@ GOLDEN_CASES = [
      ["derive", "--expr", "x^2*cos(x)", "--x0", "1.5", "--base", "punctured:",
       "--tol-osc", "1e-4", "--tol-step", "3e-7", "--trace", "derive_x2cos_converged.csv"]),
     ("derive_sqrt_cos_domain_error.json", 4,
-     ["derive", "--expr", "sqrt(cos(x*1000)+0.999)", "--x0", "0", "--base", "punctured:"]),
+     ["derive", "--expr", "sqrt(cos(x*1000)+0.999)", "--x0", "0.5", "--base", "punctured:"]),
     ("check_quotient_right.json", 0,
      ["check", "quotient", "--f", "x", "--g", "1+abs(x)", "--x0", "0",
       "--base", "right:delta0=1,ratio=0.5",
@@ -293,11 +293,11 @@ class TestUnmovedSamples:
     converge: each of these converged on them at an earlier version."""
 
     @pytest.mark.parametrize("argv,status", [
-        (["derive", "--expr", "x^2", "--x0", "1000", "--base", "punctured:"], "undecided"),
-        (["derive", "--expr", "x^2", "--x0", "1000", "--base", "punctured:",
+        (["derive", "--expr", "sin(x)", "--x0", "1e16", "--base", "punctured:"], "undecided"),
+        (["derive", "--expr", "sin(x)", "--x0", "1e16", "--base", "punctured:",
           "--tol-osc", "1e-4", "--tol-step", "3e-7", "--oracle"], "undecided"),
-        (["check", "product", "--f", "x", "--g", "x", "--x0", "1000", "--base", "punctured:",
-          "--tol-osc", "1e-4", "--tol-step", "1e-7"], "inconclusive"),
+        (["check", "product", "--f", "sin(x)", "--g", "cos(x)", "--x0", "1e16",
+          "--base", "punctured:", "--tol-osc", "1e-4", "--tol-step", "1e-7"], "inconclusive"),
         (["continuity", "--expr", "sign(x-1e16)", "--a", "1e16", "--base", "punctured:"],
          "undecided"),
     ])
@@ -306,12 +306,16 @@ class TestUnmovedSamples:
         assert (code, payload["status"], payload["value"]) == (3, status, None)
 
     def test_rule_check_names_the_unmoved_level(self, capsys):
-        _, payload = main_json(capsys, "check", "product", "--f", "x", "--g", "x",
-                               "--x0", "1000", "--base", "punctured:",
-                               "--tol-osc", "1e-4", "--tol-step", "1e-7")
-        assert [n for n in payload["notes"] if "1000.0 + h == 1000.0" in n] == [
-            "combined-function estimate was undecided: converged on level 44, which "
-            "samples an h with 1000.0 + h == 1000.0, where every function gives 0.0"]
+        # every level of the check leaves 1e16 unmoved, so f' is undecided as
+        # derive's estimate of it is, which names the level
+        argv = ["--x0", "1e16", "--base", "punctured:", "--tol-osc", "1e-4", "--tol-step", "1e-7"]
+        _, payload = main_json(capsys, "check", "product", "--f", "sin(x)", "--g", "cos(x)",
+                               *argv)
+        assert "f_prime=None (undecided)" in payload["notes"]
+        _, payload = main_json(capsys, "derive", "--expr", "sin(x)", *argv)
+        assert payload["notes"] == [
+            "converged on level 0, which samples an h with 1e+16 + h == 1e+16, "
+            "where every function gives 0.0"]
 
 
 class TestRuleChecksAtAnUndefinedX0:

@@ -544,6 +544,7 @@ class TestNonFiniteConstants:
         Call("max", (Constant(math.inf), Constant(0.0))),
         Call("min", (Variable("x"), Constant(math.nan))),
         Binary("add", Constant(10**400), Variable("x")),
+        Binary("add", Constant(Decimal("sNaN")), Variable("x")),
     ])
     def test_hand_built_constant_raises_when_evaluated(self, tree):
         f = as_function(tree, "x")
@@ -555,7 +556,8 @@ class TestNonFiniteConstants:
 
 NON_FINITE = [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400"),
               pytest.param(-10**400, id="-10**400"),
-              pytest.param(Decimal("NaN"), id="Decimal-NaN")]
+              pytest.param(Decimal("NaN"), id="Decimal-NaN"),
+              pytest.param(Decimal("sNaN"), id="Decimal-sNaN")]
 
 
 class TestNonFiniteBindings:
@@ -640,10 +642,12 @@ class TestInputErrors:
     @pytest.mark.parametrize("call,message", [
         (lambda: render(Constant(math.inf)), "cannot render a non-finite constant"),
         (lambda: render(Constant(10**400)), "cannot render a non-finite constant"),
+        (lambda: render(Constant(Decimal("sNaN"))), "cannot render a non-finite constant"),
         (lambda: as_function(parse("x*y"), "x"), "free variables besides 'x'"),
         (lambda: as_function(Call("min", (_A,)), "a"), "min takes 2 argument(s), got 1"),
         (lambda: evaluate(Call("sin", (_A, _A)), {"a": 1.0}), "sin takes 1 argument(s), got 2"),
-    ], ids=["render-non-finite-constant", "render-huge-int-constant", "as-function-extra-variable",
+    ], ids=["render-non-finite-constant", "render-huge-int-constant",
+            "render-signalling-nan-constant", "as-function-extra-variable",
             "call-with-too-few-arguments", "call-with-too-many-arguments"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:

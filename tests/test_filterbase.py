@@ -532,331 +532,316 @@ class TestSampling:
             chain_from_elements("d", [S(points=(0.5, 0.5))]).sample(0, 2, 0)
 
 
-# sample(k, 32, seed) as the per-point four-round hash produced it, for both
+# sample(k, 32, seed) of each level's annulus (element(k) without
+# element(k+1)), as the per-point four-round hash produced it, for both
 # geometric shapes, levels 0, 24 and 48, and seeds 0, 13 and 2**64 + 5 (the
 # last only reaches the hash through its low 64 bits).
 PINNED_SAMPLES = {
     ("punctured", 0, 0): (
-        -0.9831046155365686, -0.8797037023811691, -0.8487734371117147,
-        -0.7718895373431669, -0.7109707351870775, -0.641180928173327,
-        -0.5630908082693438, -0.5415282418855814, -0.46801687644147416,
-        -0.3973940751291454, -0.3725483808922486, -0.30435965095136275,
-        -0.1914102864375068, -0.17515449582324427, -0.11495259462013252,
-        -0.014280116407448529, 0.040250781414188364, 0.11903037806859099,
-        0.17901073786509167, 0.20721489644791802, 0.3036531066759015,
-        0.3324881965981168, 0.430753408850144, 0.44319749301669004, 0.5588366505280563,
-        0.5644993613285355, 0.6517549503346883, 0.7340958315236229, 0.8124949892294335,
-        0.8128198674376889, 0.8785290278128807, 0.9418868429802141),
+        -0.9915523077682843, -0.9398518511905846, -0.9243867185558574, -0.8859447686715834,
+        -0.8554853675935388, -0.8205904640866635, -0.7815454041346719, -0.7707641209427907,
+        -0.734008438220737, -0.6986970375645727, -0.6862741904461243, -0.6521798254756814,
+        -0.5957051432187535, -0.5875772479116221, -0.5574762973100662, -0.5071400582037242,
+        0.5201253907070942, 0.5595151890342955, 0.5895053689325458, 0.6036074482239591,
+        0.6518265533379508, 0.6662440982990584, 0.7153767044250721, 0.721598746508345,
+        0.7794183252640281, 0.7822496806642678, 0.8258774751673441, 0.8670479157618114,
+        0.9062474946147168, 0.9064099337188445, 0.9392645139064404, 0.970943421490107),
     ("punctured", 0, 13): (
-        -0.9776665252367097, -0.9087588205488482, -0.8324300787633298,
-        -0.7805895859569655, -0.7465962040512983, -0.6639502565529078,
-        -0.6011603231294307, -0.5591418340459372, -0.47146419850692567,
-        -0.3937427519143879, -0.3612468780500895, -0.26197740871869957,
-        -0.22770923318101055, -0.15114923661583834, -0.10833629133995304,
-        -0.004868059692487381, 0.023652649966067783, 0.08904926838519366,
-        0.17893478033573698, 0.19064171785414785, 0.3036886172510071,
-        0.3379152269525761, 0.4007887194551387, 0.4428643738319885, 0.536982271744032,
-        0.5828805137202538, 0.6613040244270311, 0.7436407082058828, 0.7539409086690226,
-        0.8129699675180526, 0.8890707207744917, 0.987123898669708),
+        -0.9888332626183548, -0.9543794102744241, -0.9162150393816648, -0.8902947929784828,
+        -0.8732981020256492, -0.8319751282764539, -0.8005801615647153, -0.7795709170229685,
+        -0.7357320992534628, -0.696871375957194, -0.6806234390250447, -0.6309887043593498,
+        -0.6138546165905052, -0.5755746183079191, -0.5541681456699765, -0.5024340298462437,
+        0.5118263249830339, 0.5445246341925968, 0.5894673901678685, 0.595320858927074,
+        0.6518443086255036, 0.668957613476288, 0.7003943597275694, 0.7214321869159943,
+        0.768491135872016, 0.7914402568601269, 0.8306520122135155, 0.8718203541029415,
+        0.8769704543345114, 0.9064849837590263, 0.9445353603872458, 0.993561949334854),
     ("punctured", 0, 2**64 + 5): (
-        -0.9990295848059779, -0.9182634298338805, -0.8416771213254719,
-        -0.7857549508782273, -0.7190851908511244, -0.6281774320293152,
-        -0.5801242756516107, -0.5039186329635315, -0.4835289255237334,
-        -0.395875042577724, -0.3160000978878045, -0.27590896002113297,
-        -0.2292322516371713, -0.18704052963411322, -0.09430115860237087,
-        -0.0031239865682608503, 0.0284209357857923, 0.10675353663782415,
-        0.12769187718822175, 0.23813792852518365, 0.2772990691537532,
-        0.3689736699932234, 0.384259289275415, 0.45680834264965214, 0.5176587514962065,
-        0.6053858829686534, 0.6329376661014693, 0.6900913956100406, 0.7547439998548764,
-        0.8466025067469859, 0.9103802900536953, 0.9998289987382066),
+        -0.9995147924029889, -0.9591317149169403, -0.920838560662736, -0.8928774754391137,
+        -0.8595425954255622, -0.8140887160146576, -0.7900621378258054, -0.7519593164817657,
+        -0.7417644627618667, -0.697937521288862, -0.6580000489439022, -0.6379544800105665,
+        -0.6146161258185856, -0.5935202648170566, -0.5471505793011855, -0.5015619932841304,
+        0.5142104678928962, 0.553376768318912, 0.5638459385941109, 0.6190689642625918,
+        0.6386495345768766, 0.6844868349966117, 0.6921296446377074, 0.728404171324826,
+        0.7588293757481033, 0.8026929414843267, 0.8164688330507346, 0.8450456978050203,
+        0.8773719999274382, 0.923301253373493, 0.9551901450268476, 0.9999144993691034),
     ("punctured", 24, 0): (
-        -5.748964114447707e-08, -5.3597440810242946e-08, -5.083311108419034e-08,
-        -4.556773102959371e-08, -4.448530755405117e-08, -3.938753104839367e-08,
-        -3.664478521559822e-08, -3.1612968764088235e-08, -2.6937322062666497e-08,
-        -2.3986408469252863e-08, -1.9958027013586658e-08, -1.538407116653393e-08,
-        -1.487222605991489e-08, -8.538913796430858e-09, -4.915826940625972e-09,
-        -3.519994383075798e-10, 1.0115801037944793e-10, 3.9247656932104645e-09,
-        8.407777581093058e-09, 1.415347090247171e-08, 1.6710322805441114e-08,
-        2.021944229971094e-08, 2.275851667890559e-08, 2.685391196253489e-08,
-        2.992033332130319e-08, 3.4334856938460694e-08, 3.822339684330895e-08,
-        4.307117135435977e-08, 4.746727626019241e-08, 4.891993693549113e-08,
-        5.2493618783833884e-08, 5.8921428818975516e-08),
-    ("punctured", 24, 13): (
-        -5.6508349328381823e-08, -5.539371906151257e-08, -5.164873054554901e-08,
-        -4.546634610186478e-08, -4.267131444583631e-08, -3.797935463610923e-08,
-        -3.6073082163039775e-08, -3.249382619920934e-08, -2.6298957408622953e-08,
-        -2.3891849846783438e-08, -2.1015640010968513e-08, -1.734574094994721e-08,
-        -1.2023923255064908e-08, -1.0704941064708169e-08, -6.204622881375336e-09,
-        -3.055498565306821e-09, 1.6768938513688015e-09, 4.9421763220216635e-09,
-        7.805756410638506e-09, 1.3546730349308581e-08, 1.6455722897605466e-08,
-        1.8954474001554975e-08, 2.4777792161171436e-08, 2.769825656599807e-08,
-        3.350935005329291e-08, 3.522969254061541e-08, 3.980132782508032e-08,
-        4.1995797920220014e-08, 4.727369248066936e-08, 5.071059617358383e-08,
-        5.5503613837274384e-08, 5.7617388524456216e-08),
-    ("punctured", 24, 2**64 + 5): (
-        -5.81371808010571e-08, -5.53057612649267e-08, -4.987866662271087e-08,
-        -4.8293472828160404e-08, -4.412921094946115e-08, -3.8179403925066724e-08,
-        -3.3800831464109954e-08, -3.20012387479108e-08, -2.9503699083850052e-08,
-        -2.4878844190307145e-08, -2.0871634971989702e-08, -1.6218438845892564e-08,
-        -1.3317221480771587e-08, -7.61841247854716e-09, -6.041949073078498e-09,
-        -1.5902497661931349e-09, 1.383839864204951e-10, 5.166472610329568e-09,
-        8.13977914315786e-09, 1.3644674038498749e-08, 1.5603108756398134e-08,
-        2.106825972435647e-08, 2.341139436220372e-08, 2.7820159179360283e-08,
-        3.023546581771527e-08, 3.4219433615198196e-08, 3.8444949894052485e-08,
-        4.2535553972572155e-08, 4.594524115339718e-08, 5.187612144934033e-08,
-        5.566125562937664e-08, 5.9192240013080904e-08),
-    ("punctured", 48, 0): (
-        -3.5420046395831418e-15, -3.1428012636158495e-15, -2.9374439224985914e-15,
-        -2.7178463072066215e-15, -2.463070614252521e-15, -2.225234869117996e-15,
-        -2.0500477577291545e-15, -1.832004695133475e-15, -1.5929042270480331e-15,
-        -1.3679664590616281e-15, -1.1795920101050652e-15, -9.212154748727264e-16,
-        -8.421969697564612e-16, -4.71779328282698e-16, -2.7611479166524276e-16,
-        -4.5055582676868525e-18, 5.1624708582084316e-17, 3.5821306942340396e-16,
-        6.206487782316328e-16, 7.891772380479173e-16, 9.894247399614367e-16,
-        1.1829815123223095e-15, 1.5542613074045523e-15, 1.721844123993327e-15,
-        1.870638503833129e-15, 2.1289853859921842e-15, 2.2668259289013496e-15,
-        2.6211697086808242e-15, 2.68589276982177e-15, 2.900745441392128e-15,
-        3.181647529889282e-15, 3.4167910884359238e-15),
-    ("punctured", 48, 13): (
-        -3.350268389708745e-15, -3.1360633632919332e-15, -2.9849215683638442e-15,
-        -2.6658443969450233e-15, -2.537337550594403e-15, -2.4046560422653433e-15,
-        -2.0607764017313945e-15, -1.9955665960121342e-15, -1.5782603292244733e-15,
-        -1.5011070016336475e-15, -1.1176748183709657e-15, -9.19237032937522e-16,
-        -6.711046890135351e-16, -4.450369649475908e-16, -2.629484946275156e-16,
-        -2.2478395662177945e-17, 1.8415214307397835e-16, 2.327243880738007e-16,
-        6.04846761623502e-16, 8.079743557761478e-16, 1.0452729402315155e-15,
-        1.2010714736215302e-15, 1.5488534971591556e-15, 1.6486782438757146e-15,
-        1.7843792193022712e-15, 2.0678306209916295e-15, 2.3135578943041447e-15,
-        2.465857206829037e-15, 2.719021661241166e-15, 2.9936317806464535e-15,
-        3.311942391600812e-15, 3.534131835163447e-15),
-    ("punctured", 48, 2**64 + 5): (
-        -3.4558497109041786e-15, -3.1383164909172972e-15, -2.890988050721779e-15,
-        -2.8412614396865426e-15, -2.5355999165959043e-15, -2.2622305058395385e-15,
-        -2.088617359960267e-15, -1.877551995817651e-15, -1.6228047247359436e-15,
-        -1.5016497191474704e-15, -1.2166197905876107e-15, -9.526927165518535e-16,
-        -8.160885596380356e-16, -6.539369117417933e-16, -3.418005286101656e-16,
-        -8.957635654975515e-18, 1.3506811132963434e-16, 3.069005430555791e-16,
-        4.604941286330565e-16, 8.649146384414877e-16, 9.820513233787246e-16,
-        1.2776026727771207e-15, 1.340547464721981e-15, 1.5989544825694368e-15,
-        1.798897766798539e-15, 2.134667200373543e-15, 2.414336294228225e-15,
-        2.625407127651842e-15, 2.701111173874302e-15, 3.0232605572160456e-15,
-        3.211732824220599e-15, 3.4425581002947082e-15),
-    ("right", 0, 0): (
-        0.00844769223171572, 0.060148148809415415, 0.07561328144414264,
-        0.11405523132841655, 0.1445146324064612, 0.17940953591333653,
-        0.21845459586532812, 0.22923587905720932, 0.2659915617792629,
-        0.3013029624354273, 0.3137258095538757, 0.3478201745243186, 0.4042948567812466,
-        0.41242275208837786, 0.44252370268993374, 0.49285994179627574,
-        0.5028261418373942, 0.5384240207402309, 0.5904911729181858, 0.6098173991850712,
-        0.6496736145071423, 0.676603580374262, 0.7093184520686071, 0.7379336870843917,
-        0.7543957940920886, 0.8119485635426311, 0.817196265364506, 0.8706407018345618,
-        0.888177072683473, 0.9113240096889738, 0.9398575466371056, 0.9973293907050614),
-    ("right", 0, 13): (
-        0.011166737381645152, 0.045620589725575894, 0.08378496061833512,
-        0.10970520702151725, 0.12670189797435083, 0.16802487172354605,
-        0.19941983843528466, 0.2204290829770314, 0.26426790074653717,
-        0.30312862404280605, 0.31937656097495526, 0.3690112956406502,
-        0.3861453834094947, 0.4244253816920808, 0.4458318543300235, 0.4975659701537563,
-        0.5264086342898286, 0.5498057166694064, 0.5738711881371297, 0.6075956831708201,
-        0.6293484745846222, 0.6736167331915922, 0.7002203335884787, 0.7446216608487999,
-        0.7794178390512605, 0.8042503552081604, 0.8359070416997882, 0.8678523336178499,
-        0.8820725789666425, 0.9063056709907312, 0.957437492854972, 0.9715878310364823),
-    ("right", 0, 2**64 + 5): (
-        0.0004852075970110531, 0.04086828508305976, 0.07916143933726406,
-        0.10712252456088636, 0.14045740457443776, 0.1859112839853424,
-        0.2099378621741946, 0.24804068351823427, 0.2582355372381333, 0.302062478711138,
-        0.34199995105609776, 0.3620455199894335, 0.38538387418141434,
-        0.4064797351829434, 0.45284942069881456, 0.4984380067158696, 0.5135710546934972,
-        0.56198083501237, 0.5764563600249102, 0.6189562220380399, 0.6407020855600943,
-        0.6869176607839549, 0.7148301026697246, 0.7215361562742217, 0.7571829016533995,
-        0.811325951259732, 0.8269445884221582, 0.8734395795288437, 0.8985281259562953,
-        0.9182838255414131, 0.9625116113324456, 0.9718857483959447),
-    ("right", 24, 0): (
-        1.057501815456778e-09, 3.0036019825738407e-09, 4.3857668456001424e-09,
-        7.018456872898458e-09, 7.559668610669726e-09, 1.0108556863498479e-08,
-        1.1479929779896204e-08, 1.3995838005651197e-08, 1.6333661356362064e-08,
-        1.780911815306888e-08, 1.9823308880901984e-08, 2.2110286804428347e-08,
-        2.2366209357737867e-08, 2.5532865489479883e-08, 2.7344408917382327e-08,
-        2.9626322668541523e-08, 2.989927639558694e-08, 3.335637085901749e-08,
-        3.489579734299211e-08, 3.677971289875752e-08, 3.807206621660081e-08,
-        4.021031948567598e-08, 4.14420738593189e-08, 4.442896077086209e-08,
-        4.594893813616761e-08, 4.759734542293907e-08, 4.9542592032049806e-08,
-        5.0382089508796385e-08, 5.2460251570172193e-08, 5.5026717262139174e-08,
-        5.64943621938521e-08, 5.7771975705586596e-08),
-    ("right", 24, 13): (
-        1.5481477235044024e-09, 2.1054628569390275e-09, 3.9779571149208085e-09,
-        7.069149336762921e-09, 8.466665164777159e-09, 1.0812645069640698e-08,
-        1.1765781306175423e-08, 1.3555409288090643e-08, 1.6652843683383836e-08,
-        1.7856397464303594e-08, 1.9294502382211056e-08, 2.1129451912721707e-08,
-        2.379036076016286e-08, 2.4449851855341228e-08, 2.6700010947007645e-08,
-        2.8274573105041902e-08, 3.018464794139357e-08, 3.346708740062947e-08,
-        3.371442330386895e-08, 3.62697624747113e-08, 3.803376968375097e-08,
-        3.92877451285103e-08, 4.281482571756776e-08, 4.330494446466629e-08,
-        4.6017539406933756e-08, 4.8248430611926116e-08, 4.996445262445291e-08,
-        5.100658013745861e-08, 5.301116433139693e-08, 5.432157180365986e-08,
-        5.663628733382743e-08, 5.907456391042419e-08),
-    ("right", 24, 2**64 + 5): (
-        7.337319871667622e-10, 2.149441755231962e-09, 4.862989076339877e-09,
-        5.6555859736151105e-09, 7.737716912964735e-09, 1.0712620425161952e-08,
-        1.2901906655640337e-08, 1.3801703013739911e-08, 1.5050472845770287e-08,
-        1.736290029254174e-08, 1.936650490170046e-08, 2.169310296474903e-08,
-        2.314371164730952e-08, 2.5993116148421732e-08, 2.6781347851156064e-08,
-        2.9007197504598745e-08, 3.0132572922179955e-08, 3.3141445025407824e-08,
-        3.3907922848309045e-08, 3.6015644421933053e-08, 3.862759313262298e-08,
-        3.995717213769329e-08, 4.1779808010274363e-08, 4.456803040087549e-08,
-        4.509884125142184e-08, 4.8328416626486004e-08, 4.85359651863813e-08,
-        5.141063486333573e-08, 5.271869935033899e-08, 5.4031482866014516e-08,
-        5.745920846313821e-08, 5.9586307983965594e-08),
-    ("right", 48, 0): (
-        5.3545196086796405e-18, 2.0495620759232567e-16, 3.0763487815095475e-16,
-        4.174336857969397e-16, 5.448215322739899e-16, 6.637394048412525e-16,
-        7.513329605356732e-16, 8.603544918335129e-16, 9.79904725876234e-16,
-        1.0923736098694364e-15, 1.1865608343477179e-15, 1.3157491019638873e-15,
-        1.3552583545220199e-15, 1.5404671752589015e-15, 1.638299443567629e-15,
-        1.774104060266407e-15, 1.8561060744039967e-15, 1.9734036649664535e-15,
-        2.017226883043613e-15, 2.1549710945766706e-15, 2.2543469275461722e-15,
-        2.3332483831435232e-15, 2.4459854920414314e-15, 2.5781643019414728e-15,
-        2.6909579461848973e-15, 2.824250812095654e-15, 2.9359610354987146e-15,
-        3.0832580267625258e-15, 3.1115350765789755e-15, 3.2409099351679367e-15,
-        3.354418716631723e-15, 3.475807282984087e-15),
-    ("right", 48, 13): (
-        1.0122264454587805e-16, 2.0832515775428378e-16, 2.8389605521832826e-16,
-        4.4343464092773887e-16, 5.076880641030489e-16, 5.740288182675788e-16,
-        7.459686385345533e-16, 7.785735413941834e-16, 9.872266747880138e-16,
-        1.0258033385834267e-15, 1.2175194302147676e-15, 1.3167383229314894e-15,
-        1.440804494893483e-15, 1.553838356926455e-15, 1.6448825920864927e-15,
-        1.7651176415691615e-15, 1.8868770808066128e-15, 1.921648674117746e-15,
-        2.0008808935903416e-15, 2.1852782687836804e-15, 2.2979626013521446e-15,
-        2.348545718249668e-15, 2.5295475807001893e-15, 2.6071230564037183e-15,
-        2.7379162954333505e-15, 2.824267011555273e-15, 2.929985980513816e-15,
-        3.0456898926757776e-15, 3.1628115777646572e-15, 3.2666898792037047e-15,
-        3.394395468421217e-15, 3.5099893760741463e-15),
-    ("right", 48, 2**64 + 5): (
-        4.843198394816127e-17, 2.0719859394160182e-16, 3.3086281403936094e-16,
-        3.5572611955697914e-16, 5.085568811022983e-16, 6.452415864804812e-16,
-        7.320481594201169e-16, 8.375808414914249e-16, 9.649544770322787e-16,
-        1.0255319798265152e-15, 1.1680469441064451e-15, 1.3000104811243237e-15,
-        1.3683125595812327e-15, 1.4493883835293538e-15, 1.6054565750951677e-15,
-        1.7718780215727627e-15, 1.792152366247376e-15, 1.903439829456154e-15,
-        2.105609880056039e-15, 2.2012762714689403e-15, 2.3235028625419696e-15,
-        2.357329860703244e-15, 2.474971988172901e-15, 2.6119532663339034e-15,
-        2.7335462292190517e-15, 2.8387313822164846e-15, 2.9333383271045716e-15,
-        3.0234263287245403e-15, 3.1473140073146527e-15, 3.2377513850274685e-15,
-        3.4351846970973972e-15, 3.5352396777683996e-15),
-}
-
-
-# left_base(1, 0.5).sample(k, 32, seed) at the same levels and seeds, as the
-# descriptor-canonicalizing sampler produced it.
-PINNED_LEFT_SAMPLES = {
-    (0, 0): (
-        -0.9915523077682843, -0.9398518511905846, -0.9243867185558574,
-        -0.8859447686715834, -0.8554853675935388, -0.8205904640866635,
-        -0.7815454041346719, -0.7707641209427907, -0.734008438220737,
-        -0.6986970375645727, -0.6862741904461243, -0.6521798254756814,
-        -0.5957051432187535, -0.5875772479116221, -0.5574762973100662,
-        -0.5071400582037242, -0.49717385816260584, -0.4615759792597691,
-        -0.40950882708181424, -0.39018260081492884, -0.35032638549285766,
-        -0.32339641962573795, -0.2906815479313929, -0.26206631291560833,
-        -0.24560420590791143, -0.18805143645736888, -0.18280373463549404,
-        -0.12935929816543823, -0.11182292731652699, -0.08867599031102624,
-        -0.060142453362894366, -0.002670609294938564),
-    (0, 13): (
-        -0.9888332626183548, -0.9543794102744241, -0.9162150393816648,
-        -0.8902947929784828, -0.8732981020256492, -0.8319751282764539,
-        -0.8005801615647153, -0.7795709170229685, -0.7357320992534628,
-        -0.696871375957194, -0.6806234390250447, -0.6309887043593498,
-        -0.6138546165905052, -0.5755746183079191, -0.5541681456699765,
-        -0.5024340298462437, -0.47359136571017135, -0.45019428333059364,
-        -0.4261288118628703, -0.39240431682917987, -0.3706515254153778,
-        -0.3263832668084078, -0.2997796664115213, -0.2553783391512001,
-        -0.2205821609487395, -0.19574964479183965, -0.16409295830021176,
-        -0.13214766638215014, -0.11792742103335752, -0.09369432900926877,
-        -0.04256250714502796, -0.028412168963517725),
-    (0, 2**64 + 5): (
-        -0.9995147924029889, -0.9591317149169403, -0.920838560662736,
-        -0.8928774754391137, -0.8595425954255622, -0.8140887160146576,
-        -0.7900621378258054, -0.7519593164817657, -0.7417644627618667,
-        -0.697937521288862, -0.6580000489439022, -0.6379544800105665,
-        -0.6146161258185856, -0.5935202648170566, -0.5471505793011855,
-        -0.5015619932841304, -0.4864289453065028, -0.43801916498763005,
-        -0.4235436399750898, -0.3810437779619601, -0.35929791443990566,
-        -0.3130823392160451, -0.2851698973302754, -0.27846384372577826,
-        -0.24281709834660048, -0.18867404874026805, -0.17305541157784177,
-        -0.12656042047115634, -0.10147187404370472, -0.08171617445858692,
-        -0.03748838866755444, -0.02811425160405534),
-    (24, 0): (
         -5.854714295993385e-08, -5.660104279281678e-08, -5.5218877929790485e-08,
         -5.2586187902492167e-08, -5.20449761647209e-08, -4.9496087911892146e-08,
         -4.812471499549442e-08, -4.560880676973943e-08, -4.327098341902856e-08,
         -4.1795526622321744e-08, -3.9781335894488645e-08, -3.7494357970962274e-08,
         -3.723843541765276e-08, -3.407177928591074e-08, -3.22602358580083e-08,
-        -2.99783221068491e-08, -2.9705368379803683e-08, -2.6248273916373138e-08,
-        -2.4708847432398515e-08, -2.2824931876633105e-08, -2.1532578558789815e-08,
-        -1.9394325289714645e-08, -1.8162570916071728e-08, -1.5175684004528537e-08,
-        -1.3655706639223014e-08, -1.2007299352451556e-08, -1.006205274334082e-08,
-        -9.22255526659424e-09, -7.144393205218432e-09, -4.577927513251451e-09,
-        -3.1102825815385266e-09, -1.8326690698040292e-09),
-    (24, 13): (
+        -2.99783221068491e-08, 2.985290139288504e-08, 3.1764705234300545e-08,
+        3.400621117824184e-08, 3.687905783893117e-08, 3.815748379041587e-08,
+        3.991204353755078e-08, 4.118158072714811e-08, 4.322927836896276e-08,
+        4.476248904834691e-08, 4.696975085692566e-08, 4.891402080934979e-08,
+        5.1337908064875196e-08, 5.3535960517791516e-08, 5.426229085544088e-08,
+        5.6049131779612255e-08, 5.926303679718307e-08),
+    ("punctured", 24, 13): (
         -5.8056497051886224e-08, -5.7499181918451595e-08, -5.562668766046981e-08,
         -5.25354954386277e-08, -5.1137979610613466e-08, -4.879199970574993e-08,
         -4.78388634692152e-08, -4.604923548729998e-08, -4.295180109200679e-08,
         -4.174824731108703e-08, -4.031014239317957e-08, -3.847519286266892e-08,
         -3.581428401522776e-08, -3.51547929200494e-08, -3.2904633828382984e-08,
-        -3.1330071670348726e-08, -2.9419996833997057e-08, -2.6137557374761158e-08,
-        -2.5890221471521672e-08, -2.3334882300679324e-08, -2.1570875091639652e-08,
-        -2.0316899646880326e-08, -1.6789819057822868e-08, -1.6299700310724333e-08,
-        -1.3587105368456869e-08, -1.1356214163464509e-08, -9.640192150937718e-09,
-        -8.598064637932014e-09, -6.593480443993693e-09, -5.283072971730767e-09,
-        -2.968357441563194e-09, -5.300808649664325e-10),
-    (24, 2**64 + 5): (
+        -3.1330071670348726e-08, 3.0640769313379716e-08, 3.227341054870614e-08,
+        3.370520059301456e-08, 3.6575687562349606e-08, 3.803018383649805e-08,
+        3.92795593884728e-08, 4.2191218468281034e-08, 4.365145067069435e-08,
+        4.655699741434177e-08, 4.741716865800302e-08, 4.970298630023547e-08,
+        5.080022134780532e-08, 5.343916862802999e-08, 5.515762047448723e-08,
+        5.75541293063325e-08, 5.861101664992342e-08),
+    ("punctured", 24, 2**64 + 5): (
         -5.887091278822386e-08, -5.7455203020158665e-08, -5.4741655699050747e-08,
         -5.3949058801775514e-08, -5.186692786242589e-08, -4.8892024350228675e-08,
         -4.670273811975029e-08, -4.580294176165072e-08, -4.455417192962034e-08,
         -4.224174448284888e-08, -4.0238139873690167e-08, -3.79115418106416e-08,
         -3.64609331280811e-08, -3.3611528626968896e-08, -3.2823296924234565e-08,
-        -3.059744727079188e-08, -2.947207185321067e-08, -2.64631997499828e-08,
-        -2.569672192708158e-08, -2.358900035345757e-08, -2.0977051642767646e-08,
-        -1.9647472637697333e-08, -1.7824836765116262e-08, -1.5036614374515135e-08,
-        -1.4505803523968782e-08, -1.1276228148904621e-08, -1.1068679589009326e-08,
-        -8.194009912054895e-09, -6.8859454250516334e-09, -5.573161909376109e-09,
-        -2.145436312252413e-09, -1.8336791425030913e-11),
-    (48, 0): (
+        -3.059744727079188e-08, 2.987151438090556e-08, 3.2385558692860094e-08,
+        3.387221195927424e-08, 3.662465940694469e-08, 3.760387676589438e-08,
+        4.033645224987355e-08, 4.1508019568797175e-08, 4.3712401977375456e-08,
+        4.492005529655295e-08, 4.691203919529441e-08, 4.9024797334721555e-08,
+        5.1070099373981387e-08, 5.2774942964393904e-08, 5.574038311236548e-08,
+        5.7632950202383635e-08, 5.9398442394235764e-08),
+    ("punctured", 48, 0): (
         -3.5473591591918213e-15, -3.3477574712081754e-15, -3.245078800649546e-15,
         -3.135279993003561e-15, -3.007892146526511e-15, -2.8889742739592484e-15,
         -2.8013807182648275e-15, -2.692359186966988e-15, -2.572808952924267e-15,
         -2.4603400689310643e-15, -2.3661528444527832e-15, -2.2369645768366137e-15,
         -2.197455324278481e-15, -2.0122465035415995e-15, -1.914414235232872e-15,
-        -1.7786096185340937e-15, -1.6966076043965043e-15, -1.5793100138340474e-15,
-        -1.5354867957568878e-15, -1.3977425842238303e-15, -1.2983667512543287e-15,
-        -1.2194652956569777e-15, -1.1067281867590696e-15, -9.745493768590282e-16,
-        -8.617557326156036e-16, -7.28462866704847e-16, -6.167526433017863e-16,
-        -4.694556520379751e-16, -4.4117860222152545e-16, -3.118037436325642e-16,
-        -1.9829496216877802e-16, -7.6906395816414e-17),
-    (48, 13): (
+        -1.7786096185340937e-15, 1.8021691936912928e-15, 1.9554633741119523e-15,
+        2.0866812285160666e-15, 2.1709454584242093e-15, 2.271069209380969e-15,
+        2.367847595561405e-15, 2.5534874931025265e-15, 2.637278901396914e-15,
+        2.711676091316815e-15, 2.8408495323963426e-15, 2.9097698038509255e-15,
+        3.0869416937406626e-15, 3.1193032243111353e-15, 3.2267295600963147e-15,
+        3.3671806043448916e-15, 3.4847523836182123e-15),
+    ("punctured", 48, 13): (
         -3.451491034254623e-15, -3.344388521046217e-15, -3.2688176235821726e-15,
         -3.109279037872762e-15, -3.045025614697452e-15, -2.978684860532922e-15,
         -2.8067450402659477e-15, -2.7741401374063174e-15, -2.565487004012487e-15,
         -2.5269103402170742e-15, -2.3351942485857333e-15, -2.2359753558690113e-15,
         -2.111909183907018e-15, -1.998875321874046e-15, -1.9078310867140085e-15,
-        -1.7875960372313396e-15, -1.6658365979938882e-15, -1.6310650046827549e-15,
-        -1.5518327852101594e-15, -1.3674354100168205e-15, -1.2547510774483564e-15,
-        -1.2041679605508328e-15, -1.0231660981003116e-15, -9.455906223967826e-16,
-        -8.147973833671504e-16, -7.284466672452279e-16, -6.22727698286685e-16,
-        -5.070237861247234e-16, -3.899021010358437e-16, -2.860237995967962e-16,
-        -1.5831821037928403e-16, -4.272430272635461e-17),
-    (48, 2**64 + 5): (
+        -1.7875960372313396e-15, 1.8684329109372395e-15, 1.892719033437151e-15,
+        2.0787802202120014e-15, 2.1803440172883245e-15, 2.2989933095160083e-15,
+        2.3768925762110157e-15, 2.5507835879798283e-15, 2.600695961338108e-15,
+        2.6685464490513863e-15, 2.8102721498960654e-15, 2.933135786552323e-15,
+        3.009285442814769e-15, 3.1358676700208337e-15, 3.2731727297234772e-15,
+        3.4323280352006565e-15, 3.543422756981974e-15),
+    ("punctured", 48, 2**64 + 5): (
         -3.5042816948523397e-15, -3.3455150848588993e-15, -3.22185086476114e-15,
         -3.1969875592435218e-15, -3.0441567976982024e-15, -2.9074720923200197e-15,
         -2.820665519380384e-15, -2.7151328373090762e-15, -2.5877592017682225e-15,
         -2.5271816989739857e-15, -2.384666734694056e-15, -2.2527031976761774e-15,
         -2.1844011192192683e-15, -2.103325295271147e-15, -1.947257103705333e-15,
-        -1.7808356572277384e-15, -1.7605613125531248e-15, -1.6492738493443471e-15,
-        -1.4471037987444619e-15, -1.3514374073315606e-15, -1.2292108162585313e-15,
-        -1.195383818097257e-15, -1.0777416906276001e-15, -9.407604124665975e-16,
-        -8.191674495814493e-16, -7.139822965840163e-16, -6.193753516959293e-16,
-        -5.292873500759607e-16, -4.053996714858482e-16, -3.1496229377303245e-16,
-        -1.175289817031037e-16, -1.747400103210137e-17),
+        -1.7808356572277384e-15, 1.8438908950650675e-15, 1.92980711092804e-15,
+        2.006603903716779e-15, 2.2088141586209944e-15, 2.2673825010896127e-15,
+        2.4151581757888107e-15, 2.446630571761241e-15, 2.5758340806849687e-15,
+        2.6758057227995202e-15, 2.843690439587022e-15, 2.9835249865143628e-15,
+        3.0890604032261714e-15, 3.1269124263374014e-15, 3.2879871180082735e-15,
+        3.3822232515105497e-15, 3.4976358895476046e-15),
+    ("right", 0, 0): (
+        0.5042238461158579, 0.5300740744047077, 0.5378066407220713, 0.5570276156642082,
+        0.5722573162032306, 0.5897047679566683, 0.6092272979326641, 0.6146179395286047,
+        0.6329957808896315, 0.6506514812177137, 0.6568629047769379, 0.6739100872621593,
+        0.7021474283906233, 0.7062113760441889, 0.7212618513449669, 0.7464299708981379,
+        0.751413070918697, 0.7692120103701154, 0.7952455864590928, 0.8049086995925356,
+        0.8248368072535712, 0.838301790187131, 0.8546592260343036, 0.8689668435421958,
+        0.8771978970460443, 0.9059742817713156, 0.908598132682253, 0.9353203509172809,
+        0.9440885363417365, 0.9556620048444868, 0.9699287733185529, 0.9986646953525307),
+    ("right", 0, 13): (
+        0.5055833686908225, 0.522810294862788, 0.5418924803091676, 0.5548526035107586,
+        0.5633509489871754, 0.584012435861773, 0.5997099192176423, 0.6102145414885157,
+        0.6321339503732686, 0.651564312021403, 0.6596882804874776, 0.6845056478203251,
+        0.6930726917047474, 0.7122126908460404, 0.7229159271650117, 0.7487829850768781,
+        0.7632043171449143, 0.7749028583347032, 0.7869355940685648, 0.8037978415854101,
+        0.814674237292311, 0.8368083665957962, 0.8501101667942393, 0.8723108304243999,
+        0.8897089195256302, 0.9021251776040802, 0.9179535208498941, 0.9339261668089249,
+        0.9410362894833213, 0.9531528354953656, 0.978718746427486, 0.9857939155182411),
+    ("right", 0, 2**64 + 5): (
+        0.5002426037985055, 0.5204341425415299, 0.5395807196686321, 0.5535612622804432,
+        0.5702287022872189, 0.5929556419926711, 0.6049689310870973, 0.6240203417591171,
+        0.6291177686190667, 0.6510312393555691, 0.6709999755280489, 0.6810227599947167,
+        0.6926919370907072, 0.7032398675914717, 0.7264247103494073, 0.7492190033579348,
+        0.7567855273467485, 0.780990417506185, 0.7882281800124551, 0.8094781110190199,
+        0.8203510427800471, 0.8434588303919774, 0.8574150513348623, 0.8607680781371109,
+        0.8785914508266998, 0.905662975629866, 0.9134722942110791, 0.9367197897644218,
+        0.9492640629781477, 0.9591419127707066, 0.9812558056662228, 0.9859428741979723),
+    ("right", 24, 0): (
+        3.03310732954237e-08, 3.130412337898223e-08, 3.1995205810495386e-08,
+        3.331155082414454e-08, 3.3582156693030174e-08, 3.485660081944455e-08,
+        3.5542287277643415e-08, 3.6800241390520913e-08, 3.7969153065876346e-08,
+        3.8706881464229756e-08, 3.97139768281463e-08, 4.085746578990949e-08,
+        4.098542706656425e-08, 4.2568755132435256e-08, 4.3474526846386474e-08,
+        4.4615483721966075e-08, 4.4751960585488784e-08, 4.6480507817204056e-08,
+        4.725022105919137e-08, 4.819217883707407e-08, 4.8838355495995714e-08,
+        4.99074821305333e-08, 5.0523359317354764e-08, 5.2016802773126356e-08,
+        5.277679145577912e-08, 5.360099509916485e-08, 5.4573618403720215e-08,
+        5.4993367142093505e-08, 5.603244817278141e-08, 5.73156810187649e-08,
+        5.804950348462136e-08, 5.868831024048861e-08),
+    ("right", 24, 13): (
+        3.057639624944751e-08, 3.0855053816164824e-08, 3.179130094515572e-08,
+        3.333689705607677e-08, 3.403565497008389e-08, 3.520864492251566e-08,
+        3.5685213040783025e-08, 3.6580027031740633e-08, 3.812874422938723e-08,
+        3.873052111984711e-08, 3.944957357880084e-08, 4.036704834405616e-08,
+        4.1697502767776743e-08, 4.2027248315365927e-08, 4.315232786119913e-08,
+        4.393960894021626e-08, 4.48946463583921e-08, 4.653586608801005e-08,
+        4.6659534039629786e-08, 4.7937203625050966e-08, 4.88192072295708e-08,
+        4.9446194951950465e-08, 5.120973524647919e-08, 5.145479462002846e-08,
+        5.281109209116219e-08, 5.392653769365837e-08, 5.4784548699921766e-08,
+        5.530561245642462e-08, 5.630790455339378e-08, 5.6963108289525245e-08,
+        5.8120466054609025e-08, 5.933960434290741e-08),
+    ("right", 24, 2**64 + 5): (
+        3.0169188381278697e-08, 3.0877043265311296e-08, 3.223381692586525e-08,
+        3.263011537450287e-08, 3.367118084417768e-08, 3.515863260027629e-08,
+        3.6253275715515484e-08, 3.6703173894565267e-08, 3.7327558810580454e-08,
+        3.8483772533966184e-08, 3.948557483854554e-08, 4.0648873870069826e-08,
+        4.1374178211350074e-08, 4.279888046190618e-08, 4.319299631327334e-08,
+        4.4305921139994685e-08, 4.486860884878529e-08, 4.637304490039923e-08,
+        4.675628381184984e-08, 4.781014459866184e-08, 4.91161189540068e-08,
+        4.9780908456541955e-08, 5.0692226392832494e-08, 5.208633758813306e-08,
+        5.2351743013406234e-08, 5.396653070093832e-08, 5.407030498088596e-08,
+        5.550763981936318e-08, 5.616167206286481e-08, 5.6818063820702574e-08,
+        5.853192661926442e-08, 5.959547637967811e-08),
+    ("right", 48, 0): (
+        1.7790340992045905e-15, 1.8788349431964132e-15, 1.930174278475728e-15,
+        1.9850736822987204e-15, 2.0487676055372454e-15, 2.108226541820877e-15,
+        2.152023319668087e-15, 2.206534085317007e-15, 2.2663092023383672e-15,
+        2.3225436443349688e-15, 2.3696372565741093e-15, 2.4342313903821943e-15,
+        2.4539860166612604e-15, 2.5465904270297014e-15, 2.595506561184065e-15,
+        2.663408869533454e-15, 2.7044098766022488e-15, 2.763058671883477e-15,
+        2.784970280922057e-15, 2.8538423866885858e-15, 2.9035303031733366e-15,
+        2.942981030972012e-15, 2.9993495854209663e-15, 3.065438990370987e-15,
+        3.121835812492699e-15, 3.1884822454480774e-15, 3.244337357149608e-15,
+        3.3179858527815134e-15, 3.3321243776897382e-15, 3.396811806984219e-15,
+        3.4535661977161117e-15, 3.514260480892294e-15),
+    ("right", 48, 13): (
+        1.8269681616731895e-15, 1.880519418277392e-15, 1.9183048670094144e-15,
+        1.99807415986412e-15, 2.030200871451775e-15, 2.06337124853404e-15,
+        2.1493411586675273e-15, 2.1656436100973422e-15, 2.2699701767942575e-15,
+        2.2892585086919636e-15, 2.3851165545076343e-15, 2.4347260008659953e-15,
+        2.4967590868469917e-15, 2.5532760178634778e-15, 2.5987981354434967e-15,
+        2.658915660184831e-15, 2.719795379803557e-15, 2.7371811764591235e-15,
+        2.776797286195421e-15, 2.8689959737920905e-15, 2.925338140076323e-15,
+        2.9506296985250846e-15, 3.041130629750345e-15, 3.07991836760211e-15,
+        3.1453149871169257e-15, 3.188490345177887e-15, 3.2413498296571584e-15,
+        3.2992017857381392e-15, 3.357762628282579e-15, 3.4097017790021026e-15,
+        3.473554573610859e-15, 3.5313515274373236e-15),
+    ("right", 48, 2**64 + 5): (
+        1.8005728313743313e-15, 1.8799561363710515e-15, 1.941788246419931e-15,
+        1.9542198991787402e-15, 2.0306352799513997e-15, 2.098977632640491e-15,
+        2.142380919110309e-15, 2.195147260145963e-15, 2.2588340779163897e-15,
+        2.289122829313508e-15, 2.360380311453473e-15, 2.4263620799624122e-15,
+        2.4605131191908666e-15, 2.501051031164927e-15, 2.5790851269478344e-15,
+        2.6622958501866317e-15, 2.6724330225239385e-15, 2.7280767541283274e-15,
+        2.82916177942827e-15, 2.8769949751347206e-15, 2.9381082706712353e-15,
+        2.9550217697518726e-15, 3.013842833486701e-15, 3.082333472567202e-15,
+        3.1431299540097763e-15, 3.1957225305084928e-15, 3.243026002952536e-15,
+        3.2880700037625208e-15, 3.350013843057577e-15, 3.395232531913985e-15,
+        3.493949187948949e-15, 3.5439766782844502e-15),
+}
+
+
+# left_base(1, 0.5).sample(k, 32, seed) at the same levels and seeds, from
+# the same annuli.
+PINNED_LEFT_SAMPLES = {
+    (0, 0): (
+        -0.9957761538841421, -0.9699259255952923, -0.9621933592779287, -0.9429723843357918,
+        -0.9277426837967694, -0.9102952320433317, -0.8907727020673359, -0.8853820604713953,
+        -0.8670042191103685, -0.8493485187822863, -0.8431370952230621, -0.8260899127378407,
+        -0.7978525716093767, -0.7937886239558111, -0.7787381486550331, -0.7535700291018621,
+        -0.748586929081303, -0.7307879896298846, -0.7047544135409072, -0.6950913004074644,
+        -0.6751631927464288, -0.661698209812869, -0.6453407739656964, -0.6310331564578042,
+        -0.6228021029539557, -0.5940257182286844, -0.591401867317747, -0.5646796490827191,
+        -0.5559114636582635, -0.5443379951555132, -0.5300712266814471,
+        -0.5013353046474693),
+    (0, 13): (
+        -0.9944166313091775, -0.977189705137212, -0.9581075196908324, -0.9451473964892414,
+        -0.9366490510128246, -0.915987564138227, -0.9002900807823577, -0.8897854585114843,
+        -0.8678660496267314, -0.848435687978597, -0.8403117195125224, -0.8154943521796749,
+        -0.8069273082952526, -0.7877873091539596, -0.7770840728349883, -0.7512170149231219,
+        -0.7367956828550857, -0.7250971416652968, -0.7130644059314352, -0.6962021584145899,
+        -0.685325762707689, -0.6631916334042038, -0.6498898332057607, -0.6276891695756001,
+        -0.6102910804743698, -0.5978748223959198, -0.5820464791501059, -0.5660738331910751,
+        -0.5589637105166787, -0.5468471645046344, -0.521281253572514, -0.5142060844817589),
+    (0, 2**64 + 5): (
+        -0.9997573962014945, -0.9795658574584701, -0.9604192803313679, -0.9464387377195568,
+        -0.9297712977127811, -0.9070443580073289, -0.8950310689129027, -0.8759796582408829,
+        -0.8708822313809333, -0.8489687606444309, -0.8290000244719511, -0.8189772400052833,
+        -0.8073080629092928, -0.7967601324085283, -0.7735752896505927, -0.7507809966420652,
+        -0.7432144726532515, -0.719009582493815, -0.7117718199875449, -0.6905218889809801,
+        -0.6796489572199529, -0.6565411696080226, -0.6425849486651377, -0.6392319218628891,
+        -0.6214085491733002, -0.594337024370134, -0.5865277057889209, -0.5632802102355782,
+        -0.5507359370218523, -0.5408580872292934, -0.5187441943337772,
+        -0.5140571258020277),
+    (24, 0): (
+        -5.907589386766224e-08, -5.810284378410371e-08, -5.741176135259055e-08,
+        -5.60954163389414e-08, -5.5824810470055763e-08, -5.4550366343641385e-08,
+        -5.386467988544252e-08, -5.2606725772565024e-08, -5.143781409720959e-08,
+        -5.070008569885618e-08, -4.9692990334939635e-08, -4.854950137317645e-08,
+        -4.842154009652169e-08, -4.683821203065068e-08, -4.5932440316699463e-08,
+        -4.479148344111986e-08, -4.4655006577597154e-08, -4.292645934588188e-08,
+        -4.215674610389457e-08, -4.1214788326011865e-08, -4.0568611667090223e-08,
+        -3.9499485032552635e-08, -3.888360784573117e-08, -3.739016438995958e-08,
+        -3.663017570730682e-08, -3.580597206392109e-08, -3.483334875936572e-08,
+        -3.441360002099243e-08, -3.3374518990304525e-08, -3.209128614432104e-08,
+        -3.1357463678464576e-08, -3.071865692259733e-08),
+    (24, 13): (
+        -5.8830570913638425e-08, -5.855191334692111e-08, -5.761566621793022e-08,
+        -5.607007010700917e-08, -5.537131219300205e-08, -5.419832224057028e-08,
+        -5.372175412230291e-08, -5.2826940131345304e-08, -5.127822293369871e-08,
+        -5.067644604323883e-08, -4.99573935842851e-08, -4.9039918819029775e-08,
+        -4.7709464395309194e-08, -4.737971884772001e-08, -4.6254639301886804e-08,
+        -4.5467358222869676e-08, -4.451232080469384e-08, -4.287110107507589e-08,
+        -4.274743312345615e-08, -4.146976353803497e-08, -4.0587759933515135e-08,
+        -3.996077221113547e-08, -3.819723191660675e-08, -3.7952172543057476e-08,
+        -3.659587507192375e-08, -3.548042946942757e-08, -3.462241846316417e-08,
+        -3.410135470666132e-08, -3.3099062609692156e-08, -3.244385887356069e-08,
+        -3.128650110847691e-08, -3.0067362820178525e-08),
+    (24, 2**64 + 5): (
+        -5.923777878180724e-08, -5.852992389777464e-08, -5.717315023722069e-08,
+        -5.677685178858307e-08, -5.573578631890826e-08, -5.424833456280965e-08,
+        -5.3153691447570454e-08, -5.270379326852067e-08, -5.2079408352505483e-08,
+        -5.092319462911975e-08, -4.9921392324540396e-08, -4.875809329301611e-08,
+        -4.8032788951735864e-08, -4.660808670117976e-08, -4.6213970849812595e-08,
+        -4.510104602309125e-08, -4.453835831430065e-08, -4.303392226268671e-08,
+        -4.26506833512361e-08, -4.15968225644241e-08, -4.0290848209079136e-08,
+        -3.962605870654398e-08, -3.8714740770253443e-08, -3.732062957495288e-08,
+        -3.7055224149679704e-08, -3.544043646214762e-08, -3.5336662182199975e-08,
+        -3.389932734372276e-08, -3.3245295100221126e-08, -3.2588903342383364e-08,
+        -3.087504054382152e-08, -2.981149078340783e-08),
+    (48, 0): (
+        -3.550036418996161e-15, -3.450235575004338e-15, -3.3988962397250236e-15,
+        -3.343996835902031e-15, -3.280302912663506e-15, -3.2208439763798745e-15,
+        -3.1770471985326642e-15, -3.1225364328837444e-15, -3.062761315862384e-15,
+        -3.0065268738657826e-15, -2.959433261626642e-15, -2.894839127818557e-15,
+        -2.875084501539491e-15, -2.78248009117105e-15, -2.7335639570166865e-15,
+        -2.6656616486672973e-15, -2.6246606415985026e-15, -2.5660118463172744e-15,
+        -2.5441002372786946e-15, -2.4752281315121656e-15, -2.425540215027415e-15,
+        -2.3860894872287393e-15, -2.329720932779785e-15, -2.2636315278297646e-15,
+        -2.2072347057080525e-15, -2.140588272752674e-15, -2.0847331610511434e-15,
+        -2.011084665419238e-15, -1.996946140511013e-15, -1.9322587112165326e-15,
+        -1.8755043204846397e-15, -1.8148100373084575e-15),
+    (48, 13): (
+        -3.502102356527562e-15, -3.4485510999233592e-15, -3.410765651191337e-15,
+        -3.3309963583366313e-15, -3.2988696467489764e-15, -3.2656992696667113e-15,
+        -3.179729359533224e-15, -3.163426908103409e-15, -3.059100341406494e-15,
+        -3.0398120095087878e-15, -2.943953963693117e-15, -2.894344517334756e-15,
+        -2.8323114313537597e-15, -2.7757945003372736e-15, -2.7302723827572547e-15,
+        -2.6701548580159203e-15, -2.6092751383971945e-15, -2.591889341741628e-15,
+        -2.5522732320053303e-15, -2.460074544408661e-15, -2.4037323781244284e-15,
+        -2.378440819675667e-15, -2.2879398884504065e-15, -2.2491521505986416e-15,
+        -2.1837555310838257e-15, -2.1405801730228642e-15, -2.087720688543593e-15,
+        -2.029868732462612e-15, -1.9713078899181723e-15, -1.9193687391986488e-15,
+        -1.8555159445898923e-15, -1.7977189907634278e-15),
+    (48, 2**64 + 5): (
+        -3.52849768682642e-15, -3.4491143818297e-15, -3.3872822717808204e-15,
+        -3.374850619022011e-15, -3.2984352382493517e-15, -3.2300928855602603e-15,
+        -3.1866895990904424e-15, -3.1339232580547886e-15, -3.0702364402843617e-15,
+        -3.0399476888872435e-15, -2.9686902067472785e-15, -2.902708438238339e-15,
+        -2.8685573990098848e-15, -2.8280194870358242e-15, -2.749985391252917e-15,
+        -2.6667746680141197e-15, -2.656637495676813e-15, -2.600993764072424e-15,
+        -2.4999087387724814e-15, -2.4520755430660308e-15, -2.390962247529516e-15,
+        -2.3740487484488788e-15, -2.3152276847140505e-15, -2.2467370456335492e-15,
+        -2.185940564190975e-15, -2.1333479876922586e-15, -2.0860445152482153e-15,
+        -2.0410005144382306e-15, -1.9790566751431744e-15, -1.9338379862867665e-15,
+        -1.8351213302518023e-15, -1.785093839916301e-15),
 }
 
 
@@ -883,6 +868,11 @@ TEXTBOOK = {"punctured": lambda d: S((-d, d), excluded=(0.0,)),
             "right": lambda d: S((0.0, d)),
             "left": lambda d: S((-d, 0.0))}
 
+# What level k samples: its element without the next one's, e = ratio*d.
+ANNULUS = {"punctured": lambda d, e: S((-d, -e), (e, d)),
+           "right": lambda d, e: S((e, d)),
+           "left": lambda d, e: S((-d, -e))}
+
 
 class TestSampleMemo:
     @settings(max_examples=60, deadline=None)
@@ -894,12 +884,16 @@ class TestSampleMemo:
     def test_closed_form_matches_descriptor_path(self, kind, delta0, ratio, k, seed):
         b = GEOMETRIC[kind](delta0, ratio)
         custom = chain_from_elements(
-            "copy", [TEXTBOOK[kind](b.scale(j)) for j in range(k + 1)],
+            "copy", [ANNULUS[kind](b.scale(j), ratio * b.scale(j)) for j in range(k + 1)],
             punctured_at_zero=True)
         filterbase._sample_spans.cache_clear()
         closed = b.sample(k, 32, seed)
         filterbase._sample_spans.cache_clear()
         assert custom.sample(k, 32, seed) == closed
+        d, e = b.scale(k), b.inner_ratio * b.scale(k)
+        assert e == ratio * d < min(map(abs, closed))
+        assert all(TEXTBOOK[kind](d).contains(h) and not TEXTBOOK[kind](e).contains(h)
+                   for h in closed)
 
     def test_returned_list_is_fresh(self):
         b = punctured_base(1.0, 0.5)
@@ -974,6 +968,26 @@ class TestSubchain:
         assert sub.scale(3) == b.scale(6)
         assert sub.sample(3, 8, seed=1) == b.sample(6, 8, seed=1)
         assert sub.punctured_at_zero
+
+    def test_subchain_keeps_the_inner_ratio(self):
+        # a subchain's level k samples its parent's annulus at level stride*k
+        b = right_base(1.0, 0.25)
+        sub = b.subchain(3)
+        assert sub.inner_ratio == b.inner_ratio == 0.25
+        assert min(sub.sample(2, 32, 0)) > sub.inner_ratio * sub.scale(2)
+
+    def test_inner_ratio_only_on_geometric_chains(self):
+        seq = sequence_base(SequenceSpec("piovern"))
+        custom = chain_from_elements("c", [S((0.5, 1.0))])
+        assert seq.inner_ratio is seq.subchain(2).inner_ratio is custom.inner_ratio is None
+        # a chain built by hand takes no inner ratio, even with a ratio in its params
+        chain = filterbase.FilterBaseChain
+        hand = chain(chain_id="h", max_level=3, punctured_at_zero=True, params={"ratio": 0.5},
+                     element_fn=lambda k: S((0.0, 2.0 ** -k)), scale_fn=lambda k: 2.0 ** -k)
+        assert hand.inner_ratio is None
+        with pytest.raises(TypeError):
+            chain(chain_id="h", max_level=3, punctured_at_zero=True, params={},
+                  element_fn=hand.element, scale_fn=hand.scale, inner_ratio=0.5)
 
 
 def _lie():

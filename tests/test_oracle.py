@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -176,6 +177,8 @@ class TestKinkCheckOutcomes:
         (_NESTED, 1.0, (
             "NonSmoothPointError",
             f"arguments of {render(parse(_NESTED))} differ by 0.0 at x=1.0; {_KINK}")),
+        ("abs(x)", Decimal("sNaN"), ("DomainError", "variable is not bound to a finite real "
+                                     "in x (argument Decimal('sNaN'))")),
     ])
     def test_outcome(self, text, x0, expected):
         try:
@@ -282,6 +285,10 @@ class TestRichardson:
     def test_side_validated(self):
         with pytest.raises(ValueError):
             richardson_one_sided(abs, 0.0, "up")
+
+    def test_signalling_nan_x0_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="not bound to a finite real"):
+            richardson_one_sided(as_function(parse("x+1")), Decimal("sNaN"), "right")
 
 
 class TestSelfConsistency:
