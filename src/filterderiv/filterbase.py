@@ -11,9 +11,13 @@ never materialized: membership of a candidate set in it is answered by
 searching for a contained base element.
 A geometric base samples level k from its annulus, element(k) without
 element(k+1), in closed form and without building a descriptor, and every
-sample set drawn from intervals is memoized. A sequence base's elements are
-tails of its one term tuple: two of them nest by their start indices alone,
-and membership is a bisect on magnitude.
+sample set drawn from intervals is memoized. Its element(k) is closed-form
+too: two elements nest by their sides and scales alone, membership is two
+comparisons a side, and containment in another set looks each of its at
+most two intervals up in that set's components. A sequence base's elements
+are tails of its one term tuple: two of them nest by their start indices
+alone, and membership is a bisect on magnitude. Either kind builds its
+canonical form only when it is read.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class Piece:
     hi_closed: bool
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN too: every comparison with it is False
             return False
         if x == self.lo and not self.lo_closed:
             return False
@@ -173,6 +177,33 @@ class SetDescriptor:
                 and self.isolated_points == other.isolated_points)
 
 
+class _ClosedForm(SetDescriptor):
+    """A SetDescriptor held in closed form: a subclass stores its own shape,
+    gives the fields it sets as properties and answers what it can from the
+    shape; it equals the SetDescriptor of the same fields, with the same
+    hash and repr. The canonical form, _canonical()'s pieces and isolated
+    points, is built on its first read."""
+
+    def __getattr__(self, name: str):
+        # Reached only while the canonical form is not yet stored.
+        if name not in ("pieces", "isolated_points", "_piece_los", "_isolated_set"):
+            raise AttributeError(name)
+        self._set_canonical(*self._canonical())
+        return vars(self)[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, SetDescriptor):
+            return NotImplemented
+        return ((self.intervals, self.points, self.excluded)
+                == (other.intervals, other.points, other.excluded))
+
+    __hash__ = SetDescriptor.__hash__
+
+    def __repr__(self) -> str:
+        return repr(SetDescriptor(intervals=self.intervals, points=self.points,
+                                  excluded=self.excluded))
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -281,7 +312,8 @@ class FilterBaseChain:
             raise ValueError(f"level {k} outside 0..{self.max_level}")
 
     def element(self, k: int) -> SetDescriptor:
-        self._check_level(k)
+        if not (isinstance(k, int) and 0 <= k <= self.max_level):  # inline: read on every level
+            self._check_level(k)
         found = self._element_fn(k)
         if self.punctured_at_zero and found.contains(0.0):
             raise ValueError(
@@ -329,15 +361,57 @@ class FilterBaseChain:
         return sub
 
 
+class _Scaled(_ClosedForm):
+    """element(k) of a geometric chain at its scale d > 0, with sides =
+    (neg, pos): the open intervals (-d, 0) if neg and (0, d) if pos, the
+    set that SetDescriptor(intervals=...) of them describes. Built in O(1):
+    two elements nest by their sides and scales, membership is two
+    comparisons a side, and containment in any other descriptor looks each
+    interval up in that one's components; the pieces are built only when
+    read."""
+
+    def __init__(self, sides: tuple[bool, bool], d: float):
+        attrs = self.__dict__  # past the __setattr__ that raises
+        attrs["_sides"], attrs["_d"] = sides, d
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        (neg, pos), d = self._sides, self._d
+        return ((-d, 0.0),) * neg + ((0.0, d),) * pos
+
+    def _canonical(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
+        return tuple(Piece(lo, hi, False, False) for lo, hi in self.intervals), ()
+
+    def is_empty(self) -> bool:
+        return False
+
+    def contains(self, x: float) -> bool:
+        (neg, pos), d = self._sides, self._d
+        return (pos and 0.0 < x < d) or (neg and -d < x < 0.0)
+
+    def issubset(self, other: SetDescriptor) -> bool:
+        if isinstance(other, _Scaled):
+            (neg, pos), (oneg, opos) = self._sides, other._sides
+            return neg <= oneg and pos <= opos and self._d <= other._d
+        # An open interval lies in a component of other iff that one's ends
+        # enclose its own, whether they are open or closed.
+        los, pieces = other._piece_los, other.pieces
+        for lo, hi in self.intervals:
+            j = bisect_right(los, lo) - 1
+            if j < 0 or not (pieces[j].lo <= lo and hi <= pieces[j].hi):
+                return False
+        return True
+
+
 def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
-                     spans: Callable[[float], tuple[tuple[float, float], ...]],
                      annulus: Callable[[float, float], tuple[tuple[float, float], ...]]
                      ) -> FilterBaseChain:
     """A chain whose level k has scale d = delta0*ratio**k and element the
-    union of the open intervals spans(d). Level k is sampled straight from
-    annulus(d, e), e = ratio*d: the open intervals of element(k) that
-    element(k+1) = spans(e) leaves, so every sampled |h| lies in (e, d), and
-    no descriptor is built. Each scale is checked against
+    union of the open intervals (-d, 0), unless kind is right, and (0, d),
+    unless kind is left, in closed form (_Scaled). Level k is sampled
+    straight from annulus(d, e), e = ratio*d: the open intervals of
+    element(k) that element(k+1) leaves, so every sampled |h| lies in
+    (e, d), and no descriptor is built. Each scale is checked against
     _MIN_SCALE as it is computed, so a chain too deep is rejected at its
     first level below it."""
     # compared before float(), which overflows for a huge int, and after, which may round
@@ -354,12 +428,13 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
                              "reduce max_level")
         scales.append(scale)
         scale *= ratio
+    sides = (kind != "right", kind != "left")
     chain = FilterBaseChain(
         chain_id=f"{kind}:delta0={delta0!r},ratio={ratio!r}",
         max_level=max_level,
         punctured_at_zero=True,
         params={"kind": kind, "delta0": delta0, "ratio": ratio, "max_level": max_level},
-        element_fn=lambda k: SetDescriptor(intervals=spans(scales[k])),
+        element_fn=lambda k: _Scaled(sides, scales[k]),
         scale_fn=scales.__getitem__,
         sample_fn=lambda k, m, seed: list(
             _sample_spans(annulus(scales[k], ratio * scales[k]), m, seed, k)),
@@ -372,20 +447,17 @@ def punctured_base(delta0: float, ratio: float, *, max_level: int = 64) -> Filte
     """Punctured symmetric neighborhoods of 0:
     element(k) = (-delta0*ratio**k, delta0*ratio**k) \\ {0}."""
     return _geometric_chain("punctured", delta0, ratio, max_level,
-                            lambda d: ((-d, 0.0), (0.0, d)),
                             lambda d, e: ((-d, -e), (e, d)))
 
 
 def right_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Right-sided neighborhoods: element(k) = (0, delta0*ratio**k)."""
-    return _geometric_chain("right", delta0, ratio, max_level,
-                            lambda d: ((0.0, d),), lambda d, e: ((e, d),))
+    return _geometric_chain("right", delta0, ratio, max_level, lambda d, e: ((e, d),))
 
 
 def left_base(delta0: float, ratio: float, *, max_level: int = 64) -> FilterBaseChain:
     """Left-sided neighborhoods: element(k) = (-delta0*ratio**k, 0)."""
-    return _geometric_chain("left", delta0, ratio, max_level,
-                            lambda d: ((-d, 0.0),), lambda d, e: ((-d, -e),))
+    return _geometric_chain("left", delta0, ratio, max_level, lambda d, e: ((-d, -e),))
 
 
 @record
@@ -458,39 +530,24 @@ def _magnitude_order(v: float) -> float:
     return -abs(v)
 
 
-class _Tail(SetDescriptor):
+class _Tail(_ClosedForm):
     """terms[start:] of a term tuple as _sequence_terms returns it (finite,
     non-zero, strictly decreasing in magnitude): the set that
-    SetDescriptor(points=terms[start:]) describes, and equal to it, with
-    the same points, hash and repr. A tail is built in O(1): two tails of
-    one tuple nest by their starts alone, membership is a bisect on
-    magnitude, and the sorted canonical form is built on its first read."""
+    SetDescriptor(points=terms[start:]) describes. A tail is built in O(1):
+    two tails of one tuple nest by their starts alone, membership is a
+    bisect on magnitude, and the sorted canonical form is built on its
+    first read."""
 
     def __init__(self, terms: tuple[float, ...], start: int):
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_start", start)
+        attrs = self.__dict__  # past the __setattr__ that raises
+        attrs["_terms"], attrs["_start"] = terms, start
 
     @property
     def points(self) -> tuple[float, ...]:
         return self._terms[self._start:]
 
-    def __getattr__(self, name: str):
-        # Reached only while the canonical form is not yet stored.
-        if name not in ("pieces", "isolated_points", "_piece_los", "_isolated_set"):
-            raise AttributeError(name)
-        self._set_canonical((), tuple(sorted(self.points)))
-        return vars(self)[name]
-
-    def __eq__(self, other):
-        if not isinstance(other, SetDescriptor):
-            return NotImplemented
-        return ((self.intervals, self.points, self.excluded)
-                == (other.intervals, other.points, other.excluded))
-
-    __hash__ = SetDescriptor.__hash__
-
-    def __repr__(self) -> str:
-        return repr(SetDescriptor(points=self.points))
+    def _canonical(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
+        return (), tuple(sorted(self.points))
 
     def is_empty(self) -> bool:
         return self._start == len(self._terms)

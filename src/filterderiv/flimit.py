@@ -167,7 +167,10 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
     b.inner_ratio * scale(k) where that is known and not 0, else the median
     |h| sampled: a sequence level's |h| may span orders of magnitude (a geo
     level's, 2^31), and noise at its smaller |h| beyond r shows as
-    oscillation, which fails the tests rather than passing them. narrow[i]
+    oscillation, which fails the tests rather than passing them. That |h|
+    is read once per level, by the first estimate that needs it: where
+    2|y0| and |x0| are both 0 (x sin(1/x) at 0), r is 0 on every level and
+    no |h| is read. narrow[i]
     is the last level whose oscillation was within r. Any other estimate
     has r = 0."""
     _require_depth(b, cfg)
@@ -181,13 +184,12 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
     except Exception:  # x0 is no number: the values fail on their own, as without a radius
         slots = ()
     slots = slots or [None] * n
-    radii, inner = slots.count(None) < n, b.inner_ratio or 0.0
+    inner = b.inner_ratio or 0.0
     coefs = [None] * n  # 2|F(x0)| of estimate i, once its slot holds F(x0)
     unit, cap = _KAPPA * sys.float_info.epsilon, _RESOLUTION_CAP
     for k in range(cfg.max_level + 1):
         hs, row, scale, still = sample(k, m, seed), {}, scale_of(k), []
-        if radii:  # the radii's common factor on this level: kappa*eps / |h|
-            step = unit / (inner * scale or sorted(map(abs, hs))[len(hs) // 2])
+        step = None  # the radii's common factor on this level, kappa*eps / |h|, once read
         for i in live:
             try:
                 vals = level_values(hs, row, i)
@@ -209,7 +211,10 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
                 c = coefs[i] = 2.0 * abs(slot[0])
             r = 0.0
             if c is not None:
-                r = step * (c + ax0 * (hi if hi > -lo else -lo))
+                if c or ax0:  # else r is 0 whatever |h| is
+                    if step is None:
+                        step = unit / (inner * scale or sorted(map(abs, hs))[len(hs) // 2])
+                    r = step * (c + ax0 * (hi if hi > -lo else -lo))
                 if r > cap * size:
                     ends[i] = (UNDECIDED, None, f"resolution exhausted at level {k}: rounding "
                                f"radius {r!r} > {_RESOLUTION_CAP!r} * (1 + |mean|)")

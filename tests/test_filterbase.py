@@ -72,6 +72,23 @@ class TestSetDescriptor:
         assert not c.issubset(a)
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: S((0.0, 1.0)),
+        lambda: S((0.0, 1.0), points=(2.0,)),
+        lambda: S(points=(0.5, 1.0)),
+        lambda: punctured_base(1.0, 0.5).element(3),
+        lambda: right_base(1.0, 0.5).element(3),
+        lambda: left_base(1.0, 0.5).element(3),
+    ], ids=["intervals", "mixed", "points", "punctured", "right", "left"])
+    def test_nan_is_no_member(self, make):
+        # bisect puts NaN past the last piece, where every comparison with
+        # it is False
+        d = make()
+        assert not d.contains(math.nan)
+        assert not _flat(d).contains(math.nan)
+        assert not any(p.contains(math.nan) for p in d.pieces)
+
+
 class TestConstructors:
     def test_punctured_element_formula(self):
         b = punctured_base(1.0, 0.5)
@@ -442,6 +459,104 @@ class TestSequenceTails:
             for cover in (S((0.0, abs(v))), S((-abs(v), 0.0)), S((-abs(v), abs(v)))):
                 assert (generated_filter_witness(b, cover, 64)
                         == generated_filter_witness(flat, cover, 64))
+
+
+GEOMETRIC_MAKERS = {"punctured": punctured_base, "right": right_base, "left": left_base}
+
+
+def _spans(kind, d):
+    """The open intervals of a geometric element at scale d."""
+    return {"punctured": ((-d, 0.0), (0.0, d)), "right": ((0.0, d),), "left": ((-d, 0.0),)}[kind]
+
+
+class TestGeometricElements:
+    """A geometric base's element(k) against SetDescriptor(intervals=spans(d)),
+    d = scale(k)."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(sorted(GEOMETRIC_MAKERS)), st.sampled_from([0.1, 1.0, 10.0]),
+           st.sampled_from([0.25, 0.5, 0.9]), st.data())
+    def test_element_agrees_with_its_intervals(self, kind, delta0, ratio, data):
+        n = 64
+        b = GEOMETRIC_MAKERS[kind](delta0, ratio, max_level=n)
+        # small levels too, where delta0 = 1 puts the scales on _GRID
+        k = data.draw(st.one_of(st.integers(min_value=0, max_value=3),
+                                st.integers(min_value=0, max_value=n)))
+        d = b.scale(k)
+        elem, flat = b.element(k), S(*_spans(kind, d))
+
+        probes = [0.0, -0.0, math.inf, -math.inf, math.nan,
+                  math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0)]
+        for v in (d, -d):
+            probes += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        for x in probes:
+            assert elem.contains(x) == flat.contains(x)
+
+        levels = data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=3))
+        other_kind = data.draw(st.sampled_from(sorted(GEOMETRIC_MAKERS)))
+        other = GEOMETRIC_MAKERS[other_kind](
+            data.draw(st.sampled_from([0.1, 1.0, 10.0, delta0])),
+            data.draw(st.sampled_from([0.25, 0.5, 0.9, ratio])), max_level=n)
+        stride = data.draw(st.integers(min_value=1, max_value=4))
+        sub = b.subchain(stride)
+        tails = sequence_base(data.draw(st.sampled_from(SEQUENCE_SPECS)), max_level=n)
+        others = ([b.element(j) for j in {0, k, min(k + 1, n), n, *levels}]
+                  + [GEOMETRIC_MAKERS[other_kind](delta0, ratio, max_level=n).element(k)]
+                  + [other.element(j) for j in {k, *levels}]
+                  + [sub.element(j // stride) for j in {k, *levels}]
+                  + [tails.element(j) for j in {k, *levels}]
+                  + [data.draw(descriptors()), S((0.0, d)), S((-d, 0.0)), S((-d, d)),
+                     S((0.0, math.nextafter(d, 0.0))), S((-d, math.nextafter(0.0, 1.0)))])
+        for o in others:
+            assert elem.issubset(o) == flat.issubset(_flat(o))
+            assert o.issubset(elem) == _flat(o).issubset(flat)
+            assert elem.same_set(o) == flat.same_set(_flat(o))
+            assert (elem == o) == (flat == _flat(o))
+
+        assert elem.intervals == flat.intervals and type(elem.intervals) is tuple
+        assert elem == flat and flat == elem and not elem != flat
+        assert hash(elem) == hash(flat)
+        assert repr(elem) == repr(flat)
+        assert elem.is_empty() == flat.is_empty()
+        assert elem.pieces == flat.pieces
+        assert repr(elem.isolated_points) == repr(flat.isolated_points)
+
+    @pytest.mark.parametrize("kind", sorted(GEOMETRIC_MAKERS))
+    @pytest.mark.parametrize("delta0", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.9])
+    def test_queries_match_flat_chain(self, kind, delta0, ratio):
+        b = GEOMETRIC_MAKERS[kind](delta0, ratio)
+        flat = chain_from_elements(b.id, [_flat(b.element(k)) for k in range(65)],
+                                   punctured_at_zero=True)
+        assert verify_base_axioms(b, 64) == verify_base_axioms(flat, 64)
+        assert verify_base_axioms(b.subchain(3), 21) == verify_base_axioms(flat.subchain(3), 21)
+        for j in (0, 1, 7, 20, 40, 64):
+            r = b.scale(j)
+            between = r / math.sqrt(ratio)
+            for cover in (S((-r, r)), S((0.0, r)), S((-r, 0.0)), S((-between, between)),
+                          S((-r, math.nextafter(r, 0.0))), S((-r, r), excluded=(r / 2,)),
+                          S((-r, 0.0), (0.0, r), points=(0.0,)),
+                          S((0.3 * delta0, 2.0 * delta0))):
+                for K in (j, 64):
+                    assert (generated_filter_witness(b, cover, K)
+                            == generated_filter_witness(flat, cover, K))
+                    assert in_generated_filter(b, cover, K) == in_generated_filter(flat, cover, K)
+
+    def test_queries_build_no_piece(self, monkeypatch):
+        """Verifying a geometric base and asking whether a set belongs to
+        its filter read no element's canonical form: no Piece is built once
+        the query sets exist."""
+        cover, far = S((-0.3, 0.3)), S((0.2, 2.0))
+
+        def no_piece(*args, **kwargs):
+            raise AssertionError("a geometric element built a Piece")
+
+        monkeypatch.setattr(filterbase, "Piece", no_piece)
+        for kind, maker in GEOMETRIC_MAKERS.items():
+            b = maker(1.0, 0.5)
+            assert verify_base_axioms(b, 64).passed, kind
+            assert generated_filter_witness(b, cover, 64) == 2, kind  # scale 0.25
+            assert not in_generated_filter(b, far, 64), kind
 
 
 class TestGeneratedFilter:

@@ -402,3 +402,35 @@ class TestLockstep:
         # raised once estimate 0 has ended, on level 4
         assert self.calls == ([(k, i, list(range(i))) for k in (0, 1) for i in range(3)]
                               + [(2, 0, []), (2, 1, [0]), (3, 0, []), (4, 0, [])])
+
+
+class TestRadiusFactor:
+    """The level's |h| factor of the rounding radius is read only by an
+    estimate whose radius can be non-zero."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(flimit, "sorted", counted, raising=False)
+        return calls
+
+    def test_no_median_where_the_radius_is_zero(self, monkeypatch):
+        # f(0) = 0 at x0 = 0: 2|f(x0)| and |x0| are both 0, so r = 0 on every level
+        f = fd.as_function(fd.parse("x*sin(1/x)"))
+        b = sequence_base(SequenceSpec(kind="piovern", c=1.0))
+        expected = fd.derivative(lambda x: 0.0 if x == 0.0 else f(x), 0.0, b, LimitConfig())
+        calls = self._spy(monkeypatch)
+        est = fd.derivative(lambda x: 0.0 if x == 0.0 else f(x), 0.0, b, LimitConfig())
+        assert calls == []
+        assert est == expected
+
+    def test_median_once_per_level_where_the_radius_is_not_zero(self, monkeypatch):
+        b = sequence_base(SequenceSpec(kind="piovern", c=1.0))
+        calls = self._spy(monkeypatch)
+        est = fd.derivative(math.sin, 1.0, b, SMOOTH_CFG)
+        assert len(calls) == len(est.estimate.trace) > 0
