@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
+
 
 class FilterDerivError(Exception):
     """Base class for all errors raised by this package."""
@@ -54,3 +57,20 @@ class NonSmoothPointError(FilterDerivError):
 
 class BaseNotPuncturedError(FilterDerivError):
     """A derivative was requested along a chain whose elements may contain 0."""
+
+
+def _real(value, error: Callable[..., Exception]) -> float:
+    """value, a number from outside, as a finite float: the one rule for a
+    real number at a public boundary. Text (str, bytes, bytearray) and what
+    float() rejects by type are a TypeError; a number no finite double holds
+    (a huge int, +-inf, any NaN, a Decimal's too) raises error(argument=value)."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"must be real number, not {type(value).__name__}")
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except (OverflowError, ValueError):  # an int too large for a double, a signalling NaN
+        pass
+    raise error(argument=value)

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import partial
 
 from ._record import record
-from .errors import DomainError, ParseError, UnboundVariableError
+from .errors import DomainError, ParseError, UnboundVariableError, _real
 
 __all__ = [
     "Constant", "Variable", "Unary", "Binary", "Call", "Expr",
@@ -32,15 +32,6 @@ __all__ = [
 
 def _sign(x: float) -> float:
     return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
-
-
-def _finite(x: float) -> bool:
-    """math.isfinite(x), but False, not OverflowError or ValueError, for an int
-    too large for a double or a signalling NaN."""
-    try:
-        return math.isfinite(x)
-    except (OverflowError, ValueError):
-        return False
 
 
 # The functions: name -> (operation, arity). An operation's ValueError or
@@ -276,10 +267,10 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     mapping, which _binding reads each variable from; it yields each tree's
     value before the code of the next tree's unshared nodes runs. With var,
     e is one tree and the result a function of var's value, which its first
-    lines reject unless it is a finite real and then take as a float; it has
-    the level forms (see as_function). The code gives each node one
-    temporary, in tree order (left before right, arguments before the
-    call), followed by the node's own check, which raises the node's
+    line hands to errors._real unless it is a finite float; it has the level
+    forms (see as_function). The code gives each node one temporary, in tree
+    order (left before right, arguments before the call), followed by the
+    node's own check, which raises the node's
     DomainError through a callable that renders the node only then. A
     subtree that occurs in e several times as one object (the oracle's
     derivative trees share their parts) is one temporary. Only temporary
@@ -287,7 +278,8 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     written into the code: every other object (readers, nodes, messages,
     functions, other constants) reaches it through the function's namespace."""
     ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
-          "pow": math.pow, "Raised": (ValueError, OverflowError)}
+          "pow": math.pow, "type": type, "float": float, "real": _real,
+          "Raised": (ValueError, OverflowError)}
     lines: list[str] = []
     temps: dict[int, str] = {}
 
@@ -308,11 +300,12 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
 
         if isinstance(node, Constant):
             value = node.value
-            if not _finite(value):
-                error = partial(DomainError, "constant is not a finite real", argument=value)
-                lines.append(f"raise {ref(error)}()")
-            else:
+            error = partial(DomainError, "constant is not a finite real", argument=value)
+            try:  # a constant keeps its own type: the gate only checks it
+                _real(value, error)
                 lines.append(f"{t} = {repr(value) if type(value) is float else ref(value)}")
+            except DomainError:
+                lines.append(f"raise {ref(error)}()")
         elif isinstance(node, Variable):
             lines.append(f"{t} = " + ("arg" if var is not None
                                       else f"{ref(_binding(node.name))}(arg)"))
@@ -349,13 +342,10 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
         head = tail = []
     else:
         root = emit(e)
-        unbound = partial(DomainError, "variable is not bound to a finite real", subject=var)
-        raise_unbound = f"raise {ref(unbound)}(argument=arg)"
-        finite = f"if not isfinite(arg): {raise_unbound}"
-        # _finite inlined, free for a float argument; a level's x0 + h is a float, so its
-        # loop keeps the bare test
-        head = ["try:", f"    {finite}", f"except {ref((OverflowError, ValueError))}:",
-                f"    {raise_unbound} from None", f"arg = {ref(float)}(arg)"]
+        unbound = ref(partial(DomainError, "variable is not bound to a finite real", subject=var))
+        finite = f"if not isfinite(arg): raise {unbound}(argument=arg)"
+        # the gate for all but a finite float; a level's x0 + h is a float: its loop's test is bare
+        head = [f"if type(arg) is not float or not isfinite(arg): arg = real(arg, {unbound})"]
         tail = [f"return {root}"]
     body = "".join(f"    {line}\n" for line in head + lines + tail)
     exec(compile(f"def f(arg):\n{body}", "<expression>", "exec"), ns)
@@ -369,7 +359,7 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
         def stub(*args):
             loop = "".join(f"        {line}\n" for line in
                            [finite, *lines, f"q = {q}", *checks, "out.append(q)"])
-            exec(compile(f"def {name}({params}):\n    x0 = {ref(float)}(x0 - 0.0)\n    out = []\n"
+            exec(compile(f"def {name}({params}):\n    x0 = float(x0 - 0.0)\n    out = []\n"
                          f"    for h in hs:\n        arg = x0 + h\n{loop}    return out\n",
                          "<expression>", "exec"), ns)
             setattr(f, name, ns[name])
@@ -384,28 +374,22 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
 
 
 def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
+    error = partial(DomainError, "variable is not bound to a finite real", subject=name)
+
     def variable(bindings: Mapping[str, float]) -> float:
         if name not in bindings:
             raise UnboundVariableError(name)
-        value = bindings[name]
-        try:
-            v = float(value)
-        except OverflowError:  # an int too large for a double
-            v = math.inf
-        except ValueError:
-            if isinstance(value, (str, bytes, bytearray)):  # float("abc"): not a number
-                raise
-            v = math.nan  # a number float() refuses: a signalling NaN
-        if math.isfinite(v):
-            return v
-        raise DomainError("variable is not bound to a finite real", subject=name, argument=value)
+        return _real(bindings[name], error)
     return variable
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE-double evaluation. Out-of-domain conditions (division by zero,
     log/sqrt of negatives, non-real powers, overflow, a non-finite constant
-    or binding) raise DomainError, so the result is always a finite float.
+    or binding) raise DomainError, so the result is always finite. A binding
+    is taken as a float, but a hand-built constant computes in its own type,
+    so the result is a float unless only such constants reach the root:
+    evaluate(Binary("add", Constant(2), Constant(3)), {}) is the int 5.
     It is evaluate_each's one-tree case: each call compiles one function
     for e (about 0.2 ms for a short expression), so use as_function for one
     expression at many points, and evaluate_each for many at one point."""
@@ -427,8 +411,7 @@ def render(e: Expr) -> str:
     """Canonical printer. For every tree produced by parse(),
     parse(render(e)) == e structurally."""
     if isinstance(e, Constant):
-        if not _finite(e.value):
-            raise ValueError("cannot render a non-finite constant")
+        _real(e.value, lambda **_: ValueError("cannot render a non-finite constant"))
         return repr(e.value)
     if isinstance(e, Variable):
         return e.name

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Callable, Sequence
 
 from ._record import record
-from .errors import BaseNotPuncturedError, DomainError
+from .errors import BaseNotPuncturedError, DomainError, _real
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig, LimitEstimate,
                      _descend, _finite_values, _require_depth, estimate_limit)
@@ -237,7 +236,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     converged on a point x0 + h == x0 is undecided. A right-hand side that
     is not finite is a failed computation: inconclusive."""
     _require_punctured(b)
-    if not 0.0 <= check_tol <= sys.float_info.max:
+    check_tol = _real(check_tol, lambda **_: ValueError("check_tol must be a finite real >= 0"))
+    if check_tol < 0.0:
         raise ValueError("check_tol must be a finite real >= 0")
     _require_depth(b, cfg)  # before f(x0) or g(x0) is read
     fns = {"f": f, "g": g, "c": c or (lambda x: combine([f(x)], [g(x)])[0])}
@@ -323,8 +323,8 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
     undefined at x0 is that ingredient's domain-error estimate and an
     inconclusive verdict, not the DomainError the product and quotient
     checks raise."""
-    if not all(-sys.float_info.max <= c <= sys.float_info.max for c in (alpha, beta)):
-        raise ValueError("alpha and beta must be finite reals")
+    alpha, beta = (_real(c, lambda **_: ValueError("alpha and beta must be finite reals"))
+                   for c in (alpha, beta))
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: [alpha * p + beta * q for p, q in zip(fv, gv)],
                        lambda df, dg: alpha * df + beta * dg, ())

@@ -23,12 +23,12 @@ canonical form only when it is read.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 
 from ._record import record
+from .errors import _real
 
 __all__ = [
     "Piece", "SetDescriptor", "FilterBaseChain", "SequenceSpec", "AxiomReport",
@@ -89,24 +89,17 @@ class SetDescriptor:
     excluded: tuple[float, ...] = ()
 
     def __post_init__(self):
-        ivs = None
-        try:
-            ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-            pts = tuple(map(float, self.points))
-            exc = tuple(map(float, self.excluded))
-        except OverflowError:  # an int too large for a double is not finite either
-            raise ValueError("interval endpoints must be finite" if ivs is None
-                             else "points must be finite") from None
+        end, point = (lambda **_: ValueError("interval endpoints must be finite"),
+                      lambda **_: ValueError("points must be finite"))
+        ivs = tuple([(_real(lo, end), _real(hi, end)) for lo, hi in self.intervals])
+        pts = tuple([_real(x, point) for x in self.points])
+        exc = tuple([_real(x, point) for x in self.excluded])
         for lo, hi in ivs:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("interval endpoints must be finite")
             if not lo < hi:
                 raise ValueError(f"interval ({lo!r}, {hi!r}) needs lo < hi")
         for a, b in zip(ivs, ivs[1:]):
             if b[0] < a[1]:
                 raise ValueError("intervals must be pairwise disjoint and sorted by lo")
-        if not all(map(math.isfinite, pts + exc)):
-            raise ValueError("points must be finite")
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "excluded", exc)
@@ -414,12 +407,13 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
     (e, d), and no descriptor is built. Each scale is checked against
     _MIN_SCALE as it is computed, so a chain too deep is rejected at its
     first level below it."""
-    # compared before float(), which overflows for a huge int, and after, which may round
-    if not (0.0 < delta0 <= sys.float_info.max and float(delta0) > 0.0):
-        raise ValueError("delta0 must be a positive real")
-    if not (0.0 < ratio < 1.0 and 0.0 < float(ratio) < 1.0):
-        raise ValueError("ratio must lie strictly inside (0, 1)")
-    delta0, ratio = float(delta0), float(ratio)
+    bad_delta0, bad_ratio = (lambda **_: ValueError("delta0 must be a positive real"),
+                             lambda **_: ValueError("ratio must lie strictly inside (0, 1)"))
+    delta0, ratio = _real(delta0, bad_delta0), _real(ratio, bad_ratio)
+    if not delta0 > 0.0:
+        raise bad_delta0()
+    if not 0.0 < ratio < 1.0:
+        raise bad_ratio()
     scales: list[float] = []
     scale = delta0
     for k in range(max_level + 1):
@@ -469,7 +463,8 @@ class SequenceSpec:
     - piovern:  h_n = c / (pi * n)
 
     with c != 0 and n >= 1. p is given for powinv only and q for geo only;
-    a parameter the kind does not use is a ValueError.
+    a parameter the kind does not use is a ValueError. c and the parameter
+    the kind uses are stored as floats.
     """
 
     kind: str
@@ -481,18 +476,19 @@ class SequenceSpec:
         if self.kind not in ("powinv", "geo", "piovern"):
             raise ValueError(f"unknown sequence kind {self.kind!r} "
                              "(expected powinv, geo, or piovern)")
-        # comparisons, not math.isfinite, which raises OverflowError for a huge int
-        if not (-sys.float_info.max <= self.c <= sys.float_info.max and self.c != 0.0):
-            raise ValueError("c must be a nonzero real")
-        if self.kind == "powinv":
-            if self.p is None or not 0.0 < self.p <= sys.float_info.max:
-                raise ValueError("powinv requires p > 0")
-        if self.kind == "geo":
-            if self.q is None or not (-1.0 < self.q < 1.0 and self.q != 0.0):
-                raise ValueError("geo requires 0 < |q| < 1")
-        for name, used_by in (("p", "powinv"), ("q", "geo")):
-            if getattr(self, name) is not None and self.kind != used_by:
-                raise ValueError(f"{self.kind} takes no {name}; only {used_by} does")
+        # each parameter, the kind that uses it (None: all), its range as a float and rule
+        for name, used_by, inside, rule in (
+                ("c", None, lambda c: c != 0.0, "c must be a nonzero real"),
+                ("p", "powinv", lambda p: p > 0.0, "powinv requires p > 0"),
+                ("q", "geo", lambda q: -1.0 < q < 1.0 and q != 0.0, "geo requires 0 < |q| < 1")):
+            value = getattr(self, name)
+            if used_by not in (None, self.kind):
+                if value is not None:
+                    raise ValueError(f"{self.kind} takes no {name}; only {used_by} does")
+            elif value is None or not inside(value := _real(value, lambda **_: ValueError(rule))):
+                raise ValueError(rule)
+            else:
+                object.__setattr__(self, name, value)
 
     def _set_params(self) -> dict[str, float]:
         """c, then p or q, whichever is set."""

@@ -44,7 +44,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from ._record import record
-from .errors import DomainError
+from .errors import DomainError, _real
 from .filterbase import FilterBaseChain
 
 __all__ = [
@@ -86,10 +86,10 @@ class LimitConfig:
         if self.samples_per_level < 2:
             raise ValueError("samples_per_level must be >= 2")
         for name in ("tol_osc", "tol_step", "no_limit_floor"):
-            if not getattr(self, name) > 0.0:
+            value = _real(getattr(self, name), lambda **_: ValueError(f"{name} must be finite"))
+            if not value > 0.0:
                 raise ValueError(f"{name} must be > 0")
-            if getattr(self, name) > sys.float_info.max:  # inf, or an int no double holds
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
 
 
 @record
@@ -130,8 +130,8 @@ def _finite_values(g: Callable[[float], float], pts: Sequence[float]) -> list[fl
             v = g(x)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(str(exc), argument=x) from exc
-        if not math.isfinite(v):
-            raise DomainError("function value is not a finite real", argument=x)
+        if type(v) is not float or not math.isfinite(v):  # the gate, but free for a float
+            v = _real(v, lambda **_: DomainError("function value is not a finite real", argument=x))
         vals.append(v)
     return vals
 

@@ -458,7 +458,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     these heavy stdlib modules. -S keeps site-packages' .pth files, which
     may import typing themselves, out of the measurement."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import filterderiv, filterderiv.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'decimal', 'fractions', 'numbers'}"
+            " & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-S", "-c", code,
                           str(Path(filterderiv.__file__).parents[1])],
                          capture_output=True, text=True, timeout=120)

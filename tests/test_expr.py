@@ -290,15 +290,13 @@ class TestAsFunction:
 
 def _pow_source(exponent: str, tested: bool) -> str:
     """as_function's source for x^exponent; the namespace's names are numbered
-    from k5 in the order they are made, the sign test's error first."""
-    k = 5 + tested
+    from k8 in the order they are made, the sign test's error first."""
+    k = 8 + tested
     return ("def f(arg):\n"
-            f"    try:\n        if not isfinite(arg): raise k{k + 1}(argument=arg)\n"
-            f"    except k{k + 2}:\n        raise k{k + 1}(argument=arg) from None\n"
-            f"    arg = k{k + 3}(arg)\n"
+            f"    if type(arg) is not float or not isfinite(arg): arg = real(arg, k{k + 1})\n"
             "    t1 = arg\n"
             f"    t2 = {exponent}\n"
-            + ("    if t1 < 0.0 and t2 != floor(t2): raise k5(t1)\n" if tested else "")
+            + ("    if t1 < 0.0 and t2 != floor(t2): raise k8(t1)\n" if tested else "")
             + "    try:\n        t0 = pow(t1, t2)\n    except Raised:\n"
             f"        raise k{k}(t1) from None\n    return t0\n")
 

@@ -29,6 +29,7 @@ SIGN = as_function(parse("sign(x)"))
 CFG = LimitConfig()
 NON_FINITE = [math.nan, math.inf, -math.inf]
 TOO_LARGE = pytest.param(10**400, id="10**400")  # an int no double holds
+DECIMAL_NANS = [Decimal("NaN"), Decimal("sNaN")]  # not decimal.InvalidOperation either
 
 
 class TestDifferenceQuotient:
@@ -197,7 +198,9 @@ class TestDerivative:
     @pytest.mark.parametrize("f,message", [
         (math.log, "math domain error"),
         (lambda x: math.inf if x == 0 else x, "function value is not a finite real"),
-    ], ids=["raises", "not-finite"])
+        # an int no double holds: the same DomainError, not an OverflowError
+        (lambda x: 10**400 if x == 0 else x, "function value is not a finite real"),
+    ], ids=["raises", "not-finite", "huge-int"])
     def test_failure_at_x0_names_x0(self, f, message):
         """A plain callable that fails at x0 is reported at x0, not at a sampled h."""
         b = right_base(1.0, 0.5)
@@ -421,7 +424,8 @@ class TestInputErrors:
     }
 
     @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
-    @pytest.mark.parametrize("check_tol", [-1e-5, math.nan, math.inf, TOO_LARGE], ids=repr)
+    @pytest.mark.parametrize("check_tol", [-1e-5, math.nan, math.inf, TOO_LARGE, *DECIMAL_NANS],
+                             ids=repr)
     def test_bad_check_tol(self, rule, check_tol):
         calls = []
         square = lambda x: calls.append(x) or x * x
@@ -436,7 +440,7 @@ class TestInputErrors:
         assert rep.verdict in ("holds", "violated")
 
     @pytest.mark.parametrize("coefficient", ["alpha", "beta"])
-    @pytest.mark.parametrize("value", NON_FINITE + [TOO_LARGE], ids=repr)
+    @pytest.mark.parametrize("value", NON_FINITE + [TOO_LARGE] + DECIMAL_NANS, ids=repr)
     def test_non_finite_linearity_coefficient(self, coefficient, value):
         calls = []
         square = lambda x: calls.append(x) or x * x

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -1137,11 +1138,22 @@ class TestInputErrors:
         (lambda: SetDescriptor(intervals=((0, 10**400),)), "interval endpoints must be finite"),
         (lambda: SetDescriptor(points=(10**400,)), "points must be finite"),
         (lambda: SetDescriptor(excluded=(-10**400,)), "points must be finite"),
+        # a Decimal NaN, quiet or signalling, is the site's ValueError, not decimal.InvalidOperation
+        (lambda: SequenceSpec("piovern", c=Decimal("NaN")), "c must be a nonzero real"),
+        (lambda: SequenceSpec("piovern", c=Decimal("sNaN")), "c must be a nonzero real"),
+        (lambda: SequenceSpec("powinv", p=Decimal("NaN")), "powinv requires p > 0"),
+        (lambda: SequenceSpec("powinv", p=Decimal("sNaN")), "powinv requires p > 0"),
+        (lambda: punctured_base(Decimal("NaN"), 0.5), "delta0 must be a positive real"),
+        (lambda: punctured_base(Decimal("sNaN"), 0.5), "delta0 must be a positive real"),
+        (lambda: right_base(1, Decimal("NaN")), "ratio must lie strictly inside (0, 1)"),
+        (lambda: left_base(1, Decimal("sNaN")), "ratio must lie strictly inside (0, 1)"),
     ], ids=["non-finite-point", "negative-max-level", "level-past-max",
             "punctured-flag-lies-element", "punctured-flag-lies-sample", "stride-0",
             "stride-1.5", "stride-2.0", "non-decreasing-sequence", "no-elements", "witness-past-max",
             "huge-c", "huge-p", "huge-q", "huge-delta0", "huge-right-ratio", "huge-left-ratio",
-            "huge-endpoint", "huge-point", "huge-excluded"])
+            "huge-endpoint", "huge-point", "huge-excluded", "decimal-nan-c", "decimal-snan-c",
+            "decimal-nan-p", "decimal-snan-p", "decimal-nan-delta0", "decimal-snan-delta0",
+            "decimal-nan-ratio", "decimal-snan-ratio"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

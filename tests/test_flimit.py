@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -137,8 +138,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["tol_osc", "tol_step", "no_limit_floor"])
     def test_infinite_tolerance_rejected(self, name):
         # an infinite tolerance would call anything converged: abs'(0) among them;
-        # an int too large for a double would overflow at the first comparison
-        for value in (math.inf, 10**400):
+        # an int too large for a double would overflow at the first comparison, and a
+        # Decimal NaN would raise decimal.InvalidOperation there
+        for value in (math.inf, 10**400, Decimal("NaN"), Decimal("sNaN")):
             with pytest.raises(ValueError) as exc:
                 LimitConfig(**{name: value})
             assert str(exc.value) == f"{name} must be finite"
