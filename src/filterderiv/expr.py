@@ -261,6 +261,15 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset(node.name for node in _nodes(e) if isinstance(node, Variable))
 
 
+def _exact_finite(value) -> bool:
+    """math.isfinite for a value that may be an int: False, not an
+    OverflowError, for one too large for a double."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     """Compile e, once, in one of two modes that var alone chooses. Without
     var, e is a list of trees and the result a generator function of a
@@ -276,12 +285,17 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
     derivative trees share their parts) is one temporary. Only temporary
     names, the repr of float constants and the symbols of _BINARY_OPS are
     written into the code: every other object (readers, nodes, messages,
-    functions, other constants) reaches it through the function's namespace."""
+    functions, other constants) reaches it through the function's namespace.
+    A temporary in exact may hold a number that is not a float, such as an
+    int: it is a constant that is not a float, or a node over one with no
+    variable below it. Only such a node's check tests for a number too large
+    for a double; a node that computes in floats keeps the bare isfinite."""
     ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
           "pow": math.pow, "type": type, "float": float, "real": _real,
           "Raised": (ValueError, OverflowError)}
     lines: list[str] = []
     temps: dict[int, str] = {}
+    exact: set[str] = set()
 
     def ref(obj) -> str:  # obj's name in the namespace
         name = f"k{len(ns)}"
@@ -306,13 +320,20 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
                 lines.append(f"{t} = {repr(value) if type(value) is float else ref(value)}")
             except DomainError:
                 lines.append(f"raise {ref(error)}()")
+            if type(value) is not float:
+                exact.add(t)
         elif isinstance(node, Variable):
             lines.append(f"{t} = " + ("arg" if var is not None
                                       else f"{ref(_binding(node.name))}(arg)"))
         elif isinstance(node, Unary):
-            lines.append(f"{t} = -{emit(node.child)}")
+            child = emit(node.child)
+            lines.append(f"{t} = -{child}")
+            if child in exact:
+                exact.add(t)
         elif isinstance(node, Binary):
             left, right = emit(node.left), emit(node.right)
+            if left in exact and right in exact:
+                exact.add(t)
             if node.op == "pow":
                 exponent = node.right.value if isinstance(node.right, Constant) else None
                 if not (type(exponent) is float and exponent.is_integer()):
@@ -324,13 +345,16 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
             else:
                 if node.op == "div":
                     lines.append(f"if {right} == 0.0: {fail('division by zero', right)}")
+                finite = ref(_exact_finite) if t in exact else "isfinite"
                 lines.extend([f"{t} = {left} {_BINARY_OPS[node.op][0]} {right}",
-                              f"if not isfinite({t}): {fail('result is not a finite real')}"])
+                              f"if not {finite}({t}): {fail('result is not a finite real')}"])
         else:
             op, arity = _FUNCTIONS[node.fn]
             if len(node.args) != arity:  # a hand-built call; parse checks its own
                 raise ValueError(f"{node.fn} takes {arity} argument(s), got {len(node.args)}")
             args = [emit(a) for a in node.args]
+            if exact.intersection(args):  # min and max return an argument as it is
+                exact.add(t)
             lines.extend(["try:", f"    {t} = {ref(op)}({', '.join(args)})",
                           "except Raised:",
                           f"    {fail(node.fn + ' applied outside its domain', args[0])} from None"])

@@ -225,7 +225,9 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     g's) and the derivative of c, in that order; compare it with rhs_of(f',
     g'). combine(fv, gv) gives c's values on a level from f's and g's; c is
     x -> combine([f(x)], [g(x)])[0] unless given; at_x0 is (f(x0), g(x0)) if
-    the caller has them. The estimates run in lockstep in flimit._descend,
+    the caller has them. f(x0), g(x0), c(x0) and the values of f and g that
+    c combines pass errors._real, so a value no double holds is a domain
+    error, as in derivative. The estimates run in lockstep in flimit._descend,
     which samples each level once; level_values evaluates f and g on it at
     the first read (in one call where they have a values form). An estimate
     redoes a level where that raises or sums to a non-finite value point by
@@ -240,13 +242,15 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     if check_tol < 0.0:
         raise ValueError("check_tol must be a finite real >= 0")
     _require_depth(b, cfg)  # before f(x0) or g(x0) is read
-    fns = {"f": f, "g": g, "c": c or (lambda x: combine([f(x)], [g(x)])[0])}
+    # the gate's ValueError becomes _finite_values' DomainError on a level redone point by point
+    real = lambda v: _real(v, lambda **_: ValueError("function value is not a finite real"))
+    fns = {"f": f, "g": g, "c": c or (lambda x: combine([real(f(x))], [real(g(x))])[0])}
     plan = [("f", True), ("g", True), *((name, False) for name in continuous), ("c", True)]
-    y0: dict = dict(zip("fg", at_x0 or ()))  # f, g and c at x0, each where it is defined
+    y0: dict = dict(zip("fg", at_x0 or ()))  # f, g and c at x0, each where it is a finite real
     for name in "fgc":
         try:
             if name not in y0:
-                y0[name] = combine([y0["f"]], [y0["g"]])[0] if name == "c" else fns[name](x0)
+                y0[name] = real(combine([y0["f"]], [y0["g"]])[0] if name == "c" else fns[name](x0))
         except Exception:  # its estimates redo every level point by point
             pass
 

@@ -8,7 +8,8 @@ membership and containment are decided exactly (float comparisons only,
 no tolerances); the two simple shapes, points only and open intervals
 only, are canonical in closed form. The generated filter is
 never materialized: membership of a candidate set in it is answered by
-searching for a contained base element.
+searching for a contained base element, by bisection on a chain that a
+constructor built and so nests.
 A geometric base samples level k from its annulus, element(k) without
 element(k+1), in closed form and without building a descriptor, and every
 sample set drawn from intervals is memoized. Its element(k) is closed-form
@@ -16,8 +17,9 @@ too: two elements nest by their sides and scales alone, membership is two
 comparisons a side, and containment in another set looks each of its at
 most two intervals up in that set's components. A sequence base's elements
 are tails of its one term tuple: two of them nest by their start indices
-alone, and membership is a bisect on magnitude. Either kind builds its
-canonical form only when it is read.
+alone, membership is a bisect on magnitude, and a tail lies in another set
+at once when one component of that set holds its smallest and largest
+points. Either kind builds its canonical form only when it is read.
 """
 
 from __future__ import annotations
@@ -279,6 +281,10 @@ class FilterBaseChain:
     # Every h that sample(k, ...) returns has |h| > inner_ratio * scale(k):
     # set to a geometric chain's ratio, which its subchains keep; None on others.
     inner_ratio: float | None = None
+    # True on a chain nested by construction (every constructor's, and their
+    # subchains'), which generated_filter_witness bisects; a hand-built
+    # chain's nesting is only a contract.
+    _nested = False
 
     def __init__(self, *, chain_id: str, max_level: int, punctured_at_zero: bool,
                  params: Mapping[str, object],
@@ -350,7 +356,7 @@ class FilterBaseChain:
             scale_fn=lambda k: parent.scale(stride * k),
             sample_fn=lambda k, m, seed: parent.sample(stride * k, m, seed),
         )
-        sub.inner_ratio = self.inner_ratio
+        sub.inner_ratio, sub._nested = self.inner_ratio, self._nested
         return sub
 
 
@@ -433,7 +439,7 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
         sample_fn=lambda k, m, seed: list(
             _sample_spans(annulus(scales[k], ratio * scales[k]), m, seed, k)),
     )
-    chain.inner_ratio = ratio
+    chain.inner_ratio, chain._nested = ratio, True
     return chain
 
 
@@ -528,7 +534,8 @@ def _magnitude_order(v: float) -> float:
 
 class _Tail(_ClosedForm):
     """terms[start:] of a term tuple as _sequence_terms returns it (finite,
-    non-zero, strictly decreasing in magnitude): the set that
+    non-zero, strictly decreasing in magnitude, of one sign or alternating
+    in sign): the set that
     SetDescriptor(points=terms[start:]) describes. A tail is built in O(1):
     two tails of one tuple nest by their starts alone, membership is a
     bisect on magnitude, and the sorted canonical form is built on its
@@ -555,6 +562,17 @@ class _Tail(_ClosedForm):
     def issubset(self, other: SetDescriptor) -> bool:
         if isinstance(other, _Tail) and other._terms is self._terms:
             return self._start >= other._start
+        terms, start = self._terms, self._start
+        if start < len(terms):
+            # The terms keep one sign or alternate, so the tail's smallest and
+            # largest points are among its first two and its last. A piece is a
+            # maximal interval with the excluded points cut out: if it holds
+            # those two points, it holds every point of the tail.
+            ends = terms[start:start + 2] + terms[-1:]
+            lo, hi = min(ends), max(ends)
+            j = bisect_right(other._piece_los, lo) - 1
+            if j >= 0 and other.pieces[j].contains(lo) and other.pieces[j].contains(hi):
+                return True
         return all(map(other.contains, self.points))
 
 
@@ -571,7 +589,7 @@ def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain
                 f"level {k} tail truncation holds {cutoff - k} points, need {m}")
         return list(values[k:k + m])
 
-    return FilterBaseChain(
+    chain = FilterBaseChain(
         chain_id=spec.describe(),
         max_level=max_level,
         punctured_at_zero=True,
@@ -581,6 +599,8 @@ def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain
         scale_fn=lambda k: float(k + 1),
         sample_fn=sample_fn,
     )
+    chain._nested = True
+    return chain
 
 
 def chain_from_elements(chain_id: str, elements: Sequence[SetDescriptor], *,
@@ -652,9 +672,17 @@ def verify_base_axioms(b: FilterBaseChain, K: int) -> AxiomReport:
 
 
 def generated_filter_witness(b: FilterBaseChain, S: SetDescriptor, K: int) -> int | None:
-    """Smallest level k <= K with element(k) ⊆ S, or None if no witness."""
+    """Smallest level k <= K with element(k) ⊆ S, or None if no witness.
+
+    On a chain nested by construction element(k) ⊆ S is false below the
+    witness and true from it on, so levels 0..K are bisected: at most
+    ceil(log2(K + 2)) subset checks. A hand-built chain's levels are
+    scanned in order, since its nesting is only a contract."""
     if not 0 <= K <= b.max_level:
         raise ValueError(f"K must lie in 0..{b.max_level}")
+    if b._nested:
+        k = bisect_left(range(K + 1), True, key=lambda k: b.element(k).issubset(S))
+        return k if k <= K else None
     for k in range(K + 1):
         if b.element(k).issubset(S):
             return k

@@ -551,6 +551,50 @@ class TestNonFiniteConstants:
         with pytest.raises(DomainError, match="constant is not a finite real"):
             f(1.0)
 
+    @pytest.mark.parametrize("tree", [
+        Binary("mul", Constant(10**200), Constant(10**200)),
+        Binary("add", Constant(10**308), Constant(10**308)),
+        Binary("sub", Unary("neg", Constant(10**308)), Constant(10**308)),
+        Binary("mul", Call("max", (Constant(10**200), Constant(1.0))), Constant(10**200)),
+    ])
+    def test_int_constants_too_large_together_raise(self, tree):
+        """Finite int constants whose exact result no double holds: the
+        node's DomainError, as for Constant(10**200) * x, not the
+        OverflowError of math.isfinite on a huge int."""
+        message = f"result is not a finite real in {render(tree)}"
+        with pytest.raises(DomainError) as exc:
+            evaluate(tree, {})
+        assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            as_function(Binary("add", tree, Variable("x")), "x")(1.0)
+        assert str(exc.value) == message
+        with pytest.raises(DomainError, match="result is not a finite real"):
+            evaluate(Binary("mul", Constant(10**200), Variable("x")), {"x": 1e200})
+
+    def test_int_constants_keep_their_exact_result(self):
+        assert repr(evaluate(Binary("mul", Constant(3), Constant(4)), {})) == "12"
+        big = Binary("sub", Binary("add", Constant(10**17), Constant(1)), Constant(10**17))
+        assert repr(evaluate(big, {})) == "1"
+
+    def test_float_nodes_keep_the_bare_check(self, monkeypatch):
+        """Only a node over constants that are not floats calls the check
+        that tolerates an int: a parsed expression's nodes compute in floats."""
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        as_function(parse("2*3*x + (1 - 4)"))
+        checks = [line.strip() for line in sources[0].splitlines() if "finite" in line]
+        assert len(checks) == 5  # f's head, then the four binary nodes
+        assert all(c.startswith("if not isfinite(t") for c in checks[1:])
+        sources.clear()
+        as_function(Binary("add", Binary("mul", Constant(2), Constant(3)), Variable("x")))
+        assert "isfinite(t" in sources[0]
+        assert sum(line.strip().startswith("if not isfinite(t")
+                   for line in sources[0].splitlines()) == 1  # x's node; 2*3 takes the other
+
 
 NON_FINITE = [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400"),
               pytest.param(-10**400, id="-10**400"),

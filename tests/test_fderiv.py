@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from filterderiv import expr as expr_module
 from filterderiv import fderiv
-from filterderiv import (CONVERGED, NO_LIMIT, BaseNotPuncturedError,
+from filterderiv import (CONVERGED, INCONCLUSIVE, NO_LIMIT, BaseNotPuncturedError,
                          DomainError, LimitConfig, QUOTIENT_RULE_NOTE,
                          SequenceSpec, SetDescriptor, as_function, chain_from_elements,
                          check_linearity, check_product_rule,
@@ -200,14 +200,18 @@ class TestDerivative:
         (lambda x: math.inf if x == 0 else x, "function value is not a finite real"),
         # an int no double holds: the same DomainError, not an OverflowError
         (lambda x: 10**400 if x == 0 else x, "function value is not a finite real"),
-    ], ids=["raises", "not-finite", "huge-int"])
+        # a signalling NaN: the gate's domain error, not a TypeError from the radius
+        (lambda x: Decimal("sNaN") if x == 0 else x, "function value is not a finite real"),
+    ], ids=["raises", "not-finite", "huge-int", "signalling-nan"])
     def test_failure_at_x0_names_x0(self, f, message):
         """A plain callable that fails at x0 is reported at x0, not at a sampled h."""
         b = right_base(1.0, 0.5)
         detail = f"domain error at level 0: {message} (argument 0.0)"
         assert derivative(f, 0.0, b, CFG).estimate.failure_detail == detail
         rep = check_linearity(f, f, 1.0, 1.0, 0.0, b, CFG, 1e-6)
-        assert rep.f_prime.estimate.failure_detail == detail
+        assert rep.verdict == INCONCLUSIVE
+        for d in (rep.f_prime, rep.g_prime, rep.lhs):
+            assert d.estimate.failure_detail == detail
 
 
 class TestClassicalDerivative:

@@ -593,6 +593,136 @@ class TestGeneratedFilter:
             assert in_generated_filter(b, big, K)
 
 
+def _constructor_chains():
+    """Every chain a constructor builds for these tests: the three geometric
+    kinds over the benchmark's delta0/ratio grid and the sequences above,
+    each also as subchain(2) and subchain(3)."""
+    bases = [(f"{kind}:{delta0},{ratio}", lambda m=maker, d=delta0, r=ratio: m(d, r))
+             for kind, maker in sorted(GEOMETRIC_MAKERS.items())
+             for delta0 in (0.1, 1.0, 10.0) for ratio in (0.25, 0.5, 0.9)]
+    bases += [(spec.describe(), lambda spec=spec: sequence_base(spec)) for spec in SEQUENCE_SPECS]
+    return [(f"{name}/{stride}", make, stride) for name, make in bases for stride in (1, 2, 3)]
+
+
+CONSTRUCTOR_CHAINS = _constructor_chains()
+
+
+def _scan_witness(b, S_, K):
+    """The level-by-level reference, on plain descriptors: no closed form,
+    bisection or hull test is involved."""
+    flat = _flat(S_)
+    return next((k for k in range(K + 1) if _flat(b.element(k)).issubset(flat)), None)
+
+
+@st.composite
+def _sets_near(draw, b):
+    """A union of intervals, points and excluded points at the magnitudes of
+    b's levels, so that its witness may sit at any level or nowhere; an
+    interval may end at 0 or hold it, and a point may hold or exclude a
+    term of a sequence."""
+    def mag():
+        k = draw(st.integers(min_value=0, max_value=b.max_level))
+        e = b.element(k)
+        r = max(abs(x) for x in (e.points or e.intervals[0]))
+        return r * draw(st.sampled_from([0.3, 1.0, 1.0000001, 3.0]))
+
+    cuts = sorted({*draw(st.sampled_from([(), (0.0,)])),
+                   *(draw(st.sampled_from([1.0, -1.0])) * mag()
+                     for _ in range(draw(st.integers(min_value=1, max_value=4))))})
+    spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    terms = b.element(0).points
+    named = lambda: draw(st.sampled_from([0.0, mag(), -mag()] + list(terms[:40:7])))
+    points = [named() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    excluded = [named() for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    return SetDescriptor(intervals=tuple(spans), points=tuple(points), excluded=tuple(excluded))
+
+
+class TestWitnessBisection:
+    """generated_filter_witness bisects the levels of a chain a constructor
+    built and scans a hand-built one's; both give the scan's answer."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(CONSTRUCTOR_CHAINS), st.data())
+    def test_bisection_equals_the_scan(self, chain, data):
+        _, make, stride = chain
+        b = make().subchain(stride) if stride > 1 else make()
+        assert b._nested
+        S_ = data.draw(_sets_near(b))
+        w = _scan_witness(b, S_, b.max_level)
+        Ks = {0, 1, data.draw(st.integers(min_value=0, max_value=b.max_level)), b.max_level}
+        if w is not None:  # K at the witness and on either side of it
+            Ks |= {w - 1, w, w + 1}
+        for K in Ks & set(range(b.max_level + 1)):
+            expected = _scan_witness(b, S_, K)
+            assert generated_filter_witness(b, S_, K) == expected
+            assert in_generated_filter(b, S_, K) == (expected is not None)
+
+    @pytest.mark.parametrize("S_,K", [(S((0.5, 2.0)), 20_000), (S((-0.5, 0.5)), 20_000),
+                                      (S((-1e-6, 1e-6)), 20_000), (S((-0.5, 0.5)), 0)])
+    def test_element_calls_are_logarithmic(self, S_, K):
+        b = punctured_base(1.0, 0.999, max_level=20_000)
+        calls = []
+
+        def element(k):
+            calls.append(k)
+            return type(b).element(b, k)
+        b.element = element
+        found = generated_filter_witness(b, S_, K)
+        assert len(calls) <= math.ceil(math.log2(K + 2))
+        assert found == _scan_witness(b, S_, K)
+
+    def test_hand_built_chain_is_scanned(self):
+        """Not nested: a bisection would probe levels 2, 3 and 4 and say
+        None, but level 1 is the first inside S."""
+        b = chain_from_elements("not-nested", [S((-1.0, 1.0)), S((-0.1, 0.1)), S((-0.5, 0.5)),
+                                               S((-0.5, 0.5)), S((-0.5, 0.5))])
+        cover = S((-0.2, 0.2))
+        assert not b._nested
+        assert generated_filter_witness(b, cover, 4) == 1
+        assert in_generated_filter(b, cover, 4)
+        b._nested = True  # what bisecting it would give
+        assert generated_filter_witness(b, cover, 4) is None
+
+    def test_subchain_of_hand_built_chain_is_scanned(self):
+        b = chain_from_elements("c", [S((-1.0, 1.0)), S((0.5, 0.6))])
+        assert not b.subchain(1)._nested
+        assert punctured_base(1.0, 0.5).subchain(2)._nested
+
+    @pytest.mark.parametrize("spec,cover,inside", [
+        # the tail 1, 1/2, 1/3, ... around a hole between 1/2 and 1/3, or on 1/3
+        (SequenceSpec("powinv", c=1.0, p=1.0), S((0.0, 2.0), excluded=(0.45,)), True),
+        (SequenceSpec("powinv", c=1.0, p=1.0), S((0.0, 2.0), excluded=(1.0 / 3.0,)), False),
+        # alternating terms -0.5, 0.25, ... around the hole at 0
+        (SequenceSpec("geo", c=1.0, q=-0.5), S((-1.0, 0.0), (0.0, 1.0)), True),
+        (SequenceSpec("geo", c=1.0, q=-0.5), S((-1.0, 1.0), excluded=(-0.125,)), False),
+    ])
+    def test_tail_across_a_hole_is_decided_point_by_point(self, spec, cover, inside, monkeypatch):
+        tail = sequence_base(spec).element(0)
+        calls = []
+        contains = SetDescriptor.contains
+        monkeypatch.setattr(SetDescriptor, "contains",
+                            lambda self, x: calls.append(x) or contains(self, x))
+        assert tail.issubset(cover) == inside == _flat(tail).issubset(_flat(cover))
+        assert len(calls) > 2  # the hull test could not decide it
+
+    @pytest.mark.parametrize("cover", [S((-1.0, 0.2)), S((-0.2, 1.0)), S((-0.6, 0.3)),
+                                       S((-0.6, 0.2)), S((-0.4, 0.3))])
+    def test_alternating_tail_hull_spans_both_signs(self, cover):
+        """The terms -0.5, 0.25, -0.125, ...: the hull of a tail runs from its
+        first negative to its first positive term, whichever comes first."""
+        b = sequence_base(SequenceSpec("geo", c=1.0, q=-0.5))
+        for k in range(4):
+            assert b.element(k).issubset(cover) == _flat(b.element(k)).issubset(_flat(cover))
+
+    def test_tail_inside_one_component_calls_no_contains(self, monkeypatch):
+        tail = sequence_base(SequenceSpec("geo", c=1.0, q=-0.5)).element(3)
+        def no_contains(self, x):
+            raise AssertionError("the tail's points were tested one by one")
+        monkeypatch.setattr(SetDescriptor, "contains", no_contains)
+        assert tail.issubset(S((-0.1, 0.1)))  # the tail starts at 0.0625
+        assert tail.issubset(S((-1.0, 1.0), excluded=(0.5,)))
+
+
 class TestSampling:
     def test_membership_and_distinctness(self):
         b = right_base(1.0, 0.5)
