@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 from ._record import record
 from .errors import BaseNotPuncturedError, DomainError, _real
 from .filterbase import FilterBaseChain, punctured_base
-from .flimit import (CONVERGED, NO_LIMIT, UNDECIDED, LimitConfig, LimitEstimate,
+from .flimit import (CONVERGED, NO_LIMIT, LimitConfig, LimitEstimate,
                      _descend, _finite_values, _require_depth, estimate_limit)
 
 __all__ = [
@@ -107,7 +107,8 @@ class RuleCheckReport:
 
 def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[float], float]:
     """The map h -> (f(x0+h) - f(x0)) / h. Undefined at h = 0. f(x0) is
-    read once, on first use, through flimit._finite_values, so a failure there names x0.
+    read once, on first use, through flimit._finite_values, so a failure there names x0;
+    an f(x0+h) that is not a float passes errors._real, as there.
 
     For an f from as_function, the map also has finite_values(hs), which
     flimit._finite_values tries first: the quotients at all of hs from f's
@@ -116,7 +117,7 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
     but not always the error the map raises there.
 
     The map's at_x0 is (x0, the one-slot list that holds f(x0) once read),
-    from which flimit.estimate_limit takes the quotient's rounding radius."""
+    from which flimit.estimate_limit takes its stop and the rounding radius."""
     cache: list[float] = []
 
     def quotient(h: float) -> float:
@@ -125,7 +126,10 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
                               argument=0.0)
         if not cache:
             cache.append(_finite_values(f, (x0,))[0])
-        return (f(x0 + h) - cache[0]) / h
+        if type(v := f(x0 + h)) is not float:  # the gate, but free for a float
+            v = _real(v, lambda **_: DomainError("function value is not a finite real",
+                                                 argument=h))
+        return (v - cache[0]) / h
 
     quotient.at_x0 = (x0, cache)
     if hasattr(f, "quotients"):
@@ -144,34 +148,15 @@ def _require_punctured(b: FilterBaseChain) -> None:
             "contain h = 0 where the difference quotient is undefined")
 
 
-def _unmoved(est: LimitEstimate, x0: float, still: float, b: FilterBaseChain,
-             cfg: LimitConfig) -> LimitEstimate:
-    """est, or undecided if one of the last stable_levels levels it converged
-    on samples a point x0 + h == x0. There a quotient is 0 and a value is
-    f(x0), whatever f does, so such levels can pass the streak test on their
-    own. That value, still, is then among the level's values, so only levels
-    whose range holds it are searched."""
-    if est.converged:
-        m, seed, n = cfg.samples_per_level, cfg.seed, len(est.trace)
-        for k in range(n - cfg.stable_levels, n):
-            row = est.trace[k]
-            if row.sample_min <= still <= row.sample_max and x0 in [
-                    x0 + h for h in b.sample(k, m, seed)]:
-                return LimitEstimate(UNDECIDED, None, est.trace, failure_detail=(
-                    f"converged on level {k}, which samples an h with {x0!r} + h == "
-                    f"{x0!r}, where every function gives {still!r}"))
-    return est
-
-
 def derivative(f: Callable[[float], float], x0: float, b: FilterBaseChain,
                cfg: LimitConfig) -> DerivativeResult:
     """Limit of the difference quotient of f at x0 along b. The chain must
-    be flagged punctured_at_zero, since h is a divisor. The estimate stops
-    at the quotient's rounding floor (flimit's radius r): a level where r
-    exceeds 1e-5 * (1 + |mean|) ends it undecided. An estimate that
-    converged on a level with a sample x0 + h == x0 is undecided."""
+    be flagged punctured_at_zero, since h is a divisor. The estimate ends
+    undecided where its resolution is exhausted (see flimit): at the
+    quotient's rounding floor, or at the first level that can sample an h
+    with x0 + h == x0."""
     _require_punctured(b)
-    est = _unmoved(estimate_limit(difference_quotient(f, x0), b, cfg), x0, 0.0, b, cfg)
+    est = estimate_limit(difference_quotient(f, x0), b, cfg)
     return DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
 
 
@@ -207,10 +192,12 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                  cfg: LimitConfig) -> FContinuityReport:
     """Check lim f(a+h) along b against f(a). f(a) must be a finite real: a
     DomainError is raised otherwise, before any sampled point is evaluated.
-    A limit that converged on a level with a sample a + h == a is undecided."""
+    The shifted function's at_x0 is (a, None): the limit stops undecided at
+    the first level that can sample an h with a + h == a, and has no radius."""
     target = _finite_values(f, (a,))[0]
-    est = estimate_limit(lambda h: f(a + h), b, cfg)
-    return _continuity(target, a, b, cfg, _unmoved(est, a, target, b, cfg))
+    shifted = lambda h: f(a + h)
+    shifted.at_x0 = (a, None)
+    return _continuity(target, a, b, cfg, estimate_limit(shifted, b, cfg))
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
@@ -234,9 +221,10 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     point, as derivative or f_continuity would without a level form; of
     several that raise, the first in the order above is raised. As in
     derivative, the estimates of f', g' and c' stop at their rounding
-    floors, from f(x0), g(x0) and c(x0) where each is defined, and one that
-    converged on a point x0 + h == x0 is undecided. A right-hand side that
-    is not finite is a failed computation: inconclusive."""
+    floors, from f(x0), g(x0) and c(x0) where each is defined, and every
+    estimate stops at the first level that can sample an h with x0 + h ==
+    x0. A right-hand side that is not finite is a failed computation:
+    inconclusive."""
     _require_punctured(b)
     check_tol = _real(check_tol, lambda **_: ValueError("check_tol must be a finite real >= 0"))
     if check_tol < 0.0:
@@ -278,9 +266,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
                                   else lambda h: fn(x0 + h), hs)
 
     slots = [[y0[name]] if quotient and name in y0 else None for name, quotient in plan]
-    ests = _descend(level_values, len(plan), b, cfg, x0, slots)
-    df, dg, *held, lhs = [_unmoved(est, x0, 0.0 if quotient else y0[name], b, cfg)
-                          for est, (name, quotient) in zip(ests, plan)]
+    df, dg, *held, lhs = _descend(level_values, len(plan), b, cfg, x0, slots)
     continuity = tuple(_continuity(y0[name], x0, b, cfg, est)
                        for name, est in zip(continuous, held))
     df, dg, lhs = (DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)

@@ -506,6 +506,18 @@ class SequenceSpec:
 
 
 def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
+    underflow = ValueError("sequence term underflowed to 0 or overflowed; "
+                           "shorten the tail or change parameters")
+    # The last term's log in closed form, before any term is built: below -789
+    # (e**-789 < 2**-1138, 2**-64 of the least subnormal) it is 0 however it
+    # rounds. A geo count is capped at 2**1000, where the log is already below
+    # -1e285, so that a count no double holds still multiplies as a float.
+    log_last = math.log(abs(spec.c)) + (
+        min(count, 2**1000) * math.log(abs(spec.q)) if spec.kind == "geo"
+        else -spec.p * math.log(count) if spec.kind == "powinv"
+        else -math.log(math.pi) - math.log(count))
+    if log_last < -789.0:
+        raise underflow
     vals: list[float] = []
     if spec.kind == "geo":
         h = spec.c
@@ -516,10 +528,8 @@ def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
         vals = [spec.c * math.pow(n, -spec.p) for n in range(1, count + 1)]
     else:
         vals = [spec.c / (math.pi * n) for n in range(1, count + 1)]
-    for v in vals:
-        if not math.isfinite(v) or v == 0.0:
-            raise ValueError("sequence term underflowed to 0 or overflowed; "
-                             "shorten the tail or change parameters")
+    if vals[-1] == 0.0:  # the terms are finite and fall in magnitude: the last is the least
+        raise underflow
     for a, b in zip(vals, vals[1:]):
         if not abs(b) < abs(a):
             raise ValueError("sequence is not strictly decreasing in magnitude")

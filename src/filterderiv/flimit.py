@@ -12,13 +12,14 @@ min/max/mean, and issues one of four verdicts:
 - no-limit:    the level budget is exhausted and oscillation stayed >=
                no_limit_floor, and > r, on each of the last `stable_levels`
                levels.
-- undecided:   neither of the above held by the last level; or a level's r
-               exceeded 1e-5 * (1 + |mean|), where the estimate stops
-               ("resolution exhausted at level k"): it keeps that level's
-               row, and no later level would resolve more. Such a stop is
-               undecided even where the quotient kept oscillating, as at a
-               kink away from the origin (abs(x - 1) at 1, 1 + abs(x) at 0):
-               its no-limit needs the levels past the floor.
+- undecided:   neither of the above held by the last level; or the
+               resolution is exhausted at level k, where the estimate stops
+               and keeps k's row: k's r exceeded 1e-5 * (1 + |mean|), or k
+               is the first level whose |h| can be as small as ulp(x0) / 2,
+               where x0 + h can equal x0. No later level resolves more. Such
+               a stop is undecided even where the quotient kept oscillating,
+               as at a kink away from the origin (abs(x - 1) at 1, 1 + abs(x)
+               at 0): its no-limit needs the levels past the floor.
 - domain-error: the function was undefined at a sampled point, which
                falsifies the premise that it is defined on the base element.
 
@@ -179,16 +180,19 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
     rows: list[list[TraceRow]] = [[] for _ in range(n)]
     runs, prevs, ends, narrow = [0] * n, [0.0] * n, [None] * n, [-1] * n
     live, error = range(n), None
-    try:
-        ax0 = abs(x0)
-    except Exception:  # x0 is no number: the values fail on their own, as without a radius
-        slots = ()
+    try:  # half is 0, and stops nothing, where x0 is 0 (no h != 0 leaves it) or not finite
+        ax0, half = abs(x0), math.ulp(x0) / 2 if math.isfinite(x0) else 0.0
+    except Exception:  # x0 is no double: the values fail on their own, as without a radius
+        slots, half = (), 0.0
     slots = slots or [None] * n
     inner = b.inner_ratio or 0.0
     coefs = [None] * n  # 2|F(x0)| of estimate i, once its slot holds F(x0)
     unit, cap = _KAPPA * sys.float_info.epsilon, _RESOLUTION_CAP
     for k in range(cfg.max_level + 1):
-        hs, row, scale, still = sample(k, m, seed), {}, scale_of(k), []
+        hs, row, scale, still, stop = sample(k, m, seed), {}, scale_of(k), [], None
+        if half and (low := inner * scale or min(map(abs, hs))) <= half:
+            stop = (UNDECIDED, None, f"resolution exhausted at level {k}: |h| down to "
+                    f"{low!r} <= ulp(x0) / 2 = {half!r}, where x0 + h can equal x0")
         step = None  # the radii's common factor on this level, kappa*eps / |h|, once read
         for i in live:
             try:
@@ -207,6 +211,9 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
                 mean = float(sum(map(Fraction, vals)) / len(vals))
             osc, size = hi - lo, 1.0 + abs(mean)
             rows[i].append(TraceRow(scale, lo, hi, mean, osc))
+            if stop:
+                ends[i] = stop
+                continue
             if (c := coefs[i]) is None and (slot := slots[i]):
                 c = coefs[i] = 2.0 * abs(slot[0])
             r = 0.0
@@ -253,10 +260,11 @@ def estimate_limit(g: Callable[[float], float], b: FilterBaseChain,
                    cfg: LimitConfig) -> LimitEstimate:
     """Estimate lim g along the filter generated by b: _descend with n = 1.
 
-    A g from fderiv.difference_quotient carries its x0 and the slot that
-    holds f(x0) once read, as g.at_x0 = (x0, slot), so the estimate stops at
-    the quotient's rounding floor (see _descend); any other g is a black
-    box with no radius.
+    A g with g.at_x0 = (x0, slot) stops at the first level that can leave x0
+    unmoved (the module docstring's undecided), and where slot is the list
+    that holds f(x0) once read (fderiv.difference_quotient's), at the
+    quotient's rounding floor too. Any other g is a black box: x0 is 0, with
+    no stop and no radius.
 
     Precondition (not re-verified here; the built-in constructors guarantee
     it): b satisfies the base axioms up to cfg.max_level, which must not

@@ -37,6 +37,8 @@ GOLDEN_CASES = [
       "--tol-osc", "1e-4", "--tol-step", "3e-7", "--trace", "derive_x2cos_converged.csv"]),
     ("derive_sqrt_cos_domain_error.json", 4,
      ["derive", "--expr", "sqrt(cos(x*1000)+0.999)", "--x0", "0.5", "--base", "punctured:"]),
+    ("derive_sin_unmoved.json", 3,
+     ["derive", "--expr", "sin(x)", "--x0", "1e16", "--base", "punctured:"]),
     ("check_quotient_right.json", 0,
      ["check", "quotient", "--f", "x", "--g", "1+abs(x)", "--x0", "0",
       "--base", "right:delta0=1,ratio=0.5",
@@ -289,8 +291,9 @@ class TestOracleFlag:
 
 
 class TestUnmovedSamples:
-    """Levels whose samples leave x0 where it is cannot make an estimate
-    converge: each of these converged on them at an earlier version."""
+    """Levels whose samples can leave x0 where it is cannot make an estimate
+    converge: the first such level ends it undecided. Each of these
+    converged on them at an earlier version."""
 
     @pytest.mark.parametrize("argv,status", [
         (["derive", "--expr", "sin(x)", "--x0", "1e16", "--base", "punctured:"], "undecided"),
@@ -306,7 +309,7 @@ class TestUnmovedSamples:
         assert (code, payload["status"], payload["value"]) == (3, status, None)
 
     def test_rule_check_names_the_unmoved_level(self, capsys):
-        # every level of the check leaves 1e16 unmoved, so f' is undecided as
+        # level 0 of the check can leave 1e16 unmoved, so f' is undecided as
         # derive's estimate of it is, which names the level
         argv = ["--x0", "1e16", "--base", "punctured:", "--tol-osc", "1e-4", "--tol-step", "1e-7"]
         _, payload = main_json(capsys, "check", "product", "--f", "sin(x)", "--g", "cos(x)",
@@ -314,8 +317,23 @@ class TestUnmovedSamples:
         assert "f_prime=None (undecided)" in payload["notes"]
         _, payload = main_json(capsys, "derive", "--expr", "sin(x)", *argv)
         assert payload["notes"] == [
-            "converged on level 0, which samples an h with 1e+16 + h == 1e+16, "
-            "where every function gives 0.0"]
+            "resolution exhausted at level 0: |h| down to 0.5 <= ulp(x0) / 2 = 1.0, "
+            "where x0 + h can equal x0"]
+
+
+def test_huge_sequence_budget_is_an_input_error(capsys, monkeypatch):
+    # a 401-digit --levels reaches sequence_base, whose last term underflows:
+    # exit 4 without building the terms (a long range of them fails the test)
+    def short(*args):
+        if (r := range(*args)).stop - r.start > 10**6:
+            raise AssertionError(f"builds terms up to {r.stop}")
+        return r
+    monkeypatch.setattr(fb, "range", short, raising=False)
+    code, payload = main_json(capsys, "limit", "--expr", "h", "--base", "seq:kind=piovern",
+                              "--levels", "1" + "0" * 400)
+    assert (code, payload["status"]) == (4, "input-error")
+    assert payload["notes"] == [
+        "sequence term underflowed to 0 or overflowed; shorten the tail or change parameters"]
 
 
 class TestRuleChecksAtAnUndefinedX0:

@@ -213,6 +213,24 @@ class TestDerivative:
         for d in (rep.f_prime, rep.g_prime, rep.lhs):
             assert d.estimate.failure_detail == detail
 
+    def test_values_past_x0_pass_the_gate(self):
+        # f(x0 + h) is a Decimal: the quotient takes it as its float, as
+        # estimate_limit does, where it was a TypeError in float - Decimal
+        f, b = (lambda x: Decimal(repr(x))), right_base(1.0, 0.5)
+        res = derivative(f, 0.5, b, CFG)
+        assert (res.status, res.value) == (CONVERGED, 1.0)
+        rep = check_linearity(f, f, 1.0, 1.0, 0.5, b, CFG, 1e-6)
+        assert (rep.verdict, rep.lhs.value, rep.rhs_value) == ("holds", 2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [10**400, *DECIMAL_NANS, Decimal("Infinity")],
+                             ids=["10**400", "nan", "snan", "inf"])
+    def test_value_past_x0_no_double_holds(self, bad):
+        b = right_base(1.0, 0.5)
+        h = b.sample(0, CFG.samples_per_level, CFG.seed)[0]
+        res = derivative(lambda x: bad if x > 0.5 else Decimal(repr(x)), 0.5, b, CFG)
+        assert res.estimate.failure_detail == (
+            f"domain error at level 0: function value is not a finite real (argument {h!r})")
+
 
 class TestClassicalDerivative:
     def test_square_at_one(self):
@@ -747,14 +765,11 @@ class TestSharedEvaluation:
                                                        1e-5)}[rule]()
         ends = [len(e.trace) for e in (rep.f_prime.estimate, rep.g_prime.estimate,
                                        rep.lhs.estimate)]
-        rescans = set()   # _unmoved re-reads a continuity estimate's last levels
         for c in rep.continuity_reports:
             assert c.limit.converged
-            rescans |= set(range(len(c.limit.trace) - C.stable_levels, len(c.limit.trace)))
             ends.append(len(c.limit.trace))
         reached = max(ends)
-        assert b.calls[:reached] == list(range(reached))
-        assert set(b.calls[reached:]) <= rescans
+        assert b.calls == list(range(reached))
         assert b.scales == list(range(reached))   # one scale per level, for every estimate
 
     @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
@@ -807,9 +822,11 @@ GRID_POINTS = [1e3, -1e3, 1e2, 3e2, 3e3, 1e4, 1e6, 1e9, -1e9, 1e12, 1e15]
 class TestUnmovedSamples:
     """For |x0| large against a level's scale, a sampled h can give
     x0 + h == x0: the quotient there is exactly 0 and the shifted value
-    exactly f(x0), whatever f does, so such levels pass the streak test on
-    their own. An estimate that converged on one is undecided. At 1e16 every
-    h of punctured_base(1, 0.5) leaves x0 where it is, from level 0 on."""
+    exactly f(x0), whatever f does, so such levels would pass the streak test
+    on their own. The first level whose |h| can be as small as ulp(x0) / 2
+    ends the estimate undecided (resolution exhausted). At 1e16 that is level
+    0 of punctured_base(1, 0.5): its inner radius is 0.5, and ulp(1e16) / 2
+    is 1."""
 
     @pytest.mark.parametrize("cfg", [CFG, SMOOTH_CFG, PQ_CFG],
                              ids=["default", "smooth", "pq"])
@@ -836,14 +853,14 @@ class TestUnmovedSamples:
         res = derivative(as_function(parse("sin(x)")), 1e16, punctured_base(1, 0.5), CFG)
         assert res.status == "undecided" and res.value is None
         assert res.estimate.failure_detail == (
-            "converged on level 0, which samples an h with 1e+16 + h == 1e+16, "
-            "where every function gives 0.0")
+            "resolution exhausted at level 0: |h| down to 0.5 <= ulp(x0) / 2 = 1.0, "
+            "where x0 + h can equal x0")
 
     def test_continuity(self):
         rep = f_continuity(as_function(parse("sign(x-1e16)")), 1e16,
                            punctured_base(1, 0.5), CFG)
         assert rep.limit.status == "undecided" and not rep.is_continuous
-        assert rep.limit.failure_detail.startswith("converged on level 0, ")
+        assert rep.limit.failure_detail.startswith("resolution exhausted at level 0: ")
 
     def test_rule_check(self):
         rep = check_product_rule(as_function(parse("sin(x)")), as_function(parse("cos(x)")),
@@ -854,12 +871,12 @@ class TestUnmovedSamples:
             "converge (status: undecided); g is not F-continuous at x0 along the base")
         for est in (rep.f_prime.estimate, rep.g_prime.estimate, rep.lhs.estimate):
             assert est.failure_detail == (
-                "converged on level 0, which samples an h with 1e+16 + h == 1e+16, "
-                "where every function gives 0.0")
+                "resolution exhausted at level 0: |h| down to 0.5 <= ulp(x0) / 2 = 1.0, "
+                "where x0 + h can equal x0")
 
     def test_a_streak_of_levels_that_move_x0_stands(self):
-        # the first sample with 1000 + h == 1000 is on level 44; this streak
-        # ends on level 10
+        # the first level whose |h| can reach ulp(1000) / 2 = 2**-44 is level
+        # 43, where the inner radius is 2**-44; this streak ends on level 10
         res = derivative(as_function(parse("x^2")), 1000.0, punctured_base(1, 0.5),
                          LimitConfig(tol_osc=1e-2, tol_step=1e-6))
         assert res.converged and len(res.estimate.trace) == 11

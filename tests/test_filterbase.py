@@ -166,6 +166,20 @@ class TestSequenceBase:
         with pytest.raises(ValueError, match="underflowed"):
             sequence_base(SequenceSpec(kind="geo", c=1.0, q=0.5), max_level=900)
 
+    @pytest.mark.parametrize("spec", [SequenceSpec("piovern"), SequenceSpec("powinv", p=1.0),
+                                      SequenceSpec("geo", q=0.5), SequenceSpec("geo", q=-0.999)],
+                             ids=["piovern", "powinv", "geo", "geo-slow"])
+    def test_huge_budget_rejected_before_any_term(self, spec, monkeypatch):
+        # the last term, index 10**400 + 256, underflows; building the terms
+        # up to it would never return, so a long range of them fails the test
+        def short(*args):
+            if (r := range(*args)).stop - r.start > 10**6:
+                raise AssertionError(f"builds terms up to {r.stop}")
+            return r
+        monkeypatch.setattr(filterbase, "range", short, raising=False)
+        with pytest.raises(ValueError, match="underflowed"):
+            sequence_base(spec, max_level=10**400)
+
     def test_sample_exhausts_truncation(self):
         b = sequence_base(SequenceSpec(kind="piovern", c=1.0), max_level=8)
         assert len(b.sample(8, 256, seed=0)) == 256

@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal
 
 import pytest
@@ -436,3 +437,65 @@ class TestRadiusFactor:
         calls = self._spy(monkeypatch)
         est = fd.derivative(math.sin, 1.0, b, SMOOTH_CFG)
         assert len(calls) == len(est.estimate.trace) > 0
+
+
+_POWERS_OF_TWO = st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))
+_SUBNORMALS = st.floats(min_value=0.0, max_value=sys.float_info.min, exclude_min=True,
+                        exclude_max=True)
+_HUGE = st.floats(min_value=1e300, allow_infinity=False)
+
+
+class TestUnmovedStop:
+    """The first level whose |h| can be as small as ulp(x0) / 2 ends every
+    open estimate undecided, keeping its row: past that bound x0 + h != x0,
+    and at it x0 + h can equal x0, where a quotient is exactly 0 and a
+    shifted value exactly F(x0), whatever F does."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(x0=st.one_of(st.floats(allow_nan=False, allow_infinity=False), _POWERS_OF_TWO,
+                        _SUBNORMALS, _HUGE),
+           x0_sign=st.sampled_from([1.0, -1.0]), h_sign=st.sampled_from([1.0, -1.0]),
+           data=st.data())
+    def test_past_half_an_ulp_x0_moves(self, x0, x0_sign, h_sign, data):
+        x0 *= x0_sign
+        half = math.ulp(x0) / 2   # 0 where ulp(x0) / 2 is no double: then any h != 0 moves x0
+        least = math.nextafter(half, math.inf)
+        h = h_sign * data.draw(st.one_of(st.just(least),
+                                         st.floats(min_value=least, allow_infinity=False)))
+        assert x0 + h != x0
+
+    def test_at_half_an_ulp_x0_can_stay(self):
+        assert 1e16 + 1.0 == 1e16 and math.ulp(1e16) / 2 == 1.0
+        # below a power of two the spacing halves: an |h| within ulp(x0) / 2
+        # can still move x0, so the stop is at the first level that *can* leave it
+        assert 1.0 - 0.3 * math.ulp(1.0) != 1.0
+
+    def test_first_level_that_can_leave_x0_ends_the_estimate(self):
+        # sign has no limit, so only the stop ends it: level 43 is the first
+        # whose inner radius 0.5 * 0.5**k reaches ulp(1000) / 2 = 2**-44
+        g = lambda h: math.copysign(1.0, h)
+        g.at_x0 = (1000.0, None)
+        est = estimate_limit(g, punctured_base(1.0, 0.5), LimitConfig())
+        assert (est.status, len(est.trace)) == (UNDECIDED, 44)
+        assert est.failure_detail == (
+            "resolution exhausted at level 43: |h| down to 5.684341886080802e-14 <= "
+            "ulp(x0) / 2 = 5.684341886080802e-14, where x0 + h can equal x0")
+
+    def test_a_sequence_level_reads_its_smallest_h(self):
+        b = sequence_base(SequenceSpec(kind="piovern", c=1.0))
+        g = lambda h: h
+        g.at_x0 = (1e16, None)
+        est = estimate_limit(g, b, LimitConfig())
+        least = min(map(abs, b.sample(0, 32, 0)))
+        assert (est.status, len(est.trace)) == (UNDECIDED, 1)
+        assert est.failure_detail == (f"resolution exhausted at level 0: |h| down to "
+                                      f"{least!r} <= ulp(x0) / 2 = 1.0, where x0 + h can equal x0")
+
+    @pytest.mark.parametrize("x0", [0.0, -0.0, 5e-324, math.inf, math.nan, 10**400, "x0"])
+    def test_no_stop_where_no_h_leaves_x0(self, x0):
+        # at 0 and at a tiny x0, where ulp(x0) / 2 rounds to 0, no h != 0
+        # leaves x0 unmoved; an x0 that is not finite or no double has no ulp
+        g = lambda h: math.copysign(1.0, h)
+        g.at_x0 = (x0, None)
+        est = estimate_limit(g, punctured_base(1.0, 0.5), LimitConfig())
+        assert (est.status, len(est.trace)) == (NO_LIMIT, 49)
