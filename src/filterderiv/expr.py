@@ -270,42 +270,55 @@ def _exact_finite(value) -> bool:
         return False
 
 
-def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
-    """Compile e, once, in one of two modes that var alone chooses. Without
-    var, e is a list of trees and the result a generator function of a
-    mapping, which _binding reads each variable from; it yields each tree's
-    value before the code of the next tree's unshared nodes runs. With var,
-    e is one tree and the result a function of var's value, which its first
-    line hands to errors._real unless it is a finite float; it has the level
-    forms (see as_function). The code gives each node one temporary, in tree
-    order (left before right, arguments before the call), followed by the
-    node's own check, which raises the node's
+class _Code:
+    """Generated code for trees over one namespace, node by node. Without
+    var, a variable reads its value from a mapping, which _binding checks;
+    with var, every variable is the point ``arg``, and each node of params
+    is an argument of the code, named in self.params. emit gives each node
+    one temporary, in tree order (left before right, arguments before the
+    call), followed by the node's own check, which raises the node's
     DomainError through a callable that renders the node only then. A
-    subtree that occurs in e several times as one object (the oracle's
-    derivative trees share their parts) is one temporary. Only temporary
-    names, the repr of float constants and the symbols of _BINARY_OPS are
-    written into the code: every other object (readers, nodes, messages,
-    functions, other constants) reaches it through the function's namespace.
-    A temporary in exact may hold a number that is not a float, such as an
-    int: it is a constant that is not a float, or a node over one with no
-    variable below it. Only such a node's check tests for a number too large
-    for a double; a node that computes in floats keeps the bare isfinite."""
-    ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
-          "pow": math.pow, "type": type, "float": float, "real": _real,
-          "Raised": (ValueError, OverflowError)}
-    lines: list[str] = []
-    temps: dict[int, str] = {}
-    exact: set[str] = set()
+    subtree that occurs several times as one object (the oracle's
+    derivative trees share their parts, a rule check's combined function
+    shares f's and g's trees) is one temporary. Only temporary names, the
+    repr of float constants and the symbols of _BINARY_OPS are written into
+    the code: every other object (readers, nodes, messages, functions,
+    other constants) reaches it through the namespace. A temporary in exact
+    may hold a number that is not a float, such as an int: it is a constant
+    that is not a float, or a node over one with no variable below it. Only
+    such a node's check tests for a number too large for a double; a node
+    that computes in floats keeps the bare isfinite."""
 
-    def ref(obj) -> str:  # obj's name in the namespace
-        name = f"k{len(ns)}"
-        ns[name] = obj
+    def __init__(self, var: str | None = None, params: Sequence[Expr] = ()):
+        self.ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
+                   "pow": math.pow, "type": type, "float": float, "real": _real,
+                   "Raised": (ValueError, OverflowError)}
+        self.var, self.lines, self.exact = var, [], set()
+        self.temps = {id(p): f"p{i}" for i, p in enumerate(params)}
+        self.params = list(self.temps.values())
+        self._gate = None
+
+    def ref(self, obj) -> str:  # obj's name in the namespace
+        name = f"k{len(self.ns)}"
+        self.ns[name] = obj
         return name
 
-    def emit(node: Expr) -> str:  # the temporary that holds node's value
-        if id(node) in temps:
-            return temps[id(node)]
-        t = temps[id(node)] = f"t{len(temps)}"
+    def gate(self) -> str:  # the error of a variable bound to no finite real, made once
+        if self._gate is None:
+            self._gate = self.ref(partial(DomainError, "variable is not bound to a finite real",
+                                          subject=self.var))
+        return self._gate
+
+    def define(self, signature: str, body: Sequence[str]) -> Callable:
+        source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, "<expression>", "exec"), self.ns)
+        return self.ns[signature.split("(")[0]]
+
+    def emit(self, node: Expr) -> str:  # the temporary that holds node's value
+        lines, exact, ref = self.lines, self.exact, self.ref
+        if id(node) in self.temps:
+            return self.temps[id(node)]
+        t = self.temps[id(node)] = f"t{len(self.temps)}"
 
         def fail(message: str, argument: str = "") -> str:  # node's raise statement
             def error(argument=None):
@@ -323,15 +336,15 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
             if type(value) is not float:
                 exact.add(t)
         elif isinstance(node, Variable):
-            lines.append(f"{t} = " + ("arg" if var is not None
+            lines.append(f"{t} = " + ("arg" if self.var is not None
                                       else f"{ref(_binding(node.name))}(arg)"))
         elif isinstance(node, Unary):
-            child = emit(node.child)
+            child = self.emit(node.child)
             lines.append(f"{t} = -{child}")
             if child in exact:
                 exact.add(t)
         elif isinstance(node, Binary):
-            left, right = emit(node.left), emit(node.right)
+            left, right = self.emit(node.left), self.emit(node.right)
             if left in exact and right in exact:
                 exact.add(t)
             if node.op == "pow":
@@ -352,7 +365,7 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
             op, arity = _FUNCTIONS[node.fn]
             if len(node.args) != arity:  # a hand-built call; parse checks its own
                 raise ValueError(f"{node.fn} takes {arity} argument(s), got {len(node.args)}")
-            args = [emit(a) for a in node.args]
+            args = [self.emit(a) for a in node.args]
             if exact.intersection(args):  # min and max return an argument as it is
                 exact.add(t)
             lines.extend(["try:", f"    {t} = {ref(op)}({', '.join(args)})",
@@ -360,41 +373,41 @@ def _generate(e: Expr | list[Expr], var: str | None = None) -> Callable:
                           f"    {fail(node.fn + ' applied outside its domain', args[0])} from None"])
         return t
 
-    if var is None:
-        for root in e:
-            lines.append(f"yield {emit(root)}")
-        head = tail = []
-    else:
-        root = emit(e)
-        unbound = ref(partial(DomainError, "variable is not bound to a finite real", subject=var))
-        finite = f"if not isfinite(arg): raise {unbound}(argument=arg)"
-        # the gate for all but a finite float; a level's x0 + h is a float: its loop's test is bare
-        head = [f"if type(arg) is not float or not isfinite(arg): arg = real(arg, {unbound})"]
-        tail = [f"return {root}"]
-    body = "".join(f"    {line}\n" for line in head + lines + tail)
-    exec(compile(f"def f(arg):\n{body}", "<expression>", "exec"), ns)
-    f = ns["f"]
-    if var is None:
-        return f
 
-    def level_form(name: str, params: str, q: str, *checks: str) -> None:
-        # f's lines once more in one loop over hs, x0 taken as a float once (x0 - 0.0
-        # fails as x0 + h does); compiled on first use, bound on f in the stub's place.
-        def stub(*args):
-            loop = "".join(f"        {line}\n" for line in
-                           [finite, *lines, f"q = {q}", *checks, "out.append(q)"])
-            exec(compile(f"def {name}({params}):\n    x0 = float(x0 - 0.0)\n    out = []\n"
-                         f"    for h in hs:\n        arg = x0 + h\n{loop}    return out\n",
-                         "<expression>", "exec"), ns)
-            setattr(f, name, ns[name])
-            return ns[name](*args)
-        setattr(f, name, stub)
+def _level_loop(code: _Code, name: str, outputs: Sequence[tuple[Expr, bool]]) -> Callable:
+    """The level loop ``name(x0, y0, y1, ..., *code.params, hs)`` over the
+    trees of outputs, compiled into code's namespace: x0 is taken as
+    float(x0 - 0.0) once (it fails as x0 + h does), then each node of the
+    trees is computed once per h of hs, at x0 + h, which must be finite.
+    For each (tree, quotient) of outputs in turn it returns a list: of
+    (value - y) / h, each checked finite, where quotient is true (the i-th
+    such output reads y<i>), else of the tree's values. One output's list
+    is returned as it is, several as a tuple. h == 0 in a quotient divides
+    by zero; a point raises what the trees raise there."""
+    temps = [code.emit(root) for root, _ in outputs]
+    not_finite = code.ref(partial(DomainError, "difference quotient is not a finite real"))
+    ys, body = [], [f"if not isfinite(arg): raise {code.gate()}(argument=arg)", *code.lines]
+    for i, ((_, quotient), t) in enumerate(zip(outputs, temps)):
+        if quotient:
+            ys.append(f"y{len(ys)}")
+            body += [f"q = ({t} - {ys[-1]}) / h",
+                     f"if not isfinite(q): raise {not_finite}(argument=h)", f"o{i}.append(q)"]
+        else:
+            body.append(f"o{i}.append({t})")
+    lists = [f"o{i}" for i in range(len(outputs))]
+    return code.define(f"{name}({', '.join(['x0', *ys, *code.params, 'hs'])})", [
+        "x0 = float(x0 - 0.0)", *(f"{o} = []" for o in lists), "for h in hs:",
+        "    arg = x0 + h", *(f"    {line}" for line in body), f"return {', '.join(lists)}"])
 
-    not_finite = partial(DomainError, "difference quotient is not a finite real")
-    level_form("quotients", "x0, y0, hs", f"({root} - y0) / h",  # h == 0 divides by zero
-               f"if not isfinite(q): raise {ref(not_finite)}(argument=h)")
-    level_form("values", "x0, hs", root)
-    return f
+
+def _generate(trees: Sequence[Expr]) -> Callable:
+    """Compile trees, once, into a generator function of a mapping, which
+    _binding reads each variable from; it yields each tree's value before
+    the code of the next tree's unshared nodes runs."""
+    code = _Code()
+    for root in trees:
+        code.lines.append(f"yield {code.emit(root)}")
+    return code.define("f(arg)", code.lines)
 
 
 def _binding(name: str) -> Callable[[Mapping[str, float]], float]:
@@ -428,7 +441,7 @@ def evaluate_each(exprs: Sequence[Expr], bindings: Mapping[str, float]) -> Itera
     never sees the later trees' errors, and a tree that fails raises what
     evaluate raises for it. A hand-built call with the wrong number of
     arguments in any tree raises ValueError here, before the first value."""
-    return _generate(list(exprs))(bindings) if exprs else iter(())
+    return _generate(exprs)(bindings) if exprs else iter(())
 
 
 def render(e: Expr) -> str:
@@ -468,15 +481,17 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     bit for bit; a non-finite t raises DomainError, so f never returns a
     non-finite value.
 
-    f also has two level forms, each a loop around f's own code over hs,
-    so a point costs no Python call, and each compiled on its first call,
-    which binds it on f in place of itself, so an f that never uses one
-    never compiles it. ``f.quotients(x0, y0, hs)`` is the list of
-    (f(x0 + h) - y0) / h for each h of hs, bit for bit; it raises what f
-    raises at a point x0 + h, ZeroDivisionError at h == 0 and DomainError
-    where a quotient is not finite. ``f.values(x0, hs)`` is the list of
-    f(x0 + h), bit for bit, and raises what f raises at a point. Both
-    take x0 as float(x0 - 0.0) once, before the loop."""
+    f keeps e as ``f.expr``. It also has two level forms, the one-tree
+    cases of the level loop that a rule check runs over several trees: each
+    is a loop around f's own code over hs, so a point costs no Python call,
+    and each is compiled on its first call, which binds it on f in place of
+    itself, so an f that never uses one never compiles it.
+    ``f.quotients(x0, y0, hs)`` is the list of (f(x0 + h) - y0) / h for
+    each h of hs, bit for bit; it raises what f raises at a point x0 + h,
+    ZeroDivisionError at h == 0 and DomainError where a quotient is not
+    finite. ``f.values(x0, hs)`` is the list of f(x0 + h), bit for bit, and
+    raises what f raises at a point. Both take x0 as float(x0 - 0.0) once,
+    before the loop."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:
@@ -486,4 +501,19 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
         raise ValueError(f"expression has free variables besides {var!r}: "
                          f"{sorted(names - {var})}")
 
-    return _generate(e, var)
+    code = _Code(var)
+    root = code.emit(e)
+    # the gate for all but a finite float; a level's x0 + h is a float: its loop's test is bare
+    f = code.define("f(arg)", [
+        f"if type(arg) is not float or not isfinite(arg): arg = real(arg, {code.gate()})",
+        *code.lines, f"return {root}"])
+    f.expr = e
+
+    def level_form(name: str, quotient: bool) -> None:
+        def stub(*args):
+            setattr(f, name, form := _level_loop(code, name, [(e, quotient)]))
+            return form(*args)
+        setattr(f, name, stub)
+    level_form("quotients", True)
+    level_form("values", False)
+    return f

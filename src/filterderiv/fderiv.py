@@ -7,12 +7,15 @@ bases recover right and left derivatives.
 
 The linearity, product and quotient rules are checked by one skeleton,
 `_check_rule`, which runs its estimates in lockstep, so f and g are
-evaluated once per sampled level for all of them; each rule supplies how
-it combines the values of f and g, its right-hand side in f'(x0) and
-g'(x0), and the functions whose F-continuity it needs. It reports holds /
-violated / inconclusive; a failed hypothesis (an ingredient derivative that
-does not converge, or a missing F-continuity of g) gives inconclusive,
-never violated.
+evaluated once per sampled level for all of them. For f and g from
+as_function, a level is one pass of a generated loop over the trees of f,
+g and their combination c (`_rule_loop`, compiled once per pair and rule),
+which gives every estimate its list; any other level is read row by row.
+Each rule supplies how it combines the values of f and g and its
+right-hand side in f'(x0) and g'(x0); `_PLANS` names the functions whose
+F-continuity it needs. It reports holds / violated / inconclusive; a
+failed hypothesis (an ingredient derivative that does not converge, or a
+missing F-continuity of g) gives inconclusive, never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -25,9 +28,11 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 
 from ._record import record
 from .errors import BaseNotPuncturedError, DomainError, _real
+from .expr import Binary, Variable, _Code, _level_loop
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, NO_LIMIT, LimitConfig, LimitEstimate,
                      _descend, _finite_values, _require_depth, estimate_limit)
@@ -200,31 +205,68 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
     return _continuity(target, a, b, cfg, estimate_limit(shifted, b, cfg))
 
 
+# Each rule's estimates in the order a check reads them, as (function,
+# quotient?): f' and g', the F-continuity of the functions it needs (g
+# last; the verdict needs only g's), then c', the derivative of c.
+_PLANS = {rule: (("f", True), ("g", True), *((name, False) for name in continuous), ("c", True))
+          for rule, continuous in (("linearity", ()), ("product", ("f", "g")),
+                                   ("quotient", ("g",)))}
+
+# Rule-check level loops kept, one per (f, g, rule): compiling one takes
+# about 0.5 ms, half of a typical check, so checks on one pair share it.
+_RULE_LOOPS = 256
+
+# linearity's alpha and beta: arguments of its level loop, not constants in
+# it, so that one loop serves every pair of coefficients (-0.0 included)
+_ALPHA, _BETA = Variable("alpha"), Variable("beta")
+
+
+@lru_cache(maxsize=_RULE_LOOPS)
+def _rule_loop(f, g, rule: str) -> Callable:
+    """The level loop of a check of rule on two functions from as_function,
+    over the trees of f, g and c, whose outputs follow _PLANS[rule]. c's
+    tree is built from f's and g's nodes in the operations of the check's
+    combine, alpha*f + beta*g, f*g or f/g, so each node is computed once
+    per point and c's values are combine's, bit for bit."""
+    fe, ge = f.expr, g.expr
+    if rule == "linearity":
+        params = (_ALPHA, _BETA)
+        c = Binary("add", Binary("mul", _ALPHA, fe), Binary("mul", _BETA, ge))
+    else:
+        c, params = Binary("mul" if rule == "product" else "div", fe, ge), ()
+    trees = {"f": fe, "g": ge, "c": c}
+    # f and g may name their variables differently: the loop reads each as the point
+    return _level_loop(_Code("x", params), "rule", [(trees[name], q) for name, q in _PLANS[rule]])
+
+
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
                 x0: float, b: FilterBaseChain, cfg: LimitConfig, check_tol: float,
                 combine: Callable[[list[float], list[float]], list[float]],
-                rhs_of: Callable[[float, float], float],
-                continuous: tuple[str, ...], notes: tuple[str, ...] = (),
-                at_x0: tuple[float, float] | None = None,
+                rhs_of: Callable[[float, float], float], coefficients: tuple[float, ...] = (),
+                notes: tuple[str, ...] = (), at_x0: tuple[float, float] | None = None,
                 c: Callable[[float], float] | None = None) -> RuleCheckReport:
-    """The check shared by the three rules: estimate f', g', the F-continuity
-    of each function named in `continuous` (g last; the verdict needs only
-    g's) and the derivative of c, in that order; compare it with rhs_of(f',
-    g'). combine(fv, gv) gives c's values on a level from f's and g's; c is
-    x -> combine([f(x)], [g(x)])[0] unless given; at_x0 is (f(x0), g(x0)) if
-    the caller has them. f(x0), g(x0), c(x0) and the values of f and g that
-    c combines pass errors._real, so a value no double holds is a domain
-    error, as in derivative. The estimates run in lockstep in flimit._descend,
-    which samples each level once; level_values evaluates f and g on it at
-    the first read (in one call where they have a values form). An estimate
-    redoes a level where that raises or sums to a non-finite value point by
-    point, as derivative or f_continuity would without a level form; of
-    several that raise, the first in the order above is raised. As in
-    derivative, the estimates of f', g' and c' stop at their rounding
-    floors, from f(x0), g(x0) and c(x0) where each is defined, and every
-    estimate stops at the first level that can sample an h with x0 + h ==
-    x0. A right-hand side that is not finite is a failed computation:
-    inconclusive."""
+    """The check shared by the three rules: estimate, in the order of
+    _PLANS[rule], f', g', the F-continuity of each function the rule needs
+    and the derivative of c; compare it with rhs_of(f', g').
+    combine(fv, gv) gives c's values on a level from f's and g's; c is
+    x -> combine([f(x)], [g(x)])[0] unless given; coefficients are
+    linearity's alpha and beta; at_x0 is (f(x0), g(x0)) if the caller has
+    them. f(x0), g(x0), c(x0) and the values of f and g that c combines pass
+    errors._real, so a value no double holds is a domain error, as in
+    derivative. The estimates run in lockstep in flimit._descend, which
+    samples each level once. Where f and g come from as_function and f(x0),
+    g(x0) and c(x0) are all defined, the first read of a level runs the
+    rule's level loop (_rule_loop), which computes every estimate's list in
+    one pass. Otherwise, or where that raises, the level takes the row path:
+    level_values evaluates f and g on it at the first read (in one call
+    where they have a values form), and an estimate redoes a level where
+    that raises or sums to a non-finite value point by point, as derivative
+    or f_continuity would without a level form; of several that raise, the
+    first in the plan's order is raised. As in derivative, the estimates of
+    f', g' and c' stop at their rounding floors, from f(x0), g(x0) and c(x0)
+    where each is defined, and every estimate stops at the first level that
+    can sample an h with x0 + h == x0. A right-hand side that is not finite
+    is a failed computation: inconclusive."""
     _require_punctured(b)
     check_tol = _real(check_tol, lambda **_: ValueError("check_tol must be a finite real >= 0"))
     if check_tol < 0.0:
@@ -233,7 +275,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     # the gate's ValueError becomes _finite_values' DomainError on a level redone point by point
     real = lambda v: _real(v, lambda **_: ValueError("function value is not a finite real"))
     fns = {"f": f, "g": g, "c": c or (lambda x: combine([real(f(x))], [real(g(x))])[0])}
-    plan = [("f", True), ("g", True), *((name, False) for name in continuous), ("c", True)]
+    plan = _PLANS[rule]
     y0: dict = dict(zip("fg", at_x0 or ()))  # f, g and c at x0, each where it is a finite real
     for name in "fgc":
         try:
@@ -241,11 +283,22 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
                 y0[name] = real(combine([y0["f"]], [y0["g"]])[0] if name == "c" else fns[name](x0))
         except Exception:  # its estimates redo every level point by point
             pass
+    loop = None
+    if len(y0) == 3 and hasattr(f, "expr") and hasattr(g, "expr"):
+        loop, ys = _rule_loop(f, g, rule), [y0[name] for name, quotient in plan if quotient]
 
     def values(fn, hs):  # fn at each x0 + h, in one call of fn's values form if it has one
         return fn.values(x0, hs) if hasattr(fn, "values") else list(map(fn, [x0 + h for h in hs]))
 
     def level_values(hs, row, i):  # estimate i's values on the level sampled at hs
+        if loop is not None:
+            if "loop" not in row:  # the level's first read
+                try:
+                    row["loop"] = loop(x0, *ys, *coefficients, hs)
+                except Exception:  # the level takes the row path
+                    row["loop"] = None
+            if row["loop"] is not None:
+                return row["loop"][i]
         name, quotient = plan[i]
         for key in "fgc" if name == "c" else name:  # rows at first read; c's needs f's, g's
             if key not in row:
@@ -268,7 +321,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     slots = [[y0[name]] if quotient and name in y0 else None for name, quotient in plan]
     df, dg, *held, lhs = _descend(level_values, len(plan), b, cfg, x0, slots)
     continuity = tuple(_continuity(y0[name], x0, b, cfg, est)
-                       for name, est in zip(continuous, held))
+                       for (name, _), est in zip(plan[2:], held))
     df, dg, lhs = (DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
                    for est in (df, dg, lhs))
     failures = [f"derivative of {name} did not converge (status: {d.status})"
@@ -317,7 +370,7 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
                    for c in (alpha, beta))
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: [alpha * p + beta * q for p, q in zip(fv, gv)],
-                       lambda df, dg: alpha * df + beta * dg, ())
+                       lambda df, dg: alpha * df + beta * dg, (alpha, beta))
 
 
 def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -333,7 +386,7 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     f0, g0 = _finite_values(f, (x0,))[0], _finite_values(g, (x0,))[0]
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: list(map(operator.mul, fv, gv)),
-                       lambda df, dg: df * g0 + dg * f0, ("f", "g"), at_x0=(f0, g0))
+                       lambda df, dg: df * g0 + dg * f0, at_x0=(f0, g0))
 
 
 def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -361,5 +414,5 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
 
     return _check_rule("quotient", f, g, x0, b, cfg, check_tol,
                        lambda fv, gv: list(map(operator.truediv, fv, gv)),
-                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0), ("g",),
+                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0),
                        notes=(QUOTIENT_RULE_NOTE,), at_x0=(f0, g0), c=quot)

@@ -518,6 +518,11 @@ def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
         else -math.log(math.pi) - math.log(count))
     if log_last < -789.0:
         raise underflow
+    decreasing = ValueError("sequence is not strictly decreasing in magnitude")
+    # powinv and piovern take n as a double: n = 2**53 + 1 rounds to 2**53,
+    # whose term it repeats, so a longer tail fails before it is built
+    if spec.kind != "geo" and count > 2**53:
+        raise decreasing
     vals: list[float] = []
     if spec.kind == "geo":
         h = spec.c
@@ -532,7 +537,7 @@ def _sequence_terms(spec: SequenceSpec, count: int) -> tuple[float, ...]:
         raise underflow
     for a, b in zip(vals, vals[1:]):
         if not abs(b) < abs(a):
-            raise ValueError("sequence is not strictly decreasing in magnitude")
+            raise decreasing
     return tuple(vals)
 
 

@@ -82,6 +82,10 @@ GOLDEN_CASES = [
      ["verify-base", "--base", "seq:kind=geo,c=-1,q=-0.5", "--levels", "20"]),
     ("verify_base_seq_piovern_2000.json", 0,
      ["verify-base", "--base", "seq:kind=piovern", "--levels", "2000"]),
+    # f fails on level 2: the rule's level loop raises and the row path answers
+    ("check_product_fallback_right.json", 3,
+     ["check", "product", "--f", "sqrt(cos(x*1000)+0.999)", "--g", "x+1", "--x0", "0",
+      "--base", "right:delta0=1,ratio=0.5"]),
 ]
 
 
@@ -334,6 +338,21 @@ def test_huge_sequence_budget_is_an_input_error(capsys, monkeypatch):
     assert (code, payload["status"]) == (4, "input-error")
     assert payload["notes"] == [
         "sequence term underflowed to 0 or overflowed; shorten the tail or change parameters"]
+
+
+@pytest.mark.parametrize("base", ["seq:kind=piovern,c=1e308", "seq:kind=powinv,p=0.001"])
+def test_huge_budget_of_lasting_terms_is_an_input_error(base, capsys, monkeypatch):
+    # the last term stays above underflow, but past n = 2**53 two indices are
+    # one double and their terms equal: exit 4 without building the terms
+    def short(*args):
+        if (r := range(*args)).stop - r.start > 10**6:
+            raise AssertionError(f"builds terms up to {r.stop}")
+        return r
+    monkeypatch.setattr(fb, "range", short, raising=False)
+    code, payload = main_json(capsys, "limit", "--expr", "h", "--base", base,
+                              "--levels", "1" + "0" * 400)
+    assert (code, payload["status"]) == (4, "input-error")
+    assert payload["notes"] == ["sequence is not strictly decreasing in magnitude"]
 
 
 class TestRuleChecksAtAnUndefinedX0:

@@ -147,8 +147,9 @@ class TestLevelForm:
                 check()
 
     def test_short_level_redone_point_by_point(self, monkeypatch):
-        # f's values form raises on level 2, which f's estimates then redo one
-        # point at a time: no quotients form is compiled for it
+        # the rule's level loop raises on level 2, which takes the row path:
+        # f's values form raises there too, and f's estimates redo it one
+        # point at a time, so no quotients form is compiled for it
         sources = []
 
         def spy(source, *args):
@@ -160,7 +161,7 @@ class TestLevelForm:
                                  LimitConfig(), 1e-5)
         assert rep.verdict == "inconclusive"
         assert [s.split("(")[0] for s in sources] == [
-            "def f", "def f", "def values", "def values"]
+            "def f", "def f", "def rule", "def values", "def values"]
 
     def test_plain_callable_has_no_level_form(self):
         assert not hasattr(difference_quotient(lambda t: t, 0.0), "finite_values")
@@ -812,6 +813,66 @@ class TestSharedEvaluation:
         reached = max(len(e.trace) for e in estimates)
         bound = C.samples_per_level * reached + 1   # every point reached, and x0
         assert 0 < calls["f"] <= bound and 0 < calls["g"] <= bound
+
+
+def _report_or_error(check):
+    """A rule check's report as its repr, or its error as (type, str)."""
+    try:
+        return repr(check())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+RULE_CHECKS = {
+    "linearity": lambda f, g, x0, b, alpha, beta: check_linearity(f, g, alpha, beta, x0, b, C,
+                                                                  1e-5),
+    "product": lambda f, g, x0, b, alpha, beta: check_product_rule(f, g, x0, b, C, 1e-5),
+    "quotient": lambda f, g, x0, b, alpha, beta: check_quotient_rule(f, g, x0, b, C, 1e-5)}
+_EDGE_X0 = [0.0, -0.0, 5e-324, 1e-300, 0.5, -1.5, 3.0, 1e16, 1e300]
+_COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+                         st.floats(min_value=-10.0, max_value=10.0))
+
+
+class TestRuleLoop:
+    """A check on two functions from as_function reads each level from the
+    rule's level loop, over f's, g's and c's trees at once; the same check
+    on plain wrappers of them takes the row path. Both give the same report
+    bit for bit, or the same error."""
+
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(f_tree=_ref_trees, g_tree=_ref_trees, same=st.booleans(),
+           rule=st.sampled_from(sorted(RULE_CHECKS)),
+           x0=st.one_of(st.sampled_from(_EDGE_X0), st.floats(min_value=-4.0, max_value=4.0)),
+           right=st.booleans(), alpha=_COEFFICIENT, beta=_COEFFICIENT)
+    def test_same_report_as_plain_wrappers(self, f_tree, g_tree, same, rule, x0, right,
+                                           alpha, beta):
+        f = as_function(f_tree, "x")
+        g = f if same else as_function(g_tree, "x")
+        plain_f = lambda t: f(t)  # noqa: E731
+        plain_g = plain_f if same else (lambda t: g(t))
+        b = R if right else P
+        check = RULE_CHECKS[rule]
+        assert _report_or_error(lambda: check(f, g, x0, b, alpha, beta)) == _report_or_error(
+            lambda: check(plain_f, plain_g, x0, b, alpha, beta))
+
+    @pytest.mark.parametrize("rule", sorted(RULE_CHECKS))
+    def test_one_loop_compiled_per_pair(self, rule, monkeypatch):
+        # f and g are defined on every level: no values form is compiled; a
+        # second check on the pair, with other coefficients, reuses the loop
+        f, g = as_function(parse("sin(x)+x")), as_function(parse("exp(x)"))
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        check = RULE_CHECKS[rule]
+        assert check(f, g, 0.3, P, 2.0, -3.0).verdict == "holds"
+        assert [s.split("(")[0] for s in sources] == ["def rule"]
+        for alpha, beta in ((-0.0, 0.0), (0.0, -0.0)):
+            report = repr(check(f, g, 0.3, P, alpha, beta))
+            assert report == repr(check(lambda t: f(t), lambda t: g(t), 0.3, P, alpha, beta))
+        assert [s.split("(")[0] for s in sources] == ["def rule"]
 
 
 GRID_TEXTS = ["x", "x^2", "sin(x)", "exp(x/1e6)", "x^3", "1/x", "log(x)", "sqrt(x)",

@@ -172,13 +172,23 @@ class TestSequenceBase:
     def test_huge_budget_rejected_before_any_term(self, spec, monkeypatch):
         # the last term, index 10**400 + 256, underflows; building the terms
         # up to it would never return, so a long range of them fails the test
-        def short(*args):
-            if (r := range(*args)).stop - r.start > 10**6:
-                raise AssertionError(f"builds terms up to {r.stop}")
-            return r
-        monkeypatch.setattr(filterbase, "range", short, raising=False)
+        _forbid_long_ranges(monkeypatch)
         with pytest.raises(ValueError, match="underflowed"):
             sequence_base(spec, max_level=10**400)
+
+    @pytest.mark.parametrize("max_level", [10**400, 2**53 + 1 - 256],
+                             ids=["10**400", "least-rejected"])
+    @pytest.mark.parametrize("spec", [SequenceSpec("piovern", c=1e308),
+                                      SequenceSpec("powinv", p=1e-3)], ids=["piovern", "powinv"])
+    def test_huge_budget_of_lasting_terms_rejected_before_any_term(self, spec, max_level,
+                                                                   monkeypatch):
+        # the last term stays far above underflow, but n = 2**53 + 1 is the
+        # double 2**53, so its term repeats the one before: a tail that long
+        # is not strictly decreasing and fails before a term is built
+        assert spec.c * math.pow(2**53, -spec.p if spec.kind == "powinv" else -1.0) != 0.0
+        _forbid_long_ranges(monkeypatch)
+        with pytest.raises(ValueError, match="sequence is not strictly decreasing in magnitude"):
+            sequence_base(spec, max_level=max_level)
 
     def test_sample_exhausts_truncation(self):
         b = sequence_base(SequenceSpec(kind="piovern", c=1.0), max_level=8)
@@ -190,6 +200,16 @@ class TestSequenceBase:
         b = sequence_base(SequenceSpec(kind="geo", c=1.0, q=-0.5))
         pts = b.sample(0, 4, seed=0)
         assert pts[0] < 0 < pts[1]
+
+
+def _forbid_long_ranges(monkeypatch):
+    """Make filterbase's range fail the test where it spans more than 10**6
+    numbers, as the term list of a huge budget would."""
+    def short(*args):
+        if (r := range(*args)).stop - r.start > 10**6:
+            raise AssertionError(f"builds terms up to {r.stop}")
+        return r
+    monkeypatch.setattr(filterbase, "range", short, raising=False)
 
 
 class TestAxioms:
