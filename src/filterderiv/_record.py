@@ -1,14 +1,17 @@
 """Immutable value records, without importing dataclasses.
 
-``record`` gives a class the methods ``@dataclass(frozen=True)`` generates
-on Python 3.11, for the fields its annotations name: ``__init__`` (defaults
-from the class body, then ``__post_init__``), ``__repr__``, ``__eq__`` and
+``record`` gives a class the methods ``@dataclass(frozen=True)`` generates on
+Python 3.11, for the fields its annotations name: ``__init__`` (defaults from
+the class body, then ``__post_init__``), ``__repr__``, ``__eq__`` and
 ``__hash__`` on the field tuple, ``__setattr__``/``__delattr__`` that raise,
-and ``__match_args__``. A method the class defines itself is kept. The
-methods come from one generated source, one ``exec`` per class. Importing
-``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) and decorating with
-it were over a quarter of ``import filterderiv.cli`` without a bytecode
-cache (``BENCH_21.json``).
+and ``__match_args__``. ``__init__`` sets one dict of the fields as
+``self.__dict__``, so no data descriptor may take a field's name: cheaper than
+``object.__setattr__`` per field and, unlike writes into the split dict that
+reading ``self.__dict__`` makes, as fast to read on 3.11. A method the class
+defines itself is kept. The methods come from one generated source, one
+``exec`` per class. Importing ``dataclasses`` (with ``inspect``, ``ast`` and
+``dis``) and decorating with it were over a quarter of
+``import filterderiv.cli`` without a bytecode cache (``BENCH_21.json``).
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ def record(cls):
     names = tuple(cls.__annotations__)  # lazy on 3.14: read through the class
     params = [f"{n}=_cls.{n}" if n in vars(cls) else n for n in names]
     self_tuple = "".join(f"self.{n}," for n in names)
-    setattrs = "".join(f"\n    _setattr(self, {n!r}, {n})" for n in names)
+    store = "\n    _setattr(self, '__dict__', {" + ", ".join(f"{n!r}: {n}" for n in names) + "})"
     post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     fields_repr = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     source = f"""\
-def __init__(self, {", ".join(params)}):{setattrs}{post_init}
+def __init__(self, {", ".join(params)}):{store}{post_init}
 def __repr__(self):
     return f"{{self.__class__.__qualname__}}({fields_repr})"
 def __eq__(self, other):

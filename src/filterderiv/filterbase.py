@@ -269,6 +269,12 @@ def _stratified_sample(desc: SetDescriptor, m: int, seed: int, level: int) -> li
     return list(_sample_spans(tuple((p.lo, p.hi) for p in pieces), m, seed, level))
 
 
+def _int(value: int, name: str) -> int:
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int")
+    return value
+
+
 class FilterBaseChain:
     """A filter base as a nested indexed family level -> SetDescriptor.
 
@@ -305,9 +311,7 @@ class FilterBaseChain:
         return f"FilterBaseChain({self.id!r}, max_level={self.max_level})"
 
     def _check_level(self, k: int) -> None:
-        if not isinstance(k, int):
-            raise ValueError("level must be an int")
-        if not 0 <= k <= self.max_level:
+        if not 0 <= _int(k, "level") <= self.max_level:
             raise ValueError(f"level {k} outside 0..{self.max_level}")
 
     def element(self, k: int) -> SetDescriptor:
@@ -342,9 +346,7 @@ class FilterBaseChain:
 
     def subchain(self, stride: int) -> "FilterBaseChain":
         """The coarser chain k -> element(stride * k), for an int stride >= 1."""
-        if not isinstance(stride, int):
-            raise ValueError("stride must be an int")
-        if stride < 1:
+        if _int(stride, "stride") < 1:
             raise ValueError("stride must be >= 1")
         parent = self
         sub = FilterBaseChain(
@@ -422,7 +424,7 @@ def _geometric_chain(kind: str, delta0: float, ratio: float, max_level: int,
         raise bad_ratio()
     scales: list[float] = []
     scale = delta0
-    for k in range(max_level + 1):
+    for k in range(_int(max_level, "max_level") + 1):
         if scale < _MIN_SCALE:
             raise ValueError(f"delta0*ratio**{k} = {scale!r} is below {_MIN_SCALE}; "
                              "reduce max_level")
@@ -595,7 +597,7 @@ def sequence_base(spec: SequenceSpec, *, max_level: int = 64) -> FilterBaseChain
     """Tails-of-a-sequence base: element(k) = {h_n : n >= k+1}, truncated at a
     single global index max_level + _TAIL_POINTS so that the truncated tails
     nest exactly. sample() returns the first m members of the tail."""
-    cutoff = max_level + _TAIL_POINTS
+    cutoff = _int(max_level, "max_level") + _TAIL_POINTS
     values = _sequence_terms(spec, cutoff)
 
     def sample_fn(k: int, m: int, seed: int) -> list[float]:
@@ -672,7 +674,7 @@ def verify_base_axioms(b: FilterBaseChain, K: int) -> AxiomReport:
     K subset checks when every element(k) ⊆ element(k-1), which implies
     every pair nests; the full scan of all pairs runs only for a broken
     chain, to name each failing pair."""
-    if not 0 <= K <= b.max_level:
+    if not 0 <= _int(K, "K") <= b.max_level:
         raise ValueError(f"K must lie in 0..{b.max_level}")
     descs = [b.element(k) for k in range(K + 1)]
     empty = tuple(k for k, d in enumerate(descs) if d.is_empty())
@@ -693,7 +695,7 @@ def generated_filter_witness(b: FilterBaseChain, S: SetDescriptor, K: int) -> in
     witness and true from it on, so levels 0..K are bisected: at most
     ceil(log2(K + 2)) subset checks. A hand-built chain's levels are
     scanned in order, since its nesting is only a contract."""
-    if not 0 <= K <= b.max_level:
+    if not 0 <= _int(K, "K") <= b.max_level:
         raise ValueError(f"K must lie in 0..{b.max_level}")
     if b._nested:
         k = bisect_left(range(K + 1), True, key=lambda k: b.element(k).issubset(S))

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
 from ._record import record
@@ -203,7 +204,11 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
             except Exception as exc:  # raised once the estimates before i end
                 error = exc
                 break
-            lo, hi = min(vals), max(vals)
+            # One float sort costs under half of min() and max(). Of a copy: c's combine reads
+            # row["f"] again, and fsum's overflow to the exact mean depends on the order.
+            # hi is the first of equal maxima, as max() gives it (-0.0 before 0.0).
+            (ordered := list(vals)).sort()
+            lo, hi = ordered[0], ordered[bisect_left(ordered, ordered[-1])]
             try:
                 mean = fsum(vals) / len(vals)
             except OverflowError:  # the sum overflows, the mean does not: take it exactly

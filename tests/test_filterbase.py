@@ -1311,13 +1311,22 @@ class TestInputErrors:
         (lambda: punctured_base(Decimal("sNaN"), 0.5), "delta0 must be a positive real"),
         (lambda: right_base(1, Decimal("NaN")), "ratio must lie strictly inside (0, 1)"),
         (lambda: left_base(1, Decimal("sNaN")), "ratio must lie strictly inside (0, 1)"),
+        # a depth that is no int is the site's ValueError, not a TypeError from range or <=
+        (lambda: verify_base_axioms(punctured_base(1, 0.5), 2.0), "K must be an int"),
+        (lambda: verify_base_axioms(punctured_base(1, 0.5), "3"), "K must be an int"),
+        (lambda: in_generated_filter(punctured_base(1, 0.5), S((-1.0, 1.0)), 2.5),
+         "K must be an int"),
+        (lambda: punctured_base(1, 0.5, max_level=2.0), "max_level must be an int"),
+        (lambda: sequence_base(SequenceSpec("piovern"), max_level=2.0),
+         "max_level must be an int"),
     ], ids=["non-finite-point", "negative-max-level", "level-past-max",
             "punctured-flag-lies-element", "punctured-flag-lies-sample", "stride-0",
             "stride-1.5", "stride-2.0", "non-decreasing-sequence", "no-elements", "witness-past-max",
             "huge-c", "huge-p", "huge-q", "huge-delta0", "huge-right-ratio", "huge-left-ratio",
             "huge-endpoint", "huge-point", "huge-excluded", "decimal-nan-c", "decimal-snan-c",
             "decimal-nan-p", "decimal-snan-p", "decimal-nan-delta0", "decimal-snan-delta0",
-            "decimal-nan-ratio", "decimal-snan-ratio"])
+            "decimal-nan-ratio", "decimal-snan-ratio", "float-K", "str-K", "float-witness-K",
+            "float-max-level", "float-sequence-max-level"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()

@@ -407,6 +407,46 @@ class TestLockstep:
                               + [(2, 0, []), (2, 1, [0]), (3, 0, []), (4, 0, [])])
 
 
+# Finite floats heavy in repeats and in values whose sign min() and max() keep:
+# equal signed zeros, the smallest subnormals, and sums that overflow fsum.
+_SIGNED = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308])
+_LEVEL_VALUE = st.one_of(_SIGNED, _SIGNED, _SIGNED, st.floats(allow_nan=False,
+                                                              allow_infinity=False))
+
+
+class TestLevelReduction:
+    """Each row's sample_min and sample_max are the level's min() and max(),
+    down to the sign of a zero, and the lists read are left as handed out."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.lists(_LEVEL_VALUE, min_size=1, max_size=6), min_size=4, max_size=4))
+    def test_min_and_max_are_the_builtins(self, levels):
+        cfg = LimitConfig(max_level=3, stable_levels=2)
+        [est] = flimit._descend(_one_estimate(levels), 1, punctured_base(1.0, 0.5), cfg)
+        for row, level in zip(est.trace, levels):
+            assert ((repr(row.sample_min), repr(row.sample_max))
+                    == (repr(min(level)), repr(max(level))))
+
+    def test_max_of_equal_zeros_is_the_first(self):
+        # the quotient 0.0 / h is -0.0 at h < 0, sampled first, and 0.0 at h > 0:
+        # max() keeps the first of the equal maxima, -0.0
+        est = fd.derivative(fd.as_function(fd.parse("0")), 1.0, punctured_base(1.0, 0.5),
+                            LimitConfig())
+        assert repr(est.estimate.trace[0].sample_max) == "-0.0"
+
+    def test_lists_read_are_not_reordered(self):
+        handed = []  # (a list handed out, the repr it had then)
+
+        def level_values(hs, row, i):
+            # each read follows the step of every earlier level and estimate
+            assert all(repr(vals) == kept for vals, kept in handed)
+            vals = [float(len(handed) - i), 3.0, -1.0, 0.0, -0.0, 2.0]
+            handed.append((vals, repr(vals)))
+            return vals
+        flimit._descend(level_values, 2, punctured_base(1.0, 0.5), LimitConfig(max_level=4))
+        assert len(handed) == 10 and all(repr(vals) == kept for vals, kept in handed)
+
+
 class TestRadiusFactor:
     """The level's |h| factor of the rounding radius is read only by an
     estimate whose radius can be non-zero."""

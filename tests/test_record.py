@@ -121,6 +121,15 @@ class TestRecordContract:
                 delattr(obj, name)
         assert [getattr(obj, name) for name in fields] == list(args)
 
+    def test_fields_are_stored_in_the_instance_dict(self, cls, fields, args, text):
+        # __init__ sets the fields as __dict__: the store object.__setattr__
+        # makes only while no data descriptor claims a field's name
+        for base in cls.__mro__:
+            for name in fields:
+                assert not hasattr(type(vars(base).get(name)), "__set__"), (base, name)
+        obj = cls(*args)
+        assert [name for name in fields if name not in vars(obj)] == []
+
 
 @pytest.mark.parametrize("cls, required, defaults", DEFAULTS,
                          ids=[row[0].__name__ for row in DEFAULTS])
