@@ -6,16 +6,15 @@ punctured two-sided base recovers the classical derivative; the one-sided
 bases recover right and left derivatives.
 
 The linearity, product and quotient rules are checked by one skeleton,
-`_check_rule`, which runs its estimates in lockstep, so f and g are
-evaluated once per sampled level for all of them. For f and g from
-as_function, a level is one pass of a generated loop over the trees of f,
-g and their combination c (`_rule_loop`, compiled once per pair and rule),
-which gives every estimate its list; any other level is read row by row.
-Each rule supplies how it combines the values of f and g and its
-right-hand side in f'(x0) and g'(x0); `_PLANS` names the functions whose
-F-continuity it needs. It reports holds / violated / inconclusive; a
-failed hypothesis (an ingredient derivative that does not converge, or a
-missing F-continuity of g) gives inconclusive, never violated.
+`_check_rule`, which runs f', g' and c' (c the rule's combination of f and
+g) in lockstep, so f and g are evaluated once per sampled level for all
+three; for f and g from as_function a level is one pass of a generated loop
+(`_rule_loop`). Each rule supplies how it combines the values of f and g
+and its right-hand side in f'(x0) and g'(x0). A product check reports f's
+and g's F-continuity, a quotient check g's, which a converged derivative
+implies where the chain gets near 0 (see _check_rule). A check reports
+holds / violated / inconclusive; a failed hypothesis (an f' or g' that does
+not converge, or a g not F-continuous) gives inconclusive, never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -77,11 +76,12 @@ class DerivativeResult:
 
 @record
 class FContinuityReport:
-    """Is lim f(a+h) along the base equal to f(a)?"""
+    """Is lim f(a+h) along the base equal to f(a)? limit is None where a
+    rule check took the answer, True, from f's converged derivative."""
 
     point: float
     base_id: str
-    limit: LimitEstimate
+    limit: LimitEstimate | None
     target: float
     is_continuous: bool
 
@@ -94,7 +94,8 @@ class RuleCheckReport:
     the limit estimator uses for its step criterion. verdict is holds only
     when every ingredient converged and rel_error <= the check tolerance;
     a failed hypothesis gives inconclusive (the rule asserts nothing then).
-    f_prime and g_prime are the ingredient estimates of f'(x0) and g'(x0).
+    f_prime and g_prime are the ingredient estimates of f'(x0) and g'(x0);
+    continuity_reports are f's and g's (product) or g's (quotient).
     """
 
     rule: str
@@ -173,16 +174,22 @@ def classical_derivative(f: Callable[[float], float], x0: float,
     return derivative(f, x0, b, cfg)
 
 
-def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
-                est: LimitEstimate) -> FContinuityReport:
-    """Compare a function's finite value target at a with its limit est, to
-    tol_step * (1 + |target|) plus the distance the last step implies is
-    left. A level's mean is still off the limit by about f'(a) * mean(h):
-    where the scales shrink by rho = scale(k) / scale(k-1) < 1, the steps to
-    come add up to about |last step| * rho / (1 - rho), and the slack is
-    |last step| * (1 + rho) / (1 - rho), twice that and the step once more
-    for the sampling noise in a step. Other chains (a sequence base's scale
-    is its tail's start index) have no slack."""
+def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
+                 cfg: LimitConfig) -> FContinuityReport:
+    """Check lim f(a+h) along b against f(a). f(a) must be a finite real: a
+    DomainError is raised otherwise, before any sampled point is evaluated.
+    The shifted function's at_x0 is (a, None): the limit stops undecided at
+    the first level that can sample an h with a + h == a, and has no radius.
+    It must come within tol_step * (1 + |f(a)|) of f(a), plus a slack: a
+    level's mean is still off by about f'(a) * mean(h), so where the scales
+    shrink by rho = scale(k) / scale(k-1) < 1 the slack is |last step| *
+    (1 + rho) / (1 - rho), twice the steps to come (rho / (1 - rho) times the
+    last) and the step once more for its sampling noise. Other chains (a
+    sequence base's scale is its tail's start index) have no slack."""
+    target = _finite_values(f, (a,))[0]
+    shifted = lambda h: f(a + h)
+    shifted.at_x0 = (a, None)
+    est = estimate_limit(shifted, b, cfg)
     ok = est.converged
     if ok:
         slack, t = 0.0, est.trace
@@ -192,25 +199,6 @@ def _continuity(target: float, a: float, b: FilterBaseChain, cfg: LimitConfig,
     return FContinuityReport(point=a, base_id=b.id, limit=est, target=target,
                              is_continuous=ok)
 
-
-def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
-                 cfg: LimitConfig) -> FContinuityReport:
-    """Check lim f(a+h) along b against f(a). f(a) must be a finite real: a
-    DomainError is raised otherwise, before any sampled point is evaluated.
-    The shifted function's at_x0 is (a, None): the limit stops undecided at
-    the first level that can sample an h with a + h == a, and has no radius."""
-    target = _finite_values(f, (a,))[0]
-    shifted = lambda h: f(a + h)
-    shifted.at_x0 = (a, None)
-    return _continuity(target, a, b, cfg, estimate_limit(shifted, b, cfg))
-
-
-# Each rule's estimates in the order a check reads them, as (function,
-# quotient?): f' and g', the F-continuity of the functions it needs (g
-# last; the verdict needs only g's), then c', the derivative of c.
-_PLANS = {rule: (("f", True), ("g", True), *((name, False) for name in continuous), ("c", True))
-          for rule, continuous in (("linearity", ()), ("product", ("f", "g")),
-                                   ("quotient", ("g",)))}
 
 # Rule-check level loops kept, one per (f, g, rule): compiling one takes
 # about 0.5 ms, half of a typical check, so checks on one pair share it.
@@ -223,20 +211,19 @@ _ALPHA, _BETA = Variable("alpha"), Variable("beta")
 
 @lru_cache(maxsize=_RULE_LOOPS)
 def _rule_loop(f, g, rule: str) -> Callable:
-    """The level loop of a check of rule on two functions from as_function,
-    over the trees of f, g and c, whose outputs follow _PLANS[rule]. c's
-    tree is built from f's and g's nodes in the operations of the check's
-    combine, alpha*f + beta*g, f*g or f/g, so each node is computed once
-    per point and c's values are combine's, bit for bit."""
+    """The level loop of a check of rule on two functions from as_function:
+    the difference quotients of f, g and c, in that order. c's tree is built
+    from f's and g's nodes in the operations of the check's combine,
+    alpha*f + beta*g, f*g or f/g, so each node is computed once per point
+    and c's values are combine's, bit for bit."""
     fe, ge = f.expr, g.expr
     if rule == "linearity":
         params = (_ALPHA, _BETA)
         c = Binary("add", Binary("mul", _ALPHA, fe), Binary("mul", _BETA, ge))
     else:
         c, params = Binary("mul" if rule == "product" else "div", fe, ge), ()
-    trees = {"f": fe, "g": ge, "c": c}
     # f and g may name their variables differently: the loop reads each as the point
-    return _level_loop(_Code("x", params), "rule", [(trees[name], q) for name, q in _PLANS[rule]])
+    return _level_loop(_Code("x", params), "rule", [(fe, True), (ge, True), (c, True)])
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
@@ -245,28 +232,29 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
                 rhs_of: Callable[[float, float], float], coefficients: tuple[float, ...] = (),
                 notes: tuple[str, ...] = (), at_x0: tuple[float, float] | None = None,
                 c: Callable[[float], float] | None = None) -> RuleCheckReport:
-    """The check shared by the three rules: estimate, in the order of
-    _PLANS[rule], f', g', the F-continuity of each function the rule needs
-    and the derivative of c; compare it with rhs_of(f', g').
-    combine(fv, gv) gives c's values on a level from f's and g's; c is
-    x -> combine([f(x)], [g(x)])[0] unless given; coefficients are
-    linearity's alpha and beta; at_x0 is (f(x0), g(x0)) if the caller has
-    them. f(x0), g(x0), c(x0) and the values of f and g that c combines pass
-    errors._real, so a value no double holds is a domain error, as in
-    derivative. The estimates run in lockstep in flimit._descend, which
-    samples each level once. Where f and g come from as_function and f(x0),
-    g(x0) and c(x0) are all defined, the first read of a level runs the
-    rule's level loop (_rule_loop), which computes every estimate's list in
-    one pass. Otherwise, or where that raises, the level takes the row path:
-    level_values evaluates f and g on it at the first read (in one call
-    where they have a values form), and an estimate redoes a level where
-    that raises or sums to a non-finite value point by point, as derivative
-    or f_continuity would without a level form; of several that raise, the
-    first in the plan's order is raised. As in derivative, the estimates of
-    f', g' and c' stop at their rounding floors, from f(x0), g(x0) and c(x0)
-    where each is defined, and every estimate stops at the first level that
-    can sample an h with x0 + h == x0. A right-hand side that is not finite
-    is a failed computation: inconclusive."""
+    """The check shared by the three rules: estimate f', g' and the
+    derivative of c, and compare it with rhs_of(f', g'). combine(fv, gv)
+    gives c's values on a level from f's and g's; c is x -> combine([f(x)],
+    [g(x)])[0] unless given; coefficients are linearity's alpha and beta;
+    at_x0 is (f(x0), g(x0)) if the caller has them. f(x0), g(x0), c(x0)
+    and the values of f and g that c combines pass errors._real, as in
+    derivative. The three estimates run in lockstep in flimit._descend,
+    which samples each level once and stops each, as in derivative, at its
+    rounding floor and at the first level that can leave x0 unmoved. Where
+    f and g come from as_function and f(x0), g(x0) and c(x0) are all
+    defined, a level's first read runs _rule_loop, which computes the three
+    quotient lists in one pass. Otherwise, or where that raises, level_values
+    evaluates f and g on the level at its first read (in one call where they
+    have a values form), and an estimate redoes a level where that raises or
+    sums to a non-finite value point by point, as derivative would; of
+    several that raise, the first of f', g' and c' is raised.
+
+    The report carries the F-continuity of f and g (product) or g (quotient):
+    F(x0+h) - F(x0) = h * q(h), so a converged F' implies it (limit None) on
+    a constructor's geometric chain, whose |h| on level cfg.max_level is below
+    reach = its scale, if reach * |F'(x0)| <= tol_step * (1 + |F(x0)|).
+    Otherwise (a sequence base's h need not be near 0 there) f_continuity
+    estimates it after the lockstep. A non-finite rhs is a failed computation."""
     _require_punctured(b)
     check_tol = _real(check_tol, lambda **_: ValueError("check_tol must be a finite real >= 0"))
     if check_tol < 0.0:
@@ -275,31 +263,30 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     # the gate's ValueError becomes _finite_values' DomainError on a level redone point by point
     real = lambda v: _real(v, lambda **_: ValueError("function value is not a finite real"))
     fns = {"f": f, "g": g, "c": c or (lambda x: combine([real(f(x))], [real(g(x))])[0])}
-    plan = _PLANS[rule]
     y0: dict = dict(zip("fg", at_x0 or ()))  # f, g and c at x0, each where it is a finite real
     for name in "fgc":
         try:
             if name not in y0:
                 y0[name] = real(combine([y0["f"]], [y0["g"]])[0] if name == "c" else fns[name](x0))
-        except Exception:  # its estimates redo every level point by point
+        except Exception:  # its estimate redoes every level point by point
             pass
     loop = None
     if len(y0) == 3 and hasattr(f, "expr") and hasattr(g, "expr"):
-        loop, ys = _rule_loop(f, g, rule), [y0[name] for name, quotient in plan if quotient]
+        loop = _rule_loop(f, g, rule)
 
     def values(fn, hs):  # fn at each x0 + h, in one call of fn's values form if it has one
         return fn.values(x0, hs) if hasattr(fn, "values") else list(map(fn, [x0 + h for h in hs]))
 
-    def level_values(hs, row, i):  # estimate i's values on the level sampled at hs
+    def level_values(hs, row, i):  # the quotients of "fgc"[i] on the level sampled at hs
         if loop is not None:
             if "loop" not in row:  # the level's first read
                 try:
-                    row["loop"] = loop(x0, *ys, *coefficients, hs)
+                    row["loop"] = loop(x0, y0["f"], y0["g"], y0["c"], *coefficients, hs)
                 except Exception:  # the level takes the row path
                     row["loop"] = None
             if row["loop"] is not None:
                 return row["loop"][i]
-        name, quotient = plan[i]
+        name = "fgc"[i]
         for key in "fgc" if name == "c" else name:  # rows at first read; c's needs f's, g's
             if key not in row:
                 try:
@@ -307,23 +294,25 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
                 except Exception:  # None sends each estimate that reads it to its closure
                     row[key] = None
         try:
-            vals, at = row[name], y0[name]
-            if quotient:
-                vals = [(v - at) / h for v, h in zip(vals, hs)]
+            at = y0[name]
+            vals = [(v - at) / h for v, h in zip(row[name], hs)]
             if not math.isfinite(sum(vals)):  # a value, or the sum, is not finite
                 raise OverflowError
             return vals
         except Exception:  # point by point, on a plain view of fn: no level form reruns it
             fn = fns[name]
-            return _finite_values(difference_quotient(lambda x: fn(x), x0) if quotient
-                                  else lambda h: fn(x0 + h), hs)
+            return _finite_values(difference_quotient(lambda x: fn(x), x0), hs)
 
-    slots = [[y0[name]] if quotient and name in y0 else None for name, quotient in plan]
-    df, dg, *held, lhs = _descend(level_values, len(plan), b, cfg, x0, slots)
-    continuity = tuple(_continuity(y0[name], x0, b, cfg, est)
-                       for (name, _), est in zip(plan[2:], held))
-    df, dg, lhs = (DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg)
-                   for est in (df, dg, lhs))
+    slots = [[y0[name]] if name in y0 else None for name in "fgc"]
+    ests = _descend(level_values, 3, b, cfg, x0, slots)
+    df, dg, lhs = (DerivativeResult(x0=x0, base_id=b.id, estimate=est, cfg=cfg) for est in ests)
+    reported = {"product": "fg", "quotient": "g"}.get(rule, "")
+    reach = b.scale(cfg.max_level) if reported and b._nested and b.inner_ratio else math.inf
+    continuity = tuple(
+        FContinuityReport(point=x0, base_id=b.id, limit=None, target=y0[name], is_continuous=True)
+        if d.converged and reach * abs(d.value) <= cfg.tol_step * (1.0 + abs(y0[name]))
+        else f_continuity(fns[name], x0, b, cfg)
+        for name, d in (("f", df), ("g", dg)) if name in reported)
     failures = [f"derivative of {name} did not converge (status: {d.status})"
                 for name, d in (("f", df), ("g", dg)) if not d.converged]
     if continuity and not continuity[-1].is_continuous:

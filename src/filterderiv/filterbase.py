@@ -286,6 +286,7 @@ class FilterBaseChain:
 
     # Every h that sample(k, ...) returns has |h| > inner_ratio * scale(k):
     # set to a geometric chain's ratio, which its subchains keep; None on others.
+    # On such a _nested chain |h| < scale(k) too, which fderiv's rule checks read.
     inner_ratio: float | None = None
     # True on a chain nested by construction (every constructor's, and their
     # subchains'), which generated_filter_witness bisects; a hand-built

@@ -11,7 +11,9 @@ min/max/mean, and issues one of four verdicts:
                each level's test takes constant time.
 - no-limit:    the level budget is exhausted and oscillation stayed >=
                no_limit_floor, and > r, on each of the last `stable_levels`
-               levels.
+               levels, without shrinking with the scale: the last is >= w
+               times the first, w = sqrt(last / first scale) where the
+               scales shrink, else 0.
 - undecided:   neither of the above held by the last level; or the
                resolution is exhausted at level k, where the estimate stops
                and keeps k's row: k's r exceeded 1e-5 * (1 + |mean|), or k
@@ -249,12 +251,18 @@ def _descend(level_values: Callable[[Sequence[float], dict, int], list[float]], 
         if not live:
             break
     for i in live:  # the level budget is exhausted
-        tail = rows[i][-s:]
-        ends[i] = (UNDECIDED, None, "stability criterion not met within the level budget")
-        if narrow[i] < len(rows[i]) - s and all(
-                r.oscillation >= cfg.no_limit_floor for r in tail):
-            ends[i] = (NO_LIMIT, None, f"oscillation stayed >= {cfg.no_limit_floor!r} on the "
-                       f"last {s} levels (last = {tail[-1].oscillation!r})")
+        first, last = (tail := rows[i][-s:])[0], tail[-1]
+        status, detail = UNDECIDED, "stability criterion not met within the level budget"
+        if narrow[i] < len(rows[i]) - s and all(r.oscillation >= cfg.no_limit_floor for r in tail):
+            # a jump keeps its oscillation; a limit cut short shrinks it with the scale
+            w = math.sqrt(last.scale / first.scale) if 0.0 < last.scale < first.scale else 0.0
+            if last.oscillation < w * first.oscillation:
+                detail += (f"; the oscillation shrank with the scale on the last {s} levels "
+                           f"({first.oscillation!r} to {last.oscillation!r})")
+            else:
+                status, detail = NO_LIMIT, (f"oscillation stayed >= {cfg.no_limit_floor!r} on "
+                                            f"the last {s} levels (last = {last.oscillation!r})")
+        ends[i] = (status, None, detail)
     if error is not None:
         raise error
     return [LimitEstimate(status=status, value=value, trace=tuple(trace), failure_detail=detail)

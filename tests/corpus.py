@@ -16,8 +16,10 @@ unchanged.
 from __future__ import annotations
 
 import random
+from functools import partial
 
-from filterderiv import LimitConfig, as_function, left_base, parse, punctured_base, right_base
+from filterderiv import (LimitConfig, as_function, check_linearity, check_product_rule,
+                         check_quotient_rule, left_base, parse, punctured_base, right_base)
 
 # (expression, points); |f'| >= 0.16 at every listed point
 SMOOTH_CASES = [
@@ -69,3 +71,34 @@ def pick_rule_instance(rng: random.Random, smooth, kinks, bases_two, bases_one):
             return b, 0.0, smooth + kinks
         return b, rng.choice(RULE_POINTS), smooth
     return rng.choice(bases_two), rng.choice(RULE_POINTS), smooth
+
+
+# RNG seed and number of draws of each rule suite (acceptance criteria 5-7)
+RULE_DRAWS = {"linearity": (20240501, 200), "product": (20240502, 99),
+              "quotient": (20240503, 99)}
+
+
+def rule_draws(rule: str):
+    """The draws of one rule suite, in order, as (f's text, g's text, run),
+    where run(cfg, check_tol) runs the drawn check. Linearity and product
+    draw from pick_rule_instance's pools, linearity then alpha and beta in
+    [-10, 10]; quotient draws any base, a RULE_POINTS point, a smooth f and
+    a POSITIVE_TEXTS g."""
+    seed, count = RULE_DRAWS[rule]
+    rng = random.Random(seed)
+    smooth, kinks = named_functions(SMOOTH_TEXTS), named_functions(KINK_TEXTS)
+    positive = named_functions(POSITIVE_TEXTS)
+    two, one = two_sided_bases(), one_sided_bases()
+    for _ in range(count):
+        if rule == "quotient":
+            b, x0 = rng.choice(two + one), rng.choice(RULE_POINTS)
+            (tf, f), (tg, g) = rng.choice(smooth), rng.choice(positive)
+            run = partial(check_quotient_rule, f, g, x0, b)
+        else:
+            b, x0, pool = pick_rule_instance(rng, smooth, kinks, two, one)
+            (tf, f), (tg, g) = rng.choice(pool), rng.choice(pool)
+            run = partial(check_product_rule, f, g, x0, b)
+            if rule == "linearity":  # alpha, then beta
+                run = partial(check_linearity, f, g, rng.uniform(-10, 10),
+                              rng.uniform(-10, 10), x0, b)
+        yield tf, tg, run

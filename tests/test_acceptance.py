@@ -8,17 +8,12 @@ quotients (the acceptance tolerances themselves are unchanged).
 """
 
 import json
-import random
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import filterderiv as fd
-from corpus import (KINK_TEXTS, PQ_CFG, POSITIVE_TEXTS, RULE_POINTS,
-                    SMOOTH_CASES, SMOOTH_CFG, named_functions,
-                    one_sided_bases, pick_rule_instance, two_sided_bases)
+from corpus import PQ_CFG, SMOOTH_CASES, SMOOTH_CFG, rule_draws
 
 DEFAULT_CFG = fd.LimitConfig()
 
@@ -31,16 +26,6 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "filterderiv", *argv],
                           capture_output=True, text=True, timeout=120)
-
-
-@pytest.fixture(scope="module")
-def smooth():
-    return named_functions([t for t, _ in SMOOTH_CASES])
-
-
-@pytest.fixture(scope="module")
-def kinks():
-    return named_functions(KINK_TEXTS)
 
 
 def test_criterion_1_one_sided_abs_exact():
@@ -97,17 +82,11 @@ def test_criterion_4_sequence_filter_beats_punctured():
                   f"seq 1/(pi*n) -> {along.value!r} (|value| <= 1e-9)")
 
 
-def test_criterion_5_linearity_suite(smooth, kinks):
-    rng = random.Random(20240501)
-    bases_two = two_sided_bases()
-    bases_one = one_sided_bases()
+def test_criterion_5_linearity_suite():
     failures = []
     worst = 0.0
-    for i in range(200):
-        b, x0, pool = pick_rule_instance(rng, smooth, kinks, bases_two, bases_one)
-        (tf, f), (tg, g) = rng.choice(pool), rng.choice(pool)
-        alpha, beta = rng.uniform(-10, 10), rng.uniform(-10, 10)
-        rep = fd.check_linearity(f, g, alpha, beta, x0, b, SMOOTH_CFG, 1e-5)
+    for i, (tf, tg, run) in enumerate(rule_draws("linearity")):
+        rep = run(SMOOTH_CFG, 1e-5)
         if rep.verdict != fd.HOLDS:
             failures.append((i, tf, tg, rep.verdict))
         else:
@@ -117,16 +96,11 @@ def test_criterion_5_linearity_suite(smooth, kinks):
            f"(worst rel err {worst:.2e}; failures: {failures[:3]})")
 
 
-def test_criterion_6_product_suite(smooth, kinks):
-    rng = random.Random(20240502)
-    bases_two = two_sided_bases()
-    bases_one = one_sided_bases()
+def test_criterion_6_product_suite():
     failures = []
     worst = 0.0
-    for i in range(99):
-        b, x0, pool = pick_rule_instance(rng, smooth, kinks, bases_two, bases_one)
-        (tf, f), (tg, g) = rng.choice(pool), rng.choice(pool)
-        rep = fd.check_product_rule(f, g, x0, b, PQ_CFG, 1e-5)
+    for i, (tf, tg, run) in enumerate(rule_draws("product")):
+        rep = run(PQ_CFG, 1e-5)
         if rep.verdict != fd.HOLDS:
             failures.append((i, tf, tg, rep.verdict))
         else:
@@ -154,19 +128,12 @@ def test_criterion_6_product_suite(smooth, kinks):
            f"g=sign verdicts {violations} (inconclusive, never violated)")
 
 
-def test_criterion_7_quotient_suite(smooth):
-    rng = random.Random(20240503)
-    gs = named_functions(POSITIVE_TEXTS)
-    bases = two_sided_bases() + one_sided_bases()
+def test_criterion_7_quotient_suite():
     failures = []
     missing_note = 0
     worst = 0.0
-    for i in range(99):
-        b = rng.choice(bases)
-        x0 = rng.choice(RULE_POINTS)
-        (tf, f) = rng.choice(smooth)
-        (tg, g) = rng.choice(gs)
-        rep = fd.check_quotient_rule(f, g, x0, b, PQ_CFG, 1e-5)
+    for i, (tf, tg, run) in enumerate(rule_draws("quotient")):
+        rep = run(PQ_CFG, 1e-5)
         if rep.verdict != fd.HOLDS:
             failures.append((i, tf, tg, rep.verdict))
         else:

@@ -524,7 +524,8 @@ C = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e-2)
 C_NO_FLOOR = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e30)
 # Under a 12-level budget the values of g = 1000*(2+x) still spread by about
 # 2000*d > tol_osc on the last level, so g's F-continuity is not shown while
-# f' and g' converge at level 2.
+# f' and g' converge at level 2: 2**-12 * 1000 > tol_step, too far from 0 for
+# g' to imply it.
 SHORT = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e-2, max_level=12)
 
 
@@ -624,8 +625,21 @@ def _at(fn, x):
         raise DomainError(str(exc), argument=x) from exc
 
 
+def _implied_or_estimated(fn, d, x0, b, cfg):
+    """fn's F-continuity report: implied by its converged derivative d on a
+    constructor's geometric chain whose last level's |h| < scale keeps
+    |fn(x0+h) - fn(x0)| ~ |h * d| within tol_step, else f_continuity's."""
+    target = _finite_values(fn, (x0,))[0]
+    if (d.converged and b._nested and b.inner_ratio is not None
+            and b.scale(cfg.max_level) * abs(d.value) <= cfg.tol_step * (1.0 + abs(target))):
+        return fderiv.FContinuityReport(point=x0, base_id=b.id, limit=None, target=target,
+                                        is_continuous=True)
+    return f_continuity(fn, x0, b, cfg)
+
+
 def _reference(rule, f, g, x0, b, cfg, alpha, beta):
-    """(f', g', the F-continuity reports, the combined derivative)."""
+    """(f', g', the F-continuity reports, the combined derivative), estimated
+    in the check's order: f', g' and c', then each report."""
     if rule == "product":
         _at(f, x0), _at(g, x0)
     elif rule == "quotient":
@@ -638,9 +652,9 @@ def _reference(rule, f, g, x0, b, cfg, alpha, beta):
         _at(f, x0)
     df = derivative(f, x0, b, cfg)
     dg = derivative(g, x0, b, cfg)
-    continuous = {"linearity": (), "product": (f, g), "quotient": (g,)}[rule]
-    cont = tuple(f_continuity(h, x0, b, cfg) for h in continuous)
     lhs = derivative(_combined(rule, f, g, alpha, beta), x0, b, cfg)
+    continuous = {"linearity": (), "product": ((f, df), (g, dg)), "quotient": ((g, dg),)}[rule]
+    cont = tuple(_implied_or_estimated(h, d, x0, b, cfg) for h, d in continuous)
     return df, dg, cont, lhs
 
 
@@ -735,7 +749,7 @@ class TestSharedEvaluation:
                     raised.add(error[0])
                     continue
                 for est in (rep.f_prime.estimate, rep.g_prime.estimate, rep.lhs.estimate,
-                            *(c.limit for c in rep.continuity_reports)):
+                            *(c.limit for c in rep.continuity_reports if c.limit)):
                     details.add((est.failure_detail or "").split(": ", 1)[-1].split(" (")[0])
         assert {"g vanishes at a sampled point", "function value is not a finite real",
                 "math domain error", "float division by zero"} <= details
@@ -764,14 +778,38 @@ class TestSharedEvaluation:
                "product": lambda: check_product_rule(math.sin, math.exp, 0.3, b, C, 1e-5),
                "quotient": lambda: check_quotient_rule(math.sin, math.exp, 0.3, b, C,
                                                        1e-5)}[rule]()
-        ends = [len(e.trace) for e in (rep.f_prime.estimate, rep.g_prime.estimate,
-                                       rep.lhs.estimate)]
-        for c in rep.continuity_reports:
-            assert c.limit.converged
-            ends.append(len(c.limit.trace))
-        reached = max(ends)
+        # every derivative converged on P, so each continuity report is implied
+        assert all(c.limit is None and c.is_continuous for c in rep.continuity_reports)
+        reached = max(len(e.trace) for e in (rep.f_prime.estimate, rep.g_prime.estimate,
+                                             rep.lhs.estimate))
         assert b.calls == list(range(reached))
-        assert b.scales == list(range(reached))   # one scale per level, for every estimate
+        # one scale per level, for every estimate; an implied report reads the last level's
+        assert b.scales == list(range(reached)) + [C.max_level] * (rule != "linearity")
+
+    @pytest.mark.parametrize("rule", ["product", "quotient"])
+    def test_hand_built_chain_estimates_continuity(self, rule):
+        # P's elements by hand: nothing says they shrink to 0, so a converged
+        # derivative implies nothing and f_continuity estimates each report
+        b = chain_from_elements("P by hand", [P.element(k) for k in range(C.max_level + 1)],
+                                punctured_at_zero=True)
+        rep, _ = assert_matches_reference(rule, math.sin, math.exp, 0.3, b, C)
+        assert rep.f_prime.converged and rep.g_prime.converged
+        assert len(rep.continuity_reports) == {"product": 2, "quotient": 1}[rule]
+        assert all(c.limit is not None for c in rep.continuity_reports)
+
+    @pytest.mark.parametrize("b", [sequence_base(SequenceSpec("powinv", p=1e-10)),
+                                   right_base(1.0, 0.99)], ids=["powinv", "right-0.99"])
+    @pytest.mark.parametrize("rule", ["product", "quotient"])
+    def test_slow_chain_estimates_continuity(self, rule, b):
+        # |h| stays near 1 (powinv) or above 0.5 (ratio 0.99) on all 49
+        # levels: x' = 1 converges but implies no continuity, and g's own
+        # estimate does not show it, so the check is inconclusive, not violated
+        g = IDENT if rule == "product" else as_function(parse("1+x"))
+        rep, _ = assert_matches_reference(rule, IDENT, g, 0.0, b, LimitConfig())
+        assert rep.f_prime.converged and rep.g_prime.converged
+        assert all(c.limit is not None for c in rep.continuity_reports)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.failure_detail == "g is not F-continuous at x0 along the base"
 
     @pytest.mark.parametrize("rule", ["linearity", "product", "quotient"])
     def test_functions_run_only_where_the_reference_runs_them(self, rule):
@@ -807,8 +845,7 @@ class TestSharedEvaluation:
 
         rep = check_product_rule(counted("f", math.sin), counted("g", math.exp), x0,
                                  P, C, 1e-5)
-        estimates = [rep.f_prime.estimate, rep.g_prime.estimate, rep.lhs.estimate,
-                     *(c.limit for c in rep.continuity_reports)]
+        estimates = [rep.f_prime.estimate, rep.g_prime.estimate, rep.lhs.estimate]
         assert all(e.status != "domain-error" for e in estimates)
         reached = max(len(e.trace) for e in estimates)
         bound = C.samples_per_level * reached + 1   # every point reached, and x0

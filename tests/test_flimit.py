@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterderiv import (CONVERGED, DOMAIN_ERROR, NO_LIMIT, UNDECIDED, DomainError,
-                         LimitConfig, LimitEstimate, SequenceSpec, TraceRow,
-                         estimate_limit, format_trace_csv, punctured_base, right_base,
-                         sequence_base)
+                         FilterBaseChain, LimitConfig, LimitEstimate, SequenceSpec, TraceRow,
+                         as_function, chain_from_elements, derivative, estimate_limit,
+                         format_trace_csv, parse, punctured_base, right_base, sequence_base)
 from filterderiv import flimit
-from corpus import SMOOTH_CASES, SMOOTH_CFG
+from corpus import KINK_TEXTS, SMOOTH_CASES, SMOOTH_CFG
 
 import filterderiv as fd
 
@@ -221,10 +221,18 @@ def _window_descend(level_values, b, cfg):
                 break
     else:
         tail = rows[-s:]
+        first, last = tail[0], tail[-1]
         if all(r.oscillation >= cfg.no_limit_floor for r in tail):
-            status, detail = NO_LIMIT, (
-                f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
-                f"{s} levels (last = {tail[-1].oscillation!r})")
+            # no-limit only where the oscillation did not shrink with the scale
+            w = (math.sqrt(last.scale / first.scale) if 0.0 < last.scale < first.scale
+                 else 0.0)
+            if last.oscillation >= w * first.oscillation:
+                status, detail = NO_LIMIT, (
+                    f"oscillation stayed >= {cfg.no_limit_floor!r} on the last "
+                    f"{s} levels (last = {last.oscillation!r})")
+            else:
+                detail += (f"; the oscillation shrank with the scale on the last {s} "
+                           f"levels ({first.oscillation!r} to {last.oscillation!r})")
     value = rows[-1].sample_mean if status == CONVERGED else None
     return LimitEstimate(status=status, value=value, trace=tuple(rows),
                          failure_detail=detail)
@@ -339,6 +347,10 @@ class TestDescendBoundaries:
         (2, 3, [_const(0.0, 2.0)] * 4, NO_LIMIT, 4),
         (2, 3, [_const(0.0, 2.0)] * 3 + [_const(0.0, 0.5)], UNDECIDED, 4),
         (2, 3, [_const(0.0, 0.5)] * 3 + [_const(0.0, 2.0)], UNDECIDED, 4),
+        # and when the oscillation did not shrink with the scale: over levels
+        # 1-3 the scale falls by 4, so the last must be >= sqrt(1/4) of the first
+        (3, 3, [_const(0.0, 4.0)] * 3 + [_const(0.0, 2.0)], NO_LIMIT, 4),
+        (3, 3, [_const(0.0, 4.0)] * 3 + [_const(0.0, 1.5)], UNDECIDED, 4),
         # convergence at the very last level
         (2, 3, [_const(0.0, 2.0)] * 2 + [_const(1.0)] * 2, CONVERGED, 4),
     ])
@@ -539,3 +551,46 @@ class TestUnmovedStop:
         g.at_x0 = (x0, None)
         est = estimate_limit(g, punctured_base(1.0, 0.5), LimitConfig())
         assert (est.status, len(est.trace)) == (NO_LIMIT, 49)
+
+
+class TestBudgetScaleLaw:
+    """At the level budget, no-limit also needs an oscillation that did not
+    shrink with the scale: last >= sqrt(last scale / first scale) * first
+    over the last stable_levels rows. A jump or kink keeps its oscillation;
+    a limit the budget cut short halves it with each halving of the scale."""
+
+    @pytest.mark.parametrize("text", KINK_TEXTS)
+    def test_kinks_at_the_origin_stay_no_limit(self, text):
+        est = derivative(as_function(parse(text)), 0.0, punctured_base(1.0, 0.5),
+                         LimitConfig()).estimate
+        assert (est.status, len(est.trace)) == (NO_LIMIT, 49)
+
+    @pytest.mark.parametrize("spec", [SequenceSpec(kind="piovern", c=1.0),
+                                      SequenceSpec(kind="powinv", c=1.0, p=1.0)])
+    def test_cos_of_one_over_h_along_a_sequence_stays_no_limit(self, spec):
+        # a sequence base's scale is its tail's start index, which grows
+        est = estimate_limit(lambda h: math.cos(1.0 / h), sequence_base(spec), LimitConfig())
+        assert (est.status, len(est.trace)) == (NO_LIMIT, 49)
+
+    def test_a_limit_cut_short_is_undecided(self):
+        est = estimate_limit(lambda h: h, right_base(1.0, 0.5), LimitConfig(max_level=5))
+        first, last = est.trace[-3].oscillation, est.trace[-1].oscillation
+        assert est.status == UNDECIDED and last < first / 2
+        assert est.failure_detail == (
+            "stability criterion not met within the level budget; the oscillation shrank "
+            f"with the scale on the last 3 levels ({first!r} to {last!r})")
+
+    @pytest.mark.parametrize("scale_fn", [float, lambda k: 0.0], ids=["k", "zero"])
+    def test_scales_that_do_not_shrink_keep_the_floor_rule(self, scale_fn):
+        # chain_from_elements' scale(k) is k, 0.0 on level 0; the other chain's
+        # is 0.0 on every level. Neither is a divisor: h -> h, whose oscillation
+        # halves, is no-limit there as before the scale law
+        elements = [punctured_base(1.0, 0.5).element(k) for k in range(4)]
+        b = (chain_from_elements("by hand", elements, punctured_at_zero=True)
+             if scale_fn is float else
+             FilterBaseChain(chain_id="zero scales", max_level=3, punctured_at_zero=True,
+                             params={}, element_fn=elements.__getitem__, scale_fn=scale_fn))
+        est = estimate_limit(lambda h: h, b, LimitConfig(max_level=3))
+        first, last = est.trace[-3].oscillation, est.trace[-1].oscillation
+        assert est.trace[0].scale == 0.0 and last < first / 2
+        assert (est.status, len(est.trace)) == (NO_LIMIT, 4)
