@@ -374,27 +374,21 @@ class _Code:
         return t
 
 
-def _level_loop(code: _Code, name: str, outputs: Sequence[tuple[Expr, bool]]) -> Callable:
-    """The level loop ``name(x0, y0, y1, ..., *code.params, hs)`` over the
-    trees of outputs, compiled into code's namespace: x0 is taken as
-    float(x0 - 0.0) once (it fails as x0 + h does), then each node of the
-    trees is computed once per h of hs, at x0 + h, which must be finite.
-    For each (tree, quotient) of outputs in turn it returns a list: of
-    (value - y) / h, each checked finite, where quotient is true (the i-th
-    such output reads y<i>), else of the tree's values. One output's list
-    is returned as it is, several as a tuple. h == 0 in a quotient divides
-    by zero; a point raises what the trees raise there."""
-    temps = [code.emit(root) for root, _ in outputs]
+def _level_loop(code: _Code, name: str, trees: Sequence[Expr]) -> Callable:
+    """The level loop ``name(x0, y0, y1, ..., *code.params, hs)`` of the
+    difference quotients of trees, compiled into code's namespace: x0 is
+    taken as float(x0 - 0.0) once (it fails as x0 + h does), then each node
+    of the trees is computed once per h of hs, at x0 + h, which must be
+    finite. For the i-th tree it returns the list of (value - y<i>) / h,
+    each checked finite; one tree's list is returned as it is, several as a
+    tuple. h == 0 divides by zero; a point raises what the trees raise there."""
+    temps = [code.emit(root) for root in trees]
     not_finite = code.ref(partial(DomainError, "difference quotient is not a finite real"))
-    ys, body = [], [f"if not isfinite(arg): raise {code.gate()}(argument=arg)", *code.lines]
-    for i, ((_, quotient), t) in enumerate(zip(outputs, temps)):
-        if quotient:
-            ys.append(f"y{len(ys)}")
-            body += [f"q = ({t} - {ys[-1]}) / h",
-                     f"if not isfinite(q): raise {not_finite}(argument=h)", f"o{i}.append(q)"]
-        else:
-            body.append(f"o{i}.append({t})")
-    lists = [f"o{i}" for i in range(len(outputs))]
+    body = [f"if not isfinite(arg): raise {code.gate()}(argument=arg)", *code.lines]
+    for i, t in enumerate(temps):
+        body += [f"q = ({t} - y{i}) / h",
+                 f"if not isfinite(q): raise {not_finite}(argument=h)", f"o{i}.append(q)"]
+    ys, lists = [f"y{i}" for i in range(len(trees))], [f"o{i}" for i in range(len(trees))]
     return code.define(f"{name}({', '.join(['x0', *ys, *code.params, 'hs'])})", [
         "x0 = float(x0 - 0.0)", *(f"{o} = []" for o in lists), "for h in hs:",
         "    arg = x0 + h", *(f"    {line}" for line in body), f"return {', '.join(lists)}"])
@@ -481,17 +475,15 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     bit for bit; a non-finite t raises DomainError, so f never returns a
     non-finite value.
 
-    f keeps e as ``f.expr``. It also has two level forms, the one-tree
-    cases of the level loop that a rule check runs over several trees: each
-    is a loop around f's own code over hs, so a point costs no Python call,
-    and each is compiled on its first call, which binds it on f in place of
-    itself, so an f that never uses one never compiles it.
-    ``f.quotients(x0, y0, hs)`` is the list of (f(x0 + h) - y0) / h for
-    each h of hs, bit for bit; it raises what f raises at a point x0 + h,
-    ZeroDivisionError at h == 0 and DomainError where a quotient is not
-    finite. ``f.values(x0, hs)`` is the list of f(x0 + h), bit for bit, and
-    raises what f raises at a point. Both take x0 as float(x0 - 0.0) once,
-    before the loop."""
+    f keeps e as ``f.expr``. It also has one level form, the one-tree case
+    of the level loop that a rule check runs over several trees:
+    ``f.quotients(x0, y0, hs)`` is the list of (f(x0 + h) - y0) / h for each
+    h of hs, bit for bit, from one loop around f's own code, so a point
+    costs no Python call. It takes x0 as float(x0 - 0.0) once, before the
+    loop, and raises what f raises at a point x0 + h, ZeroDivisionError at
+    h == 0 and DomainError where a quotient is not finite. It is compiled on
+    its first call, which binds it on f in place of itself, so an f that
+    never uses it never compiles it."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:
@@ -509,11 +501,8 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
         *code.lines, f"return {root}"])
     f.expr = e
 
-    def level_form(name: str, quotient: bool) -> None:
-        def stub(*args):
-            setattr(f, name, form := _level_loop(code, name, [(e, quotient)]))
-            return form(*args)
-        setattr(f, name, stub)
-    level_form("quotients", True)
-    level_form("values", False)
+    def quotients(*args):  # compiles the form on first use and binds it in its own place
+        f.quotients = form = _level_loop(code, "quotients", [e])
+        return form(*args)
+    f.quotients = quotients
     return f

@@ -9,12 +9,13 @@ The linearity, product and quotient rules are checked by one skeleton,
 `_check_rule`, which runs f', g' and c' (c the rule's combination of f and
 g) in lockstep, so f and g are evaluated once per sampled level for all
 three; for f and g from as_function a level is one pass of a generated loop
-(`_rule_loop`). Each rule supplies how it combines the values of f and g
-and its right-hand side in f'(x0) and g'(x0). A product check reports f's
-and g's F-continuity, a quotient check g's, which a converged derivative
-implies where the chain gets near 0 (see _check_rule). A check reports
-holds / violated / inconclusive; a failed hypothesis (an f' or g' that does
-not converge, or a g not F-continuous) gives inconclusive, never violated.
+(`_rule_loop`) of the three quotients, else f and g are called per point.
+Each rule supplies how it combines the values of f and g and its right-hand
+side in f'(x0) and g'(x0). A product check reports f's and g's F-continuity,
+a quotient check g's, which a converged derivative implies where the chain
+gets near 0 (see _check_rule). A check reports holds / violated /
+inconclusive; a failed hypothesis (an f' or g' that does not converge, or a
+g not F-continuous) gives inconclusive, never violated.
 
 The quotient rule is computed with numerator f'(x0)*g(x0) - g'(x0)*f(x0)
 over g(x0)^2. Statements of this rule sometimes circulate with a misprinted
@@ -223,7 +224,7 @@ def _rule_loop(f, g, rule: str) -> Callable:
     else:
         c, params = Binary("mul" if rule == "product" else "div", fe, ge), ()
     # f and g may name their variables differently: the loop reads each as the point
-    return _level_loop(_Code("x", params), "rule", [(fe, True), (ge, True), (c, True)])
+    return _level_loop(_Code("x", params), "rule", [fe, ge, c])
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
@@ -244,10 +245,10 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     f and g come from as_function and f(x0), g(x0) and c(x0) are all
     defined, a level's first read runs _rule_loop, which computes the three
     quotient lists in one pass. Otherwise, or where that raises, level_values
-    evaluates f and g on the level at its first read (in one call where they
-    have a values form), and an estimate redoes a level where that raises or
-    sums to a non-finite value point by point, as derivative would; of
-    several that raise, the first of f', g' and c' is raised.
+    evaluates f and g on the level at its first read, and an estimate redoes
+    a level where that raises or sums to a non-finite value point by point,
+    as derivative would; of several that raise, the first of f', g' and c'
+    is raised.
 
     The report carries the F-continuity of f and g (product) or g (quotient):
     F(x0+h) - F(x0) = h * q(h), so a converged F' implies it (limit None) on
@@ -274,9 +275,6 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     if len(y0) == 3 and hasattr(f, "expr") and hasattr(g, "expr"):
         loop = _rule_loop(f, g, rule)
 
-    def values(fn, hs):  # fn at each x0 + h, in one call of fn's values form if it has one
-        return fn.values(x0, hs) if hasattr(fn, "values") else list(map(fn, [x0 + h for h in hs]))
-
     def level_values(hs, row, i):  # the quotients of "fgc"[i] on the level sampled at hs
         if loop is not None:
             if "loop" not in row:  # the level's first read
@@ -290,7 +288,8 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
         for key in "fgc" if name == "c" else name:  # rows at first read; c's needs f's, g's
             if key not in row:
                 try:
-                    row[key] = combine(row["f"], row["g"]) if key == "c" else values(fns[key], hs)
+                    row[key] = (combine(row["f"], row["g"]) if key == "c"
+                                else list(map(fns[key], [x0 + h for h in hs])))
                 except Exception:  # None sends each estimate that reads it to its closure
                     row[key] = None
         try:

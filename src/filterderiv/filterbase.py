@@ -102,9 +102,7 @@ class SetDescriptor:
         for a, b in zip(ivs, ivs[1:]):
             if b[0] < a[1]:
                 raise ValueError("intervals must be pairwise disjoint and sorted by lo")
-        object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "excluded", exc)
+        vars(self).update(intervals=ivs, points=pts, excluded=exc)  # the dict __init__ set
         if not ivs:
             # Points only: every point that is not excluded stands alone.
             self._set_canonical((), tuple(sorted(set(pts) - set(exc))))
@@ -117,10 +115,8 @@ class SetDescriptor:
     def _set_canonical(self, pieces: tuple[Piece, ...], isolated: tuple[float, ...]) -> None:
         """Store the canonical form: the maximal components, sorted, and the
         lookups that contains and issubset read."""
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "isolated_points", isolated)
-        object.__setattr__(self, "_piece_los", [p.lo for p in pieces])
-        object.__setattr__(self, "_isolated_set", frozenset(isolated))
+        vars(self).update(pieces=pieces, isolated_points=isolated,
+                          _piece_los=[p.lo for p in pieces], _isolated_set=frozenset(isolated))
 
     def _merge(self) -> tuple[tuple[Piece, ...], tuple[float, ...]]:
         """The canonical form of any mix of intervals, points and excluded

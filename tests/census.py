@@ -1,31 +1,43 @@
-"""Correctness census: verdict counts of the rule checks over many sampling seeds.
+"""Correctness census: verdict counts over many sampling seeds and random trees.
 
-Runs the rule draws of acceptance criteria 5-7 (200 linearity, 99 product and
-99 quotient checks, from corpus.rule_draws, as tests/test_acceptance.py) under
-LimitConfig(seed=s) for every s in 0..83, at check_tol 1e-5, and prints one
-JSON object of verdict counts per rule and in total.
+Two scans, printed as one JSON object of counts:
+
+- the rule draws of acceptance criteria 5-7 (200 linearity, 99 product and
+  99 quotient checks, from corpus.rule_draws, as tests/test_acceptance.py)
+  under LimitConfig(seed=s) for every s in 0..83, at check_tol 1e-5: verdict
+  counts per rule and in total;
+- classical_derivative on the first 400 and the first 2,000 random trees of
+  one draw sequence (random_trees), under LimitConfig() and SMOOTH_CFG:
+  counts per status, and of the converged values that are wrong, off the
+  symbolic oracle by more than 1e-6 * max(1, |f'(x0)|) (counted among
+  converged too).
 
     PYTHONPATH=src python tests/census.py
     PYTHONPATH=src python tests/census.py --check tests/census_expected.json
 
-With --check FILE it exits 1 when any violated or inconclusive count exceeds
-the one committed in FILE. The name keeps it out of pytest's collection.
+With --check FILE it exits 1 when any violated, inconclusive, wrong or
+no-limit count exceeds the one committed in FILE. The name keeps it out of
+pytest's collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
 import filterderiv as fd
-from corpus import RULE_DRAWS, rule_draws
+from corpus import RULE_DRAWS, SMOOTH_CFG, rule_draws
 
 SEEDS = range(84)
 CHECK_TOL = 1e-5
 VERDICTS = (fd.HOLDS, fd.INCONCLUSIVE, fd.VIOLATED)
-UNSAFE = (fd.INCONCLUSIVE, fd.VIOLATED)
+TREE_SETS = (400, 2000)
+TREE_CONFIGS = {"default": fd.LimitConfig(), "smooth": SMOOTH_CFG}
+STATUSES = (fd.CONVERGED, fd.UNDECIDED, fd.DOMAIN_ERROR, fd.NO_LIMIT)
+UNSAFE = (fd.INCONCLUSIVE, fd.VIOLATED, "wrong", fd.NO_LIMIT)
 
 
 def seed_scan() -> dict:
@@ -42,20 +54,70 @@ def seed_scan() -> dict:
     return counts
 
 
+def random_trees(n: int) -> list[tuple[fd.Expr, float, float]]:
+    """The first n kept draws of one random.Random(7), as (tree, x0, f'(x0)).
+
+    A draw is tree(0), then x0 uniform in [-2, 2]. tree(d) is a leaf when
+    d > 0 and (d >= 4 or a coin of 0.25 says so): x with probability 0.6,
+    else a constant of 0.5, 1, 2 or 3. Otherwise it is sin, cos or exp of
+    tree(d+1) with probability 0.35, else +, -, * or / of two tree(d+1),
+    the left drawn first. A draw is kept when x occurs in it, f and the
+    oracle are defined at x0, and |f(x0)| and |f'(x0)| are below 1e6."""
+    rng = random.Random(7)
+
+    def tree(d: int) -> fd.Expr:
+        if d > 0 and (d >= 4 or rng.random() < 0.25):
+            if rng.random() < 0.6:
+                return fd.Variable("x")
+            return fd.Constant(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        if rng.random() < 0.35:
+            return fd.Call(rng.choice(["sin", "cos", "exp"]), (tree(d + 1),))
+        return fd.Binary(rng.choice(["add", "sub", "mul", "div"]), tree(d + 1), tree(d + 1))
+
+    kept = []
+    while len(kept) < n:
+        e, x0 = tree(0), rng.uniform(-2, 2)
+        if "x" not in fd.render(e):
+            continue
+        try:
+            y, d = fd.as_function(e, "x")(x0), fd.symbolic_derivative_value(e, "x", x0).value
+        except fd.DomainError:
+            continue
+        if abs(y) < 1e6 and abs(d) < 1e6:
+            kept.append((e, x0, d))
+    return kept
+
+
+def tree_scan() -> dict:
+    """Status and wrong-value counts of classical_derivative per config and set size."""
+    trees = random_trees(max(TREE_SETS))
+    counts = {}
+    for name, cfg in TREE_CONFIGS.items():
+        got = [fd.classical_derivative(fd.as_function(e, "x"), x0, cfg) for e, x0, _ in trees]
+        for n in TREE_SETS:
+            tally = dict.fromkeys((*STATUSES, "wrong"), 0)
+            for res, (_, _, d) in zip(got[:n], trees):
+                tally[res.status] += 1
+                tally["wrong"] += res.converged and abs(res.value - d) > 1e-6 * max(1.0, abs(d))
+            counts[f"{name}_{n}"] = tally
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE",
-                        help="fail when a violated or inconclusive count exceeds FILE's")
+                        help="fail when a violated, inconclusive, wrong or no-limit "
+                        "count exceeds FILE's")
     args = parser.parse_args(argv)
-    counts = {"criteria_5_7_seed_scan": seed_scan()}
+    counts = {"criteria_5_7_seed_scan": seed_scan(), "random_trees": tree_scan()}
     print(json.dumps(counts, indent=2))
     if args.check is None:
         return 0
     expected = json.loads(Path(args.check).read_text())
-    risen = [f"{scan} {rule} {verdict}: {got[verdict]} > {expected[scan][rule][verdict]}"
-             for scan, rules in counts.items() for rule, got in rules.items()
-             for verdict in UNSAFE if got[verdict] > expected[scan][rule][verdict]]
-    print(*(risen or ["no violated or inconclusive count rose"]), sep="\n", file=sys.stderr)
+    risen = [f"{scan} {group} {key}: {got[key]} > {expected[scan][group][key]}"
+             for scan, groups in counts.items() for group, got in groups.items()
+             for key in UNSAFE if key in got and got[key] > expected[scan][group][key]]
+    print(*(risen or ["no unsafe count rose"]), sep="\n", file=sys.stderr)
     return 1 if risen else 0
 
 

@@ -283,9 +283,6 @@ class TestAsFunction:
         assert f.quotients(1.0, f(1.0), [0.5, -0.25]) == [2.5, 1.75]
         assert f.quotients(1.0, 1.0, [0.25]) == [2.25]
         assert [s.split("(")[0] for s in sources] == ["def f", "def quotients"]
-        assert f.values(1.0, [0.5, -0.25]) == [2.25, 0.5625]
-        assert f.values(3, [0.0]) == [9.0]
-        assert [s.split("(")[0] for s in sources] == ["def f", "def quotients", "def values"]
 
 
 def _pow_source(exponent: str, tested: bool) -> str:

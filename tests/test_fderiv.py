@@ -98,7 +98,8 @@ class TestLevelForm:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(tree=_ref_trees,
            x0=st.one_of(st.floats(), st.integers(-10**6, 10**6),
-                        st.sampled_from([10**400, -10**400, 2**1024])),
+                        st.sampled_from([10**400, -10**400, 2**1024]),
+                        st.fractions(), st.decimals()),
            hs=st.lists(st.one_of(st.sampled_from(_EDGE_HS),
                                  st.floats(allow_nan=False, allow_infinity=False)),
                        min_size=1, max_size=6))
@@ -120,25 +121,6 @@ class TestLevelForm:
         assert (est.status, est.value, len(est.trace), est.failure_detail) == (
             status, value, levels, detail)
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(tree=_ref_trees,
-           x0=st.one_of(st.floats(), st.integers(-10**6, 10**6),
-                        st.sampled_from([10**400, -10**400, 2**1024]),
-                        st.fractions(), st.decimals()),
-           hs=st.lists(st.one_of(st.sampled_from(_EDGE_HS),
-                                 st.floats(allow_nan=False, allow_infinity=False)),
-                       min_size=1, max_size=6))
-    def test_values_form_matches_points(self, tree, x0, hs):
-        f = as_function(tree, "x")
-        expected = _values_or_error(lambda: [f(x0 + h) for h in hs])
-        level = _values_or_error(lambda: f.values(x0, hs))
-        # the same values, or the same error where a point fails; a Decimal x0
-        # fails in x0 - 0.0 rather than in x0 + h, so only the type is the same
-        if isinstance(x0, Decimal):
-            assert type(level) is tuple and level[0] is expected[0] is TypeError
-        else:
-            assert level == expected
-
     def test_decimal_x0_raises_as_points_do(self):
         f, x0 = as_function(parse("x^2")), Decimal("0.5")
         for check in (lambda: derivative(f, x0, P, C), lambda: f_continuity(f, x0, P, C),
@@ -148,8 +130,8 @@ class TestLevelForm:
 
     def test_short_level_redone_point_by_point(self, monkeypatch):
         # the rule's level loop raises on level 2, which takes the row path:
-        # f's values form raises there too, and f's estimates redo it one
-        # point at a time, so no quotients form is compiled for it
+        # f is read there point by point and raises too, and f's estimates
+        # redo the level one point at a time, so no level form is compiled
         sources = []
 
         def spy(source, *args):
@@ -161,7 +143,42 @@ class TestLevelForm:
                                  LimitConfig(), 1e-5)
         assert rep.verdict == "inconclusive"
         assert [s.split("(")[0] for s in sources] == [
-            "def f", "def f", "def rule", "def values", "def values"]
+            "def f", "def f", "def rule"]
+
+    ROW_PATH_CASES = [  # (rule, f, g): the rule loop raises on a level
+        ("linearity", "sqrt(cos(x*1000)+0.999)", "x+1"),  # f leaves its domain
+        ("product", "sqrt(cos(x*1000)+0.999)", "x+1"),
+        ("quotient", "sqrt(cos(x*1000)+0.999)", "x+1"),
+        ("product", "exp(x*709.7)", "exp(x*709.7)"),  # f*g overflows
+        ("quotient", "exp(x*709.7)", "x-1"),  # f/g divides by zero at x = 1
+    ]
+
+    @pytest.mark.parametrize("rule,f_text,g_text", ROW_PATH_CASES,
+                             ids=[f"{r}-{f}-{g}" for r, f, g in ROW_PATH_CASES])
+    def test_row_path_matches_plain_callables(self, rule, f_text, g_text, monkeypatch):
+        # a level where the rule loop raises reads f and g point by point, and
+        # the report is the one their plain views, which have no loop, give
+        raised = []
+
+        def spy(f, g, rule):
+            loop = rule_loop(f, g, rule)
+
+            def run(*args):
+                try:
+                    return loop(*args)
+                except Exception:
+                    raised.append(args[-1])
+                    raise
+            return run
+        rule_loop = fderiv._rule_loop
+        monkeypatch.setattr(fderiv, "_rule_loop", spy)
+        f, g = as_function(parse(f_text)), as_function(parse(g_text))
+        b = right_base(1.0, 0.5)
+        check = {"linearity": lambda f, g: check_linearity(f, g, 2.0, -1.5, 0.0, b, CFG, 1e-5),
+                 "product": lambda f, g: check_product_rule(f, g, 0.0, b, CFG, 1e-5),
+                 "quotient": lambda f, g: check_quotient_rule(f, g, 0.0, b, CFG, 1e-5)}[rule]
+        rep = check(f, g)
+        assert raised and rep == check(lambda x: f(x), lambda x: g(x))
 
     def test_plain_callable_has_no_level_form(self):
         assert not hasattr(difference_quotient(lambda t: t, 0.0), "finite_values")
@@ -894,7 +911,7 @@ class TestRuleLoop:
 
     @pytest.mark.parametrize("rule", sorted(RULE_CHECKS))
     def test_one_loop_compiled_per_pair(self, rule, monkeypatch):
-        # f and g are defined on every level: no values form is compiled; a
+        # f and g are defined on every level: no level form is compiled; a
         # second check on the pair, with other coefficients, reuses the loop
         f, g = as_function(parse("sin(x)+x")), as_function(parse("exp(x)"))
         sources = []
