@@ -374,14 +374,17 @@ class _Code:
         return t
 
 
-def _level_loop(code: _Code, name: str, trees: Sequence[Expr]) -> Callable:
-    """The level loop ``name(x0, y0, y1, ..., *code.params, hs)`` of the
-    difference quotients of trees, compiled into code's namespace: x0 is
-    taken as float(x0 - 0.0) once (it fails as x0 + h does), then each node
-    of the trees is computed once per h of hs, at x0 + h, which must be
-    finite. For the i-th tree it returns the list of (value - y<i>) / h,
-    each checked finite; one tree's list is returned as it is, several as a
-    tuple. h == 0 divides by zero; a point raises what the trees raise there."""
+def _level_loop(name: str, trees: Sequence[Expr], params: Sequence[Expr] = ()) -> Callable:
+    """The level loop ``name(x0, y0, y1, ..., p0, p1, ..., hs)`` of the
+    difference quotients of trees, in a namespace of its own where every
+    variable is the point (f and g may name theirs differently) and a node
+    of params is an argument p<j>. x0 is taken as float(x0 - 0.0) once (it
+    fails as x0 + h does), then each node of the trees is computed once per
+    h of hs, at x0 + h, which must be finite. For the i-th tree it returns
+    the list of (value - y<i>) / h, each checked finite: one tree's list as
+    it is, several as a tuple. h == 0 divides by zero; a point raises what
+    the trees raise there."""
+    code = _Code("x", params)
     temps = [code.emit(root) for root in trees]
     not_finite = code.ref(partial(DomainError, "difference quotient is not a finite real"))
     body = [f"if not isfinite(arg): raise {code.gate()}(argument=arg)", *code.lines]
@@ -475,15 +478,7 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     bit for bit; a non-finite t raises DomainError, so f never returns a
     non-finite value.
 
-    f keeps e as ``f.expr``. It also has one level form, the one-tree case
-    of the level loop that a rule check runs over several trees:
-    ``f.quotients(x0, y0, hs)`` is the list of (f(x0 + h) - y0) / h for each
-    h of hs, bit for bit, from one loop around f's own code, so a point
-    costs no Python call. It takes x0 as float(x0 - 0.0) once, before the
-    loop, and raises what f raises at a point x0 + h, ZeroDivisionError at
-    h == 0 and DomainError where a quotient is not finite. It is compiled on
-    its first call, which binds it on f in place of itself, so an f that
-    never uses it never compiles it."""
+    f keeps e as ``f.expr``, from which fderiv builds its level loops."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:
@@ -500,9 +495,4 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
         f"if type(arg) is not float or not isfinite(arg): arg = real(arg, {code.gate()})",
         *code.lines, f"return {root}"])
     f.expr = e
-
-    def quotients(*args):  # compiles the form on first use and binds it in its own place
-        f.quotients = form = _level_loop(code, "quotients", [e])
-        return form(*args)
-    f.quotients = quotients
     return f

@@ -8,8 +8,8 @@ bases recover right and left derivatives.
 The linearity, product and quotient rules are checked by one skeleton,
 `_check_rule`, which runs f', g' and c' (c the rule's combination of f and
 g) in lockstep, so f and g are evaluated once per sampled level for all
-three; for f and g from as_function a level is one pass of a generated loop
-(`_rule_loop`) of the three quotients, else f and g are called per point.
+three; for f and g from as_function a level is one pass of a loop from
+`_level_form`, which makes every level loop, else f and g are called per point.
 Each rule supplies how it combines the values of f and g and its right-hand
 side in f'(x0) and g'(x0). A product check reports f's and g's F-continuity,
 a quotient check g's, which a converged derivative implies where the chain
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from ._record import record
 from .errors import BaseNotPuncturedError, DomainError, _real
-from .expr import Binary, Variable, _Code, _level_loop
+from .expr import Binary, Variable, _level_loop
 from .filterbase import FilterBaseChain, punctured_base
 from .flimit import (CONVERGED, NO_LIMIT, LimitConfig, LimitEstimate,
                      _descend, _finite_values, _require_depth, estimate_limit)
@@ -119,9 +119,9 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
 
     For an f from as_function, the map also has finite_values(hs), which
     flimit._finite_values tries first: the quotients at all of hs from f's
-    level form (f.quotients), one loop in f's generated code, sharing the
-    map's f(x0). It raises where any quotient is undefined or not finite,
-    but not always the error the map raises there.
+    level form (_level_form(f), found when the map is made), one generated
+    loop, sharing the map's f(x0). It raises where any quotient is undefined
+    or not finite, but not always the error the map raises there.
 
     The map's at_x0 is (x0, the one-slot list that holds f(x0) once read),
     from which flimit.estimate_limit takes its stop and the rounding radius."""
@@ -139,11 +139,13 @@ def difference_quotient(f: Callable[[float], float], x0: float) -> Callable[[flo
         return (v - cache[0]) / h
 
     quotient.at_x0 = (x0, cache)
-    if hasattr(f, "quotients"):
+    if hasattr(f, "expr"):
+        form = _level_form(f)
+
         def finite_values(hs: Sequence[float]) -> list[float]:
             if not cache:
                 cache.append(_finite_values(f, (x0,))[0])
-            return f.quotients(x0, cache[0], hs)
+            return form(x0, cache[0], hs)
         quotient.finite_values = finite_values
     return quotient
 
@@ -201,49 +203,51 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                              is_continuous=ok)
 
 
-# Rule-check level loops kept, one per (f, g, rule): compiling one takes
-# about 0.5 ms, half of a typical check, so checks on one pair share it.
-_RULE_LOOPS = 256
+# Level loops kept, each with its f (and g): compiling one takes up to 0.5 ms,
+# half of a typical check, so the estimates on one f or (f, g, rule) share it.
+_LEVEL_LOOPS = 256
 
 # linearity's alpha and beta: arguments of its level loop, not constants in
 # it, so that one loop serves every pair of coefficients (-0.0 included)
 _ALPHA, _BETA = Variable("alpha"), Variable("beta")
 
 
-@lru_cache(maxsize=_RULE_LOOPS)
-def _rule_loop(f, g, rule: str) -> Callable:
-    """The level loop of a check of rule on two functions from as_function:
-    the difference quotients of f, g and c, in that order. c's tree is built
-    from f's and g's nodes in the operations of the check's combine,
-    alpha*f + beta*g, f*g or f/g, so each node is computed once per point
-    and c's values are combine's, bit for bit."""
+@lru_cache(maxsize=_LEVEL_LOOPS)
+def _level_form(f, g=None, rule: str | None = None) -> Callable:
+    """The level loop of functions from as_function: with g None, f's level
+    form quotients(x0, y0, hs), of f's difference quotients; else the loop of
+    a check of rule on f and g, of the difference quotients of f, g and c, in
+    that order. c's tree is built from f's and g's nodes in the operations
+    of the check's combine, alpha*f + beta*g, f*g or f/g, so each node is
+    computed once per point and c's values are combine's, bit for bit."""
+    if g is None:
+        return _level_loop("quotients", [f.expr])
     fe, ge = f.expr, g.expr
     if rule == "linearity":
         params = (_ALPHA, _BETA)
         c = Binary("add", Binary("mul", _ALPHA, fe), Binary("mul", _BETA, ge))
     else:
         c, params = Binary("mul" if rule == "product" else "div", fe, ge), ()
-    # f and g may name their variables differently: the loop reads each as the point
-    return _level_loop(_Code("x", params), "rule", [fe, ge, c])
+    return _level_loop("rule", [fe, ge, c], params)
 
 
 def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], float],
                 x0: float, b: FilterBaseChain, cfg: LimitConfig, check_tol: float,
-                combine: Callable[[list[float], list[float]], list[float]],
-                rhs_of: Callable[[float, float], float], coefficients: tuple[float, ...] = (),
-                notes: tuple[str, ...] = (), at_x0: tuple[float, float] | None = None,
+                combine: Callable[[float, float], float], rhs_of: Callable[[float, float], float],
+                coefficients: tuple[float, ...] = (), notes: tuple[str, ...] = (),
+                at_x0: tuple[float, float] | None = None,
                 c: Callable[[float], float] | None = None) -> RuleCheckReport:
     """The check shared by the three rules: estimate f', g' and the
-    derivative of c, and compare it with rhs_of(f', g'). combine(fv, gv)
-    gives c's values on a level from f's and g's; c is x -> combine([f(x)],
-    [g(x)])[0] unless given; coefficients are linearity's alpha and beta;
+    derivative of c, and compare it with rhs_of(f', g'). combine(p, q) is
+    c's value where f's is p and g's is q; c is x -> combine(f(x), g(x))
+    unless given; coefficients are linearity's alpha and beta;
     at_x0 is (f(x0), g(x0)) if the caller has them. f(x0), g(x0), c(x0)
     and the values of f and g that c combines pass errors._real, as in
     derivative. The three estimates run in lockstep in flimit._descend,
     which samples each level once and stops each, as in derivative, at its
     rounding floor and at the first level that can leave x0 unmoved. Where
     f and g come from as_function and f(x0), g(x0) and c(x0) are all
-    defined, a level's first read runs _rule_loop, which computes the three
+    defined, a level's first read runs _level_form's loop, which computes the three
     quotient lists in one pass. Otherwise, or where that raises, level_values
     evaluates f and g on the level at its first read, and an estimate redoes
     a level where that raises or sums to a non-finite value point by point,
@@ -263,17 +267,17 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
     _require_depth(b, cfg)  # before f(x0) or g(x0) is read
     # the gate's ValueError becomes _finite_values' DomainError on a level redone point by point
     real = lambda v: _real(v, lambda **_: ValueError("function value is not a finite real"))
-    fns = {"f": f, "g": g, "c": c or (lambda x: combine([real(f(x))], [real(g(x))])[0])}
+    fns = {"f": f, "g": g, "c": c or (lambda x: combine(real(f(x)), real(g(x))))}
     y0: dict = dict(zip("fg", at_x0 or ()))  # f, g and c at x0, each where it is a finite real
     for name in "fgc":
         try:
             if name not in y0:
-                y0[name] = real(combine([y0["f"]], [y0["g"]])[0] if name == "c" else fns[name](x0))
+                y0[name] = real(combine(y0["f"], y0["g"]) if name == "c" else fns[name](x0))
         except Exception:  # its estimate redoes every level point by point
             pass
     loop = None
     if len(y0) == 3 and hasattr(f, "expr") and hasattr(g, "expr"):
-        loop = _rule_loop(f, g, rule)
+        loop = _level_form(f, g, rule)
 
     def level_values(hs, row, i):  # the quotients of "fgc"[i] on the level sampled at hs
         if loop is not None:
@@ -288,7 +292,7 @@ def _check_rule(rule: str, f: Callable[[float], float], g: Callable[[float], flo
         for key in "fgc" if name == "c" else name:  # rows at first read; c's needs f's, g's
             if key not in row:
                 try:
-                    row[key] = (combine(row["f"], row["g"]) if key == "c"
+                    row[key] = (list(map(combine, row["f"], row["g"])) if key == "c"
                                 else list(map(fns[key], [x0 + h for h in hs])))
                 except Exception:  # None sends each estimate that reads it to its closure
                     row[key] = None
@@ -357,8 +361,8 @@ def check_linearity(f: Callable[[float], float], g: Callable[[float], float],
     alpha, beta = (_real(c, lambda **_: ValueError("alpha and beta must be finite reals"))
                    for c in (alpha, beta))
     return _check_rule("linearity", f, g, x0, b, cfg, check_tol,
-                       lambda fv, gv: [alpha * p + beta * q for p, q in zip(fv, gv)],
-                       lambda df, dg: alpha * df + beta * dg, (alpha, beta))
+                       lambda p, q: alpha * p + beta * q, lambda df, dg: alpha * df + beta * dg,
+                       (alpha, beta))
 
 
 def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -373,8 +377,7 @@ def check_product_rule(f: Callable[[float], float], g: Callable[[float], float],
     """
     f0, g0 = _finite_values(f, (x0,))[0], _finite_values(g, (x0,))[0]
     return _check_rule("product", f, g, x0, b, cfg, check_tol,
-                       lambda fv, gv: list(map(operator.mul, fv, gv)),
-                       lambda df, dg: df * g0 + dg * f0, at_x0=(f0, g0))
+                       operator.mul, lambda df, dg: df * g0 + dg * f0, at_x0=(f0, g0))
 
 
 def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float],
@@ -401,6 +404,5 @@ def check_quotient_rule(f: Callable[[float], float], g: Callable[[float], float]
         return f(x) / gx
 
     return _check_rule("quotient", f, g, x0, b, cfg, check_tol,
-                       lambda fv, gv: list(map(operator.truediv, fv, gv)),
-                       lambda df, dg: (df * g0 - dg * f0) / (g0 * g0),
+                       operator.truediv, lambda df, dg: (df * g0 - dg * f0) / (g0 * g0),
                        notes=(QUOTIENT_RULE_NOTE,), at_x0=(f0, g0), c=quot)

@@ -294,7 +294,7 @@ class FilterBaseChain:
                  element_fn: Callable[[int], SetDescriptor],
                  scale_fn: Callable[[int], float],
                  sample_fn: Callable[[int, int, int], list[float]] | None = None):
-        if max_level < 0:
+        if _int(max_level, "max_level") < 0:
             raise ValueError("max_level must be >= 0")
         self.id = chain_id
         self.max_level = max_level

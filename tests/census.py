@@ -1,6 +1,6 @@
 """Correctness census: verdict counts over many sampling seeds and random trees.
 
-Two scans, printed as one JSON object of counts:
+Four scans, printed as one JSON object of counts:
 
 - the rule draws of acceptance criteria 5-7 (200 linearity, 99 product and
   99 quotient checks, from corpus.rule_draws, as tests/test_acceptance.py)
@@ -10,7 +10,13 @@ Two scans, printed as one JSON object of counts:
   one draw sequence (random_trees), under LimitConfig() and SMOOTH_CFG:
   counts per status, and of the converged values that are wrong, off the
   symbolic oracle by more than 1e-6 * max(1, |f'(x0)|) (counted among
-  converged too).
+  converged too);
+- classical_derivative at the 50 points of corpus.SMOOTH_CASES under
+  LimitConfig(): the same counts;
+- derivative at each point of corpus.GRID_TEXTS x GRID_POINTS that has an
+  oracle value, on each of GRID_BASES (large |x0|, where a sampled h can
+  leave x0 unmoved), under LimitConfig(), SMOOTH_CFG and PQ_CFG: the same
+  counts per config.
 
     PYTHONPATH=src python tests/census.py
     PYTHONPATH=src python tests/census.py --check tests/census_expected.json
@@ -29,13 +35,15 @@ import sys
 from pathlib import Path
 
 import filterderiv as fd
-from corpus import RULE_DRAWS, SMOOTH_CFG, rule_draws
+from corpus import (GRID_BASES, GRID_POINTS, GRID_TEXTS, PQ_CFG, RULE_DRAWS, SMOOTH_CASES,
+                    SMOOTH_CFG, rule_draws)
 
 SEEDS = range(84)
 CHECK_TOL = 1e-5
 VERDICTS = (fd.HOLDS, fd.INCONCLUSIVE, fd.VIOLATED)
 TREE_SETS = (400, 2000)
 TREE_CONFIGS = {"default": fd.LimitConfig(), "smooth": SMOOTH_CFG}
+GRID_CONFIGS = {**TREE_CONFIGS, "pq": PQ_CFG}
 STATUSES = (fd.CONVERGED, fd.UNDECIDED, fd.DOMAIN_ERROR, fd.NO_LIMIT)
 UNSAFE = (fd.INCONCLUSIVE, fd.VIOLATED, "wrong", fd.NO_LIMIT)
 
@@ -88,19 +96,51 @@ def random_trees(n: int) -> list[tuple[fd.Expr, float, float]]:
     return kept
 
 
+def tally(results, wants) -> dict:
+    """Counts per status of the results, and of converged values off their
+    want by more than 1e-6 * max(1, |want|)."""
+    counts = dict.fromkeys((*STATUSES, "wrong"), 0)
+    for res, want in zip(results, wants):
+        counts[res.status] += 1
+        counts["wrong"] += res.converged and abs(res.value - want) > 1e-6 * max(1.0, abs(want))
+    return counts
+
+
 def tree_scan() -> dict:
     """Status and wrong-value counts of classical_derivative per config and set size."""
     trees = random_trees(max(TREE_SETS))
+    wants = [d for _, _, d in trees]
     counts = {}
     for name, cfg in TREE_CONFIGS.items():
         got = [fd.classical_derivative(fd.as_function(e, "x"), x0, cfg) for e, x0, _ in trees]
         for n in TREE_SETS:
-            tally = dict.fromkeys((*STATUSES, "wrong"), 0)
-            for res, (_, _, d) in zip(got[:n], trees):
-                tally[res.status] += 1
-                tally["wrong"] += res.converged and abs(res.value - d) > 1e-6 * max(1.0, abs(d))
-            counts[f"{name}_{n}"] = tally
+            counts[f"{name}_{n}"] = tally(got[:n], wants)
     return counts
+
+
+def corpus_scan() -> dict:
+    """Status and wrong-value counts of classical_derivative on SMOOTH_CASES."""
+    points = [(fd.parse(text), x0) for text, xs in SMOOTH_CASES for x0 in xs]
+    got = [fd.classical_derivative(fd.as_function(e), x0, fd.LimitConfig()) for e, x0 in points]
+    return {"default": tally(got, [fd.symbolic_derivative_value(e, "x", x0).value
+                                   for e, x0 in points])}
+
+
+def grid_scan() -> dict:
+    """Status and wrong-value counts of derivative on the large-|x0| grid per config."""
+    points = []
+    for text in GRID_TEXTS:
+        e = fd.parse(text)
+        f = fd.as_function(e)
+        for x0 in GRID_POINTS:
+            try:
+                want = fd.symbolic_derivative_value(e, "x", x0).value
+            except fd.DomainError:  # f is undefined at x0
+                continue
+            points += [(f, x0, b, want) for b in GRID_BASES]
+    wants = [want for *_, want in points]
+    return {name: tally([fd.derivative(f, x0, b, cfg) for f, x0, b, _ in points], wants)
+            for name, cfg in GRID_CONFIGS.items()}
 
 
 def main(argv=None) -> int:
@@ -109,7 +149,8 @@ def main(argv=None) -> int:
                         help="fail when a violated, inconclusive, wrong or no-limit "
                         "count exceeds FILE's")
     args = parser.parse_args(argv)
-    counts = {"criteria_5_7_seed_scan": seed_scan(), "random_trees": tree_scan()}
+    counts = {"criteria_5_7_seed_scan": seed_scan(), "random_trees": tree_scan(),
+              "smooth_corpus": corpus_scan(), "large_x0_grid": grid_scan()}
     print(json.dumps(counts, indent=2))
     if args.check is None:
         return 0

@@ -45,6 +45,14 @@ POSITIVE_TEXTS = ["1+abs(x)", "2+sin(x)", "1+x^2", "exp(x/2)", "2+cos(x)"]
 
 RULE_POINTS = [-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]
 
+# |x0| large against the bases' scales, where a sampled h can leave x0 unmoved;
+# 92 of the 99 points have an oracle value (log and sqrt at the negative points
+# and exp(x/1e6) from 1e9 up have none), so 276 on the 3 bases
+GRID_TEXTS = ["x", "x^2", "sin(x)", "exp(x/1e6)", "x^3", "1/x", "log(x)", "sqrt(x)",
+              "cos(x)*x"]
+GRID_POINTS = [1e3, -1e3, 1e2, 3e2, 3e3, 1e4, 1e6, 1e9, -1e9, 1e12, 1e15]
+GRID_BASES = (punctured_base(1, 0.5), right_base(1, 0.5), punctured_base(0.7, 0.6))
+
 SMOOTH_CFG = LimitConfig(tol_osc=1e-4, tol_step=3e-7, no_limit_floor=1e-2)
 PQ_CFG = LimitConfig(tol_osc=1e-4, tol_step=1e-7, no_limit_floor=1e-2)
 

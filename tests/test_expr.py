@@ -271,19 +271,6 @@ class TestAsFunction:
         f = as_function(parse("4-1"))
         assert f(123.0) == 3.0
 
-    def test_level_form_compiled_once_on_first_use(self, monkeypatch):
-        sources = []
-
-        def spy(source, *args):
-            sources.append(source)
-            return compile(source, *args)
-        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
-        f = as_function(parse("x^2"))
-        assert [s.split("(")[0] for s in sources] == ["def f"]
-        assert f.quotients(1.0, f(1.0), [0.5, -0.25]) == [2.5, 1.75]
-        assert f.quotients(1.0, 1.0, [0.25]) == [2.25]
-        assert [s.split("(")[0] for s in sources] == ["def f", "def quotients"]
-
 
 def _pow_source(exponent: str, tested: bool) -> str:
     """as_function's source for x^exponent; the namespace's names are numbered

@@ -18,9 +18,9 @@ from filterderiv import (CONVERGED, INCONCLUSIVE, NO_LIMIT, BaseNotPuncturedErro
                          left_base, parse, punctured_base, right_base,
                          sequence_base, symbolic_derivative_value)
 from filterderiv.flimit import _finite_values, estimate_limit
-from corpus import (KINK_TEXTS, POSITIVE_TEXTS, PQ_CFG, SMOOTH_CASES, SMOOTH_CFG, SMOOTH_TEXTS,
-                    named_functions, one_sided_bases, pick_rule_instance,
-                    two_sided_bases)
+from corpus import (GRID_BASES, GRID_POINTS, GRID_TEXTS, KINK_TEXTS, POSITIVE_TEXTS, PQ_CFG,
+                    SMOOTH_CASES, SMOOTH_CFG, SMOOTH_TEXTS, named_functions, one_sided_bases,
+                    pick_rule_instance, two_sided_bases)
 from test_expr import _ref_trees
 
 ABS = as_function(parse("abs(x)"))
@@ -91,9 +91,28 @@ LEVEL_FORM_TABLE = [
 
 
 class TestLevelForm:
-    """The quotient of an f from as_function computes a level in one loop of
-    f's generated code; a plain callable's computes it one point at a time.
-    Both give the same values, and where a point fails, the same error."""
+    """The quotient of an f from as_function computes a level in one loop
+    that fderiv builds from f.expr; a plain callable's computes it one point
+    at a time. Both give the same values, and where a point fails, the same
+    error."""
+
+    def test_compiled_once_when_first_map_is_made(self, monkeypatch):
+        # as_function compiles f alone; the level form is compiled for the
+        # first map and kept for later maps and derivatives of f
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        f = as_function(parse("x^2"))
+        assert [s.split("(")[0] for s in sources] == ["def f"]
+        assert not hasattr(f, "quotients")
+        assert difference_quotient(f, 1.0).finite_values([0.5, -0.25]) == [2.5, 1.75]
+        assert [s.split("(")[0] for s in sources] == ["def f", "def quotients"]
+        assert difference_quotient(f, 2.0).finite_values([0.25]) == [4.25]
+        assert derivative(f, 0.5, P, C).status == CONVERGED
+        assert [s.split("(")[0] for s in sources] == ["def f", "def quotients"]
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(tree=_ref_trees,
@@ -170,8 +189,8 @@ class TestLevelForm:
                     raised.append(args[-1])
                     raise
             return run
-        rule_loop = fderiv._rule_loop
-        monkeypatch.setattr(fderiv, "_rule_loop", spy)
+        rule_loop = fderiv._level_form
+        monkeypatch.setattr(fderiv, "_level_form", spy)
         f, g = as_function(parse(f_text)), as_function(parse(g_text))
         b = right_base(1.0, 0.5)
         check = {"linearity": lambda f, g: check_linearity(f, g, 2.0, -1.5, 0.0, b, CFG, 1e-5),
@@ -929,11 +948,6 @@ class TestRuleLoop:
         assert [s.split("(")[0] for s in sources] == ["def rule"]
 
 
-GRID_TEXTS = ["x", "x^2", "sin(x)", "exp(x/1e6)", "x^3", "1/x", "log(x)", "sqrt(x)",
-              "cos(x)*x"]
-GRID_POINTS = [1e3, -1e3, 1e2, 3e2, 3e3, 1e4, 1e6, 1e9, -1e9, 1e12, 1e15]
-
-
 class TestUnmovedSamples:
     """For |x0| large against a level's scale, a sampled h can give
     x0 + h == x0: the quotient there is exactly 0 and the shifted value
@@ -955,13 +969,12 @@ class TestUnmovedSamples:
                     want = symbolic_derivative_value(e, "x", x0).value
                 except DomainError:
                     continue
-                for b in (punctured_base(1, 0.5), right_base(1, 0.5),
-                          punctured_base(0.7, 0.6)):
+                for b in GRID_BASES:
                     res = derivative(f, x0, b, cfg)
                     checked += 1
                     if res.converged and abs(res.value - want) > 1e-6 * max(1.0, abs(want)):
                         wrong += 1
-        # log(x) at -1e3 and -1e9 has no oracle value: f is undefined there
+        # 7 of the 99 points have no oracle value (see corpus.GRID_TEXTS)
         assert checked == 276 and wrong == 0
 
     def test_derivative_names_the_level(self):

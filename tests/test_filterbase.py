@@ -1275,6 +1275,14 @@ def _lie():
     return chain_from_elements("lie", [S((-1.0, 1.0))], punctured_at_zero=True)
 
 
+def _hand_built(max_level):
+    """A chain built by the constructor itself, whose every level is (0, 1)."""
+    return filterbase.FilterBaseChain(chain_id="hand", max_level=max_level,
+                                      punctured_at_zero=True, params={},
+                                      element_fn=lambda k: S((0.0, 1.0)),
+                                      scale_fn=lambda k: 1.0)
+
+
 class TestInputErrors:
     """Each public raise site of the module that no other test reaches."""
 
@@ -1319,6 +1327,8 @@ class TestInputErrors:
         (lambda: punctured_base(1, 0.5, max_level=2.0), "max_level must be an int"),
         (lambda: sequence_base(SequenceSpec("piovern"), max_level=2.0),
          "max_level must be an int"),
+        (lambda: _hand_built(2.5), "max_level must be an int"),
+        (lambda: _hand_built("3"), "max_level must be an int"),
     ], ids=["non-finite-point", "negative-max-level", "level-past-max",
             "punctured-flag-lies-element", "punctured-flag-lies-sample", "stride-0",
             "stride-1.5", "stride-2.0", "non-decreasing-sequence", "no-elements", "witness-past-max",
@@ -1326,7 +1336,8 @@ class TestInputErrors:
             "huge-endpoint", "huge-point", "huge-excluded", "decimal-nan-c", "decimal-snan-c",
             "decimal-nan-p", "decimal-snan-p", "decimal-nan-delta0", "decimal-snan-delta0",
             "decimal-nan-ratio", "decimal-snan-ratio", "float-K", "str-K", "float-witness-K",
-            "float-max-level", "float-sequence-max-level"])
+            "float-max-level", "float-sequence-max-level", "float-chain-max-level",
+            "str-chain-max-level"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
