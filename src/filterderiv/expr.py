@@ -34,21 +34,29 @@ def _sign(x: float) -> float:
     return 0.0 if x == 0.0 else (1.0 if x > 0.0 else -1.0)
 
 
-# The functions: name -> (operation, arity). An operation's ValueError or
-# OverflowError is a DomainError; for the finite arguments they receive, the
-# math functions raise instead of returning inf or nan, and min and max never raise.
-_FUNCTIONS = {"abs": (math.fabs, 1), "sign": (_sign, 1), "sin": (math.sin, 1),
-              "cos": (math.cos, 1), "tan": (math.tan, 1), "exp": (math.exp, 1),
-              "log": (math.log, 1), "sqrt": (math.sqrt, 1), "min": (min, 2), "max": (max, 2)}
-UNARY_FUNCTIONS = tuple(name for name, (_, arity) in _FUNCTIONS.items() if arity == 1)
-BINARY_FUNCTIONS = tuple(name for name, (_, arity) in _FUNCTIONS.items() if arity == 2)
+# The functions: name -> (operation, arity, carries). An operation's ValueError
+# or OverflowError is a DomainError; for the finite arguments they receive, the
+# math functions raise instead of returning inf or nan, and min and max never
+# raise. carries is True where ±inf or nan in an argument gives a result that
+# is not finite, or raises: a level loop then leaves that argument's check to
+# the result's (_hidden). exp(-inf) is 0.0, sign(nan) -1.0, min(inf, 1.0) 1.0.
+_FUNCTIONS = {"abs": (math.fabs, 1, True), "sign": (_sign, 1, False),
+              "sin": (math.sin, 1, True), "cos": (math.cos, 1, True),
+              "tan": (math.tan, 1, True), "exp": (math.exp, 1, False),
+              "log": (math.log, 1, True), "sqrt": (math.sqrt, 1, True),
+              "min": (min, 2, False), "max": (max, 2, False)}
+UNARY_FUNCTIONS = tuple(name for name, (_, arity, _) in _FUNCTIONS.items() if arity == 1)
+BINARY_FUNCTIONS = tuple(name for name, (_, arity, _) in _FUNCTIONS.items() if arity == 2)
 
-# The binary ops: name -> (symbol, binding level); a higher level binds
-# tighter. "^" associates to the right, the others to the left.
-_BINARY_OPS = {"add": ("+", 1), "sub": ("-", 1), "mul": ("*", 2), "div": ("/", 2),
-               "pow": ("^", 3)}
-_BY_SYMBOL = {symbol: (name, level) for name, (symbol, level) in _BINARY_OPS.items()}
-_TOP_LEVEL = max(level for _, level in _BINARY_OPS.values())
+# The binary ops: name -> (symbol, binding level, carries); a higher level
+# binds tighter. "^" associates to the right, the others to the left. carries
+# is per operand, as for _FUNCTIONS: x/inf is 0.0 (inf*0.0 is nan), and a
+# power carries its base only to a float constant exponent > 0 (_operands).
+_BINARY_OPS = {"add": ("+", 1, (True, True)), "sub": ("-", 1, (True, True)),
+               "mul": ("*", 2, (True, True)), "div": ("/", 2, (True, False)),
+               "pow": ("^", 3, (False, False))}
+_BY_SYMBOL = {symbol: (name, level) for name, (symbol, level, _) in _BINARY_OPS.items()}
+_TOP_LEVEL = max(level for _, level, _ in _BINARY_OPS.values())
 
 
 @record
@@ -270,6 +278,38 @@ def _exact_finite(value) -> bool:
         return False
 
 
+def _operands(node: Expr) -> list[tuple[Expr, bool]]:
+    """node's children, each with whether node carries a non-finite value
+    in it on (_FUNCTIONS, _BINARY_OPS)."""
+    if isinstance(node, Unary):
+        return [(node.child, True)]
+    if isinstance(node, Binary):
+        exponent = node.right.value if isinstance(node.right, Constant) else None
+        base = type(exponent) is float and exponent > 0.0  # pow(inf, 0.0) is 1.0
+        return list(zip((node.left, node.right),
+                        (base, False) if node.op == "pow" else _BINARY_OPS[node.op][2]))
+    if isinstance(node, Call):
+        return [(a, _FUNCTIONS[node.fn][2]) for a in node.args]
+    return []
+
+
+def _hidden(trees: Sequence[Expr]) -> set[int]:
+    """The ids of the nodes of trees whose non-finite value a later
+    operation could hide: an operand its node does not carry, and each
+    operand of a hidden node without a check of its own (a negation, call
+    or power). A root carries, into its quotient. A shared node is seen at
+    most twice: once, and again if a later use hides it."""
+    state, stack = {}, [(root, False) for root in trees]
+    while stack:
+        node, hidden = stack.pop()
+        if state.get(id(node), -1) >= hidden:
+            continue
+        state[id(node)] = hidden
+        through = hidden and not (isinstance(node, Binary) and node.op != "pow")
+        stack.extend((child, through or not carries) for child, carries in _operands(node))
+    return {key for key, hidden in state.items() if hidden}
+
+
 class _Code:
     """Generated code for trees over one namespace, node by node. Without
     var, a variable reads its value from a mapping, which _binding checks;
@@ -287,16 +327,23 @@ class _Code:
     may hold a number that is not a float, such as an int: it is a constant
     that is not a float, or a node over one with no variable below it. Only
     such a node's check tests for a number too large for a double; a node
-    that computes in floats keeps the bare isfinite."""
+    that computes in floats keeps the bare isfinite.
 
-    def __init__(self, var: str | None = None, params: Sequence[Expr] = ()):
+    With hidden, _hidden's set, the code is a level loop's, which exists
+    only to compute values or raise: a variable is ``arg`` and a finite
+    float constant its repr in brackets, with no temporary, a float node
+    is tested only if it is hidden, and a float constant divisor only if it
+    is 0. arg_uses holds, per variable, whether it is hidden."""
+
+    def __init__(self, var: str | None = None, params: Sequence[Expr] = (),
+                 hidden: set[int] | None = None):
         self.ns = {"__builtins__": {}, "isfinite": math.isfinite, "floor": math.floor,
                    "pow": math.pow, "type": type, "float": float, "real": _real,
                    "Raised": (ValueError, OverflowError)}
-        self.var, self.lines, self.exact = var, [], set()
+        self.var, self.lines, self.exact, self.hidden = var, [], set(), hidden
         self.temps = {id(p): f"p{i}" for i, p in enumerate(params)}
         self.params = list(self.temps.values())
-        self._gate = None
+        self._gate, self.arg_uses = None, []
 
     def ref(self, obj) -> str:  # obj's name in the namespace
         name = f"k{len(self.ns)}"
@@ -312,12 +359,20 @@ class _Code:
     def define(self, signature: str, body: Sequence[str]) -> Callable:
         source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
         exec(compile(source, "<expression>", "exec"), self.ns)
-        return self.ns[signature.split("(")[0]]
+        # out of its own namespace, so that it is freed as soon as it is unused
+        return self.ns.pop(signature.split("(")[0])
 
     def emit(self, node: Expr) -> str:  # the temporary that holds node's value
         lines, exact, ref = self.lines, self.exact, self.ref
         if id(node) in self.temps:
             return self.temps[id(node)]
+        lean = self.hidden is not None
+        if lean and isinstance(node, Variable):
+            self.arg_uses.append(id(node) in self.hidden)
+            return self.temps.setdefault(id(node), "arg")
+        float_constant = isinstance(node, Constant) and type(node.value) is float
+        if lean and float_constant and math.isfinite(node.value):
+            return self.temps.setdefault(id(node), f"({node.value!r})")
         t = self.temps[id(node)] = f"t{len(self.temps)}"
 
         def fail(message: str, argument: str = "") -> str:  # node's raise statement
@@ -356,13 +411,15 @@ class _Code:
                 lines.extend(["try:", f"    {t} = pow({left}, {right})", "except Raised:",
                               f"    {fail('power is not a finite real', left)} from None"])
             else:
-                if node.op == "div":
+                # a float constant divisor, written in place, is tested only if it is 0
+                if node.op == "div" and not (right[0] == "(" and node.right.value != 0.0):
                     lines.append(f"if {right} == 0.0: {fail('division by zero', right)}")
-                finite = ref(_exact_finite) if t in exact else "isfinite"
-                lines.extend([f"{t} = {left} {_BINARY_OPS[node.op][0]} {right}",
-                              f"if not {finite}({t}): {fail('result is not a finite real')}"])
+                lines.append(f"{t} = {left} {_BINARY_OPS[node.op][0]} {right}")
+                if t in exact or not lean or id(node) in self.hidden:
+                    finite = ref(_exact_finite) if t in exact else "isfinite"
+                    lines.append(f"if not {finite}({t}): {fail('result is not a finite real')}")
         else:
-            op, arity = _FUNCTIONS[node.fn]
+            op, arity, _ = _FUNCTIONS[node.fn]
             if len(node.args) != arity:  # a hand-built call; parse checks its own
                 raise ValueError(f"{node.fn} takes {arity} argument(s), got {len(node.args)}")
             args = [self.emit(a) for a in node.args]
@@ -380,21 +437,27 @@ def _level_loop(name: str, trees: Sequence[Expr], params: Sequence[Expr] = ()) -
     variable is the point (f and g may name theirs differently) and a node
     of params is an argument p<j>. x0 is taken as float(x0 - 0.0) once (it
     fails as x0 + h does), then each node of the trees is computed once per
-    h of hs, at x0 + h, which must be finite. For the i-th tree it returns
-    the list of (value - y<i>) / h, each checked finite: one tree's list as
-    it is, several as a tuple. h == 0 divides by zero; a point raises what
-    the trees raise there."""
-    code = _Code("x", params)
+    h of hs, at x0 + h. For the i-th tree it returns the list of (value -
+    y<i>) / h: one tree's list as it is, several as a tuple. The code is
+    lean (_Code, _hidden) and each list is tested once, after the loop, so
+    the loop raises, though not always the same error, wherever a tree
+    raises at a point or a quotient is not finite; h == 0 divides by zero."""
+    code = _Code("x", params, _hidden(trees))
     temps = [code.emit(root) for root in trees]
     not_finite = code.ref(partial(DomainError, "difference quotient is not a finite real"))
-    body = [f"if not isfinite(arg): raise {code.gate()}(argument=arg)", *code.lines]
-    for i, t in enumerate(temps):
-        body += [f"q = ({t} - y{i}) / h",
-                 f"if not isfinite(q): raise {not_finite}(argument=h)", f"o{i}.append(q)"]
+    # the point's own test, where a use of it could hide it or no tree reads it
+    if any(code.arg_uses) or not code.arg_uses:
+        code.lines.insert(0, f"if not isfinite(arg): raise {code.gate()}(argument=arg)")
+    code.ns.update(sum=sum, all=all, map=map)
     ys, lists = [f"y{i}" for i in range(len(trees))], [f"o{i}" for i in range(len(trees))]
     return code.define(f"{name}({', '.join(['x0', *ys, *code.params, 'hs'])})", [
         "x0 = float(x0 - 0.0)", *(f"{o} = []" for o in lists), "for h in hs:",
-        "    arg = x0 + h", *(f"    {line}" for line in body), f"return {', '.join(lists)}"])
+        "    arg = x0 + h", *(f"    {line}" for line in code.lines),
+        *(f"    {o}.append(({t} - {y}) / h)" for o, t, y in zip(lists, temps, ys)),
+        # a sum is finite only if every term is, and all() runs only where it overflows
+        *(f"if not (isfinite(sum({o})) or all(map(isfinite, {o}))): raise {not_finite}()"
+          for o in lists),
+        f"return {', '.join(lists)}"])
 
 
 def _generate(trees: Sequence[Expr]) -> Callable:
@@ -456,7 +519,7 @@ def render(e: Expr) -> str:
         return f"-{child}"
     if isinstance(e, Call):
         return f"{e.fn}({','.join(render(a) for a in e.args)})"
-    symbol, level = _BINARY_OPS[e.op]
+    symbol, level, _ = _BINARY_OPS[e.op]
     l, r = render(e.left), render(e.right)
     # A child that binds looser than e is bracketed, and so is one that binds
     # as tightly on the side e does not associate to.
@@ -478,7 +541,8 @@ def as_function(e: Expr, var: str | None = None) -> Callable[[float], float]:
     bit for bit; a non-finite t raises DomainError, so f never returns a
     non-finite value.
 
-    f keeps e as ``f.expr``, from which fderiv builds its level loops."""
+    f keeps e as ``f.expr``, from which fderiv builds its level loops; it
+    keeps f's own loop on f, as ``f._quotients``."""
     names = free_vars(e)
     if var is None:
         if len(names) > 1:

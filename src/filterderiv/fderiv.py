@@ -203,8 +203,8 @@ def f_continuity(f: Callable[[float], float], a: float, b: FilterBaseChain,
                              is_continuous=ok)
 
 
-# Level loops kept, each with its f (and g): compiling one takes up to 0.5 ms,
-# half of a typical check, so the estimates on one f or (f, g, rule) share it.
+# Rule loops kept, each with its f and g: compiling one takes up to 0.5 ms,
+# half of a typical check, so the estimates on one (f, g, rule) share it.
 _LEVEL_LOOPS = 256
 
 # linearity's alpha and beta: arguments of its level loop, not constants in
@@ -212,16 +212,29 @@ _LEVEL_LOOPS = 256
 _ALPHA, _BETA = Variable("alpha"), Variable("beta")
 
 
-@lru_cache(maxsize=_LEVEL_LOOPS)
 def _level_form(f, g=None, rule: str | None = None) -> Callable:
     """The level loop of functions from as_function: with g None, f's level
-    form quotients(x0, y0, hs), of f's difference quotients; else the loop of
-    a check of rule on f and g, of the difference quotients of f, g and c, in
-    that order. c's tree is built from f's and g's nodes in the operations
-    of the check's combine, alpha*f + beta*g, f*g or f/g, so each node is
-    computed once per point and c's values are combine's, bit for bit."""
-    if g is None:
-        return _level_loop("quotients", [f.expr])
+    form quotients(x0, y0, hs), of f's difference quotients, kept on f as
+    f._quotients, so that every map of f shares it and it lives as long as
+    f; else the loop of a check of rule on f and g (_rule_loop). Each loop
+    tests a node only where a later operation could hide a value that is
+    not finite, and each quotient list once, so it raises where any point
+    or quotient fails, but not always the error the point raises."""
+    if g is not None:
+        return _rule_loop(f, g, rule)
+    form = getattr(f, "_quotients", None)
+    if form is None:
+        form = f._quotients = _level_loop("quotients", [f.expr])
+    return form
+
+
+@lru_cache(maxsize=_LEVEL_LOOPS)
+def _rule_loop(f, g, rule: str) -> Callable:
+    """The loop of a check of rule on f and g, of the difference quotients
+    of f, g and c, in that order. c's tree is built from f's and g's nodes
+    in the operations of the check's combine, alpha*f + beta*g, f*g or f/g,
+    so each node is computed once per point and c's values are combine's,
+    bit for bit."""
     fe, ge = f.expr, g.expr
     if rule == "linearity":
         params = (_ALPHA, _BETA)

@@ -1,6 +1,6 @@
 """Correctness census: verdict counts over many sampling seeds and random trees.
 
-Four scans, printed as one JSON object of counts:
+Five scans, printed as one JSON object of counts:
 
 - the rule draws of acceptance criteria 5-7 (200 linearity, 99 product and
   99 quotient checks, from corpus.rule_draws, as tests/test_acceptance.py)
@@ -16,13 +16,18 @@ Four scans, printed as one JSON object of counts:
 - derivative at each point of corpus.GRID_TEXTS x GRID_POINTS that has an
   oracle value, on each of GRID_BASES (large |x0|, where a sampled h can
   leave x0 unmoved), under LimitConfig(), SMOOTH_CFG and PQ_CFG: the same
-  counts per config.
+  counts per config;
+- classical_derivative under LimitConfig() on the first 400 random trees,
+  and on the same trees with every x replaced by x*1e200 (where
+  intermediates overflow), each on f, whose estimates read f's level loop,
+  and on lambda t: f(t), which reads f point by point: the count of
+  reports whose repr differs.
 
     PYTHONPATH=src python tests/census.py
     PYTHONPATH=src python tests/census.py --check tests/census_expected.json
 
-With --check FILE it exits 1 when any violated, inconclusive, wrong or
-no-limit count exceeds the one committed in FILE. The name keeps it out of
+With --check FILE it exits 1 when any violated, inconclusive, wrong,
+no-limit or differing count exceeds the one committed in FILE. The name keeps it out of
 pytest's collection.
 """
 
@@ -45,7 +50,7 @@ TREE_SETS = (400, 2000)
 TREE_CONFIGS = {"default": fd.LimitConfig(), "smooth": SMOOTH_CFG}
 GRID_CONFIGS = {**TREE_CONFIGS, "pq": PQ_CFG}
 STATUSES = (fd.CONVERGED, fd.UNDECIDED, fd.DOMAIN_ERROR, fd.NO_LIMIT)
-UNSAFE = (fd.INCONCLUSIVE, fd.VIOLATED, "wrong", fd.NO_LIMIT)
+UNSAFE = (fd.INCONCLUSIVE, fd.VIOLATED, "wrong", fd.NO_LIMIT, "differ")
 
 
 def seed_scan() -> dict:
@@ -143,14 +148,44 @@ def grid_scan() -> dict:
             for name, cfg in GRID_CONFIGS.items()}
 
 
+def scaled(e: fd.Expr) -> fd.Expr:
+    """e with every variable x replaced by x*1e200."""
+    if isinstance(e, fd.Variable):
+        return fd.Binary("mul", e, fd.Constant(1e200))
+    if isinstance(e, fd.Unary):
+        return fd.Unary(e.op, scaled(e.child))
+    if isinstance(e, fd.Binary):
+        return fd.Binary(e.op, scaled(e.left), scaled(e.right))
+    if isinstance(e, fd.Call):
+        return fd.Call(e.fn, tuple(map(scaled, e.args)))
+    return e
+
+
+def level_loop_scan() -> dict:
+    """Reports of classical_derivative that differ between f's level loop
+    and its point-by-point path, on the first 400 random trees as they are
+    and scaled."""
+    trees, cfg = random_trees(min(TREE_SETS)), fd.LimitConfig()
+    counts = {}
+    for name, build in (("default_400", lambda e: e), ("overflow_400", scaled)):
+        differ = 0
+        for e, x0, _ in trees:
+            f = fd.as_function(build(e), "x")
+            differ += (repr(fd.classical_derivative(f, x0, cfg))
+                       != repr(fd.classical_derivative(lambda t: f(t), x0, cfg)))
+        counts[name] = {"differ": differ}
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE",
-                        help="fail when a violated, inconclusive, wrong or no-limit "
-                        "count exceeds FILE's")
+                        help="fail when a violated, inconclusive, wrong, no-limit "
+                        "or differing count exceeds FILE's")
     args = parser.parse_args(argv)
     counts = {"criteria_5_7_seed_scan": seed_scan(), "random_trees": tree_scan(),
-              "smooth_corpus": corpus_scan(), "large_x0_grid": grid_scan()}
+              "smooth_corpus": corpus_scan(), "large_x0_grid": grid_scan(),
+              "level_loops": level_loop_scan()}
     print(json.dumps(counts, indent=2))
     if args.check is None:
         return 0

@@ -198,6 +198,76 @@ class TestMathRaisesInsteadOfNonFinite:
         assert type(v) is float and math.isfinite(v)
 
 
+NOT_FINITE = [math.inf, -math.inf, math.nan]
+# the other operand of a carrying one; a power's exponent is its own list
+OTHER_OPERANDS = [0.0, -0.0, 1.0, -2.5, 1e308, 5e-324, math.inf, -math.inf, math.nan]
+POSITIVE_EXPONENTS = [5e-324, 0.5, 1.0, 2.0, 2.5, 3.0, 1e308]
+BINARY_OPERATIONS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+                     "mul": lambda a, b: a * b, "div": lambda a, b: a / b, "pow": math.pow}
+
+
+def _carried(operation, *args) -> bool:
+    """Does operation(*args) give a value that is not finite, or raise?"""
+    try:
+        return not math.isfinite(operation(*args))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return True
+
+
+class TestCarryPremises:
+    """A level loop drops a node's finiteness test where every use of the
+    node carries a value that is not finite on, to a result that is not
+    finite or to a raise (expr._FUNCTIONS, expr._BINARY_OPS, expr._operands),
+    and tests each quotient list by its sum. These are the premises, on this
+    Python and its libm."""
+
+    @pytest.mark.parametrize("bad", NOT_FINITE, ids=repr)
+    def test_carried_function_arguments(self, bad):
+        for name, (operation, arity, carries) in expr_module._FUNCTIONS.items():
+            if carries:
+                assert arity == 1 and _carried(operation, bad), name
+
+    @pytest.mark.parametrize("bad", NOT_FINITE, ids=repr)
+    def test_carried_binary_operands(self, bad):
+        for name, (_, _, carries) in expr_module._BINARY_OPS.items():
+            for other in OTHER_OPERANDS:
+                if carries[0]:
+                    assert _carried(BINARY_OPERATIONS[name], bad, other), (name, other)
+                if carries[1]:
+                    assert _carried(BINARY_OPERATIONS[name], other, bad), (name, other)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE, ids=repr)
+    def test_power_carries_its_base_to_a_positive_exponent(self, bad):
+        for exponent in POSITIVE_EXPONENTS:
+            assert _carried(math.pow, bad, exponent), exponent
+        carries = {text: [c for _, c in expr_module._operands(parse(text))]
+                   for text in ["x^2.5", "x^0", "x^x", "x^(0-1)"]}
+        assert carries == {"x^2.5": [True, False], "x^0": [False, False],
+                           "x^x": [False, False], "x^(0-1)": [False, False]}
+
+    def test_operations_that_do_not_carry_have_finite_witnesses(self):
+        functions, ops = expr_module._FUNCTIONS, expr_module._BINARY_OPS
+        assert [name for name, (*_, carries) in functions.items() if not carries] == [
+            "sign", "exp", "min", "max"]
+        assert (ops["div"][2], ops["pow"][2]) == ((True, False), (False, False))
+        assert math.exp(-math.inf) == 0.0
+        assert 1.0 / math.inf == 0.0
+        assert math.pow(math.inf, 0.0) == 1.0
+        assert math.isfinite(functions["sign"][0](math.nan))
+        assert min(math.inf, 1.0) == 1.0 and max(-math.inf, 1.0) == 1.0
+
+    @pytest.mark.parametrize("bad", NOT_FINITE, ids=repr)
+    def test_sum_of_a_list_with_a_value_not_finite(self, bad):
+        finite = [1.0, -2.5, 1e308, -1e308, 5e-324, 0.0, 1e308]
+        for n in range(len(finite) + 1):
+            for i in range(n + 1):
+                values = finite[:n]
+                values.insert(i, bad)
+                assert not math.isfinite(sum(values)), values
+        assert math.isnan(sum([math.inf, -math.inf]))
+        assert not math.isfinite(sum([1e308, 1e308]))  # every term is finite: all() decides
+
+
 class TestEvaluationTable:
     @pytest.mark.parametrize("text,env,expected", EVALUATION_TABLE)
     def test_exact_value(self, text, env, expected):

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from filterderiv import expr as expr_module
 from filterderiv import fderiv
-from filterderiv import (CONVERGED, INCONCLUSIVE, NO_LIMIT, BaseNotPuncturedError,
-                         DomainError, LimitConfig, QUOTIENT_RULE_NOTE,
-                         SequenceSpec, SetDescriptor, as_function, chain_from_elements,
-                         check_linearity, check_product_rule,
+from filterderiv import (CONVERGED, INCONCLUSIVE, NO_LIMIT, BaseNotPuncturedError, Binary,
+                         Constant, DomainError, LimitConfig, QUOTIENT_RULE_NOTE,
+                         SequenceSpec, SetDescriptor, Variable, as_function,
+                         chain_from_elements, check_linearity, check_product_rule,
                          check_quotient_rule, classical_derivative,
                          derivative, difference_quotient, f_continuity,
                          left_base, parse, punctured_base, right_base,
@@ -21,7 +22,7 @@ from filterderiv.flimit import _finite_values, estimate_limit
 from corpus import (GRID_BASES, GRID_POINTS, GRID_TEXTS, KINK_TEXTS, POSITIVE_TEXTS, PQ_CFG,
                     SMOOTH_CASES, SMOOTH_CFG, SMOOTH_TEXTS, named_functions, one_sided_bases,
                     pick_rule_instance, two_sided_bases)
-from test_expr import _ref_trees
+from test_expr import _ref_compound, _ref_trees
 
 ABS = as_function(parse("abs(x)"))
 IDENT = as_function(parse("x"))
@@ -62,6 +63,8 @@ def _values_or_error(call):
     except Exception as exc:
         return type(exc), str(exc), repr(getattr(exc, "argument", None))
 
+
+_OVERFLOW = Binary("mul", Binary("mul", Variable("x"), Constant(1e308)), Constant(10.0))
 
 _EDGE_HS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 0.5, -0.25, 1e300,
             -sys.float_info.max]
@@ -201,6 +204,79 @@ class TestLevelForm:
 
     def test_plain_callable_has_no_level_form(self):
         assert not hasattr(difference_quotient(lambda t: t, 0.0), "finite_values")
+
+    # a later operation would hide the overflow of x*1e308*10: 1/inf and
+    # exp(-inf) are 0, 2^-inf is 0, sign(inf) is 1, min(inf, 1) is 1, inf^0
+    # is 1, and inf - inf is nan, which only the quotient's test sees
+    HIDDEN_OVERFLOW = ["1/(x*1e308*10)", "exp(0-x*1e308*10)", "2^(0-x*1e308*10)",
+                       "sign(x*1e308*10)", "min(x*1e308*10,1)", "x*1e308*10-x*1e308*10",
+                       "(x*1e308*10)^0", "exp(-(x*1e308*10))"]
+
+    @pytest.mark.parametrize("text", HIDDEN_OVERFLOW)
+    def test_value_a_later_operation_hides_still_fails(self, text):
+        f = as_function(parse(text))
+        est = derivative(f, 1.0, punctured_base(1, 0.5), LimitConfig()).estimate
+        assert (est.status, len(est.trace), est.failure_detail) == (
+            "domain-error", 0, "domain error at level 0: result is not a finite real "
+            "in x*1e+308*10.0")
+        # at 1e-10 f is defined, and the loop runs: it raises where the point does
+        q = difference_quotient(f, 1e-10)
+        assert all(math.isfinite(v) for v in q.finite_values([1e-12]))
+        with pytest.raises(DomainError):
+            q.finite_values([0.5])
+        b = punctured_base(1, 0.5)
+        assert (derivative(f, 1e-10, b, LimitConfig())
+                == derivative(lambda t: f(t), 1e-10, b, LimitConfig()))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tree=st.recursive(st.sampled_from([_OVERFLOW, Variable("x"), Constant(0.0),
+                                              Constant(-1.5), Constant(2.0)]),
+                             _ref_compound, max_leaves=6),
+           x0=st.sampled_from([0.0, 1e-10, -1e-10]),
+           hs=st.lists(st.sampled_from([0.5, -0.25, 1e-12]), min_size=1, max_size=3))
+    def test_overflow_fails_the_level_where_a_point_fails(self, tree, x0, hs):
+        # x*1e308*10 overflows on |h| >= 0.25 only, under every kind of node
+        f = as_function(tree, "x")
+        expected = _values_or_error(
+            lambda: _finite_values(difference_quotient(lambda t: f(t), x0), hs))
+        level = _values_or_error(lambda: difference_quotient(f, x0).finite_values(hs))
+        assert (level == expected) if isinstance(expected, list) else type(level) is tuple
+
+    def test_quotients_whose_sum_overflows_are_values(self):
+        f = as_function(parse("x*1e308"))
+        hs = [0.25, 0.125, -0.25]
+        values = difference_quotient(f, 1.0).finite_values(hs)
+        assert values == _finite_values(difference_quotient(lambda t: f(t), 1.0), hs)
+        assert sum(values) == math.inf
+
+    @pytest.mark.parametrize("text,checks", [
+        ("sin(x)*exp(x/2)", ["t4"]),  # exp would hide x/2's overflow, nothing else can
+        ("exp(x)", ["arg"]),  # exp(-inf) is 0: the point is tested
+        ("2+3", ["arg"]),  # a constant tree ignores the point: it is tested
+        ("x*x+sin(x)", []),  # every node carries to the root
+        ("x*x+1/x", ["arg"]),  # the divisor x: x/inf is 0
+        ("1/(x*2)", ["t2"]),  # the divisor x*2, which tests x too
+    ])
+    def test_lean_loop_tests_only_what_could_be_hidden(self, text, checks, monkeypatch):
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+        monkeypatch.setattr(expr_module, "compile", spy, raising=False)
+        fderiv._level_form(as_function(parse(text)))
+        lines = [line.strip() for line in sources[-1].splitlines()]
+        assert [line.split("(")[1].split(")")[0] for line in lines
+                if line.startswith("if not isfinite(") and "sum" not in line] == checks
+        assert sum("isfinite(sum(o0))" in line for line in lines) == 1
+
+    def test_level_form_is_freed_with_f(self):
+        f = as_function(parse("sin(x)*x"))
+        assert derivative(f, 0.5, P, C).status == CONVERGED
+        form = weakref.ref(fderiv._level_form(f))
+        assert fderiv._level_form(f) is form()  # kept: every map of f shares it
+        del f
+        assert form() is None  # at once: neither is in a reference cycle
 
 
 class TestDerivative:
